@@ -19,6 +19,11 @@ def multiset_max_err(a, b) -> float:
     return float(cost[rows, cols].max()) if len(a) else 0.0
 
 
+def dense_sigma_min(a) -> float:
+    """Smallest singular value of a dense matrix by a full SVD."""
+    return float(np.linalg.svd(np.asarray(a), compute_uv=False)[-1])
+
+
 def chain2_rates(theta: float) -> np.ndarray:
     """Two-qubit chain: z = 1 -/+ exp(i theta)."""
     e = np.exp(1j * theta)

@@ -82,6 +82,17 @@ def test_threads_env_round_trip(tmp_path, monkeypatch):
     assert len(got) == 6
 
 
+@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
+def test_invalid_threads_env_is_config_error(tmp_path, monkeypatch, capsys, threads):
+    monkeypatch.setenv("DROPQED_THREADS", threads)
+    code = run_cli(["eom-cnm", "--dims", "2,3", "--theta-over-pi", "0.65",
+                    "--output", str(tmp_path / "cnm.json")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert "DROPQED_THREADS" in err and repr(threads) in err
+
+
 def test_compare_validation_failure_exit_code(tmp_path):
     out = tmp_path / "cmp.json"
     code = run_cli(["compare", "--dims", "2,2", "--theta-over-pi", "0.5",

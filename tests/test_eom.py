@@ -18,7 +18,8 @@ from dropqed import (
     sample_noise,
     sigma_min,
 )
-from oracles import lattice_2x2_rates, multiset_max_err
+from dropqed import eom
+from oracles import dense_sigma_min, lattice_2x2_rates, multiset_max_err
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -118,9 +119,11 @@ def test_log_det_landscape_dips_at_every_pole():
 # --------------------------------------------------------------- sigma_min
 
 def test_sigma_min_vanishes_at_pole():
+    # theta = pi, Delta = 0 is a bound-state pole: A is exactly singular
     spec = spec_of([2, 2], theta=np.pi)
     a = assemble(spec, 0.0).a
     assert sigma_min(spec, 0.0) <= 1e-10 * np.linalg.norm(a)
+    assert sigma_min(spec, 0.0) >= dense_sigma_min(a) - 1e-12 * np.linalg.norm(a)
 
 
 def test_sigma_min_far_from_poles():
@@ -133,6 +136,67 @@ def test_sigma_min_at_drop_poles():
     spec = spec_of([2, 3], [1.0, 0.4], theta=0.65 * np.pi)
     for gamma in drop_spectrum(spec).rates:
         assert sigma_min(spec, gamma / 2j) < 1e-10 * spec.n_qubits
+
+
+def _noisy_acceptance_7():
+    spec = spec_of([3, 2, 6], (1.0, 3.0, 2.0), theta=0.65 * np.pi)
+    return spec.with_noise(sample_noise(spec, 0.05, seed=7))
+
+
+SIGMA_MIN_CASES = {
+    "n1": lambda: spec_of([1], [1.3], theta=0.7),
+    "2x2-pi": lambda: spec_of([2, 2], theta=np.pi),
+    "4x4-clustered": lambda: spec_of([4, 4], (1.0, 0.4), theta=0.9999 * np.pi),
+    "3x2x6-noisy": _noisy_acceptance_7,
+    "5x5x5": lambda: spec_of([5, 5, 5], (1.0, 4.0, 2.0)),
+}
+OFF_POLE = (0.123 + 0.456j, -0.3 - 0.2j, 0.05j, 2.0 - 1.0j)
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_MIN_CASES))
+def test_sigma_min_matches_dense_svd_off_poles(case):
+    spec = SIGMA_MIN_CASES[case]()
+    for delta in OFF_POLE:
+        a = assemble(spec, delta).a
+        want = dense_sigma_min(a)
+        got = sigma_min(spec, delta)
+        assert abs(got - want) <= 1e-8 * want, (delta, got, want)
+        assert got >= want - 1e-12 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("case", sorted(SIGMA_MIN_CASES))
+def test_sigma_min_vanishes_at_every_eig_pole(case):
+    spec = SIGMA_MIN_CASES[case]()
+    system = eom._EomSystem(spec)
+    for gamma in all_poles_eig(spec, validate="none").poles.rates:
+        delta = gamma / 2j
+        assert system.sigma_min(delta) <= 1e-9 * system.frobenius(delta), gamma
+
+
+def test_sigma_min_is_bit_identical_on_repeat():
+    spec = SIGMA_MIN_CASES["3x2x6-noisy"]()
+    first = sigma_min(spec, 0.123 + 0.456j)
+    assert all(sigma_min(spec, 0.123 + 0.456j) == first for _ in range(3))
+
+
+def test_sigma_min_singular_factor_reports_zero(monkeypatch):
+    def singular(_):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(eom, "splu", singular)
+    assert sigma_min(spec_of([2, 2]), 0.3) == 0.0
+
+
+@pytest.mark.parametrize("converged", [0, 1])
+def test_sigma_min_unconverged_lanczos_stays_an_upper_bound(monkeypatch, converged):
+    spec = spec_of([2, 3], (1.0, 0.4), theta=0.65 * np.pi)
+    delta = 0.123 + 0.456j
+    a = assemble(spec, delta).a
+    rough = np.random.default_rng(1).standard_normal((len(a), converged)) + 0j
+
+    def no_convergence(*args, **kwargs):
+        raise eom.ArpackNoConvergence("no convergence", np.ones(converged), rough)
+    monkeypatch.setattr(eom, "eigsh", no_convergence)
+    assert sigma_min(spec, delta) >= dense_sigma_min(a) - 1e-12 * np.linalg.norm(a)
 
 
 # --------------------------------------------------------------- find_pole
@@ -237,6 +301,21 @@ def test_all_poles_cnm_with_default_seeds():
                            all_poles_eig(spec).poles.rates)
     assert err < 1e-8 * spec.rate_sum
     assert np.all(result.residuals <= 1e-9)
+
+
+def test_all_poles_cnm_is_thread_count_independent(monkeypatch):
+    spec = _noisy_acceptance_7()
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("DROPQED_THREADS", threads)
+        runs.append(all_poles_cnm(spec))
+    assert np.array_equal(runs[0].poles.rates, runs[1].poles.rates)
+    assert np.array_equal(runs[0].residuals, runs[1].residuals)
+
+
+def test_all_poles_eig_rejects_unknown_validate():
+    with pytest.raises(ValueError, match="'sample', 'all' or 'none'"):
+        all_poles_eig(spec_of([2, 2]), validate="bogus")
 
 
 def test_all_poles_cnm_grid_rescue():

@@ -20,7 +20,7 @@ import numpy as np
 from . import eom
 from .chain1d import ChainSpectrum, chain_rates
 from .drop import Spectrum, drop_spectrum
-from .errors import MaxIterationsError, ThetaOutOfRange
+from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, enumerate_lines, linearize, sample_noise
 
 
@@ -267,98 +267,19 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     """Perturb the per-qubit rates, then refine Cartesian-sum estimates.
 
     Samples one noise field, forms estimates from the qubit-averaged rates,
-    and runs a singularity search on the disordered system from every
-    estimate.  Each search starts with a simplex bounded by the local
-    estimate spacing so neighbouring poles keep their own seeds; if two
-    seeds still collapse onto one pole, the displaced one is deterministically
-    retried with progressively smaller simplices.  Reports per-seed
-    displacements, the number of distinct poles recovered, and which seeds
-    (if any) failed to converge.
+    and refines every estimate into a pole of the disordered system by local
+    shift-invert and Rayleigh-quotient iteration (see
+    :func:`~dropqed.eom.all_poles_cnm`); seeds that reach an eigenvector
+    another seed already claimed search again among the unclaimed poles.
+    Reports per-seed displacements, the number of poles recovered (a pole of
+    multiplicity m counts m times), and which seeds (if any) found no pole.
     """
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)
     estimates = drop_spectrum(noisy)
-    system = eom._EomSystem(noisy)
-    n = len(estimates)
-    est = estimates.rates
-    base_step = 0.01 * sum(noisy.effective_gammas())
-    steps = np.full(n, base_step)
-    if n > 1:
-        gaps = np.abs(est[:, None] - est[None, :])
-        np.fill_diagonal(gaps, np.inf)
-        nearest = gaps.min(axis=1)
-        steps = np.clip(0.35 * nearest / 2, 1e-4 * base_step, base_step)
-
-    refined = np.full(n, np.nan, dtype=complex)
-    unconverged: list[int] = []
-
-    def refine(i: int, step: float) -> None:
-        try:
-            pole = eom._find_pole(system, est[i] / 2j, tol, step, 10000, "auto")
-        except MaxIterationsError:
-            if i not in unconverged:
-                unconverged.append(i)
-            return
-        refined[i] = 2j * pole
-
-    for i in range(n):
-        refine(i, float(steps[i]))
-
-    # collapse resolution: a pole claimed by several seeds keeps its closest
-    # owner; each displaced owner re-searches a ring of local seeds around
-    # its estimate (the missing pole sits at the same distance scale as the
-    # one that captured the descent)
-    dedup_tol = 1e-7 * spec.rate_sum
-
-    def clusters() -> dict[int, list[int]]:
-        groups: dict[int, list[int]] = {}
-        reps: list[complex] = []
-        for i in range(n):
-            if np.isnan(refined[i]):
-                continue
-            for k, rep in enumerate(reps):
-                if abs(refined[i] - rep) <= dedup_tol:
-                    groups[k].append(i)
-                    break
-            else:
-                reps.append(refined[i])
-                groups[len(reps) - 1] = [i]
-        return groups
-
-    for _ in range(3):
-        contested = [sorted(owners, key=lambda i: abs(refined[i] - est[i]))
-                     for owners in clusters().values() if len(owners) > 1]
-        if not contested:
-            break
-        taken = refined[~np.isnan(refined)]
-        for owners in contested:
-            for i in owners[1:]:
-                r0 = abs(refined[i] - est[i])
-                found = None
-                for radius in (0.75 * r0, 1.25 * r0, 2.0 * r0):
-                    for k in range(8):
-                        cand = est[i] + radius * np.exp(2j * np.pi * k / 8)
-                        try:
-                            pole = eom._find_pole(system, cand / 2j, tol,
-                                                  max(radius / 6, 1e-6), 10000, "auto")
-                        except MaxIterationsError:
-                            continue
-                        gamma = 2j * pole
-                        if not np.any(np.abs(taken - gamma) <= dedup_tol):
-                            found = gamma
-                            break
-                    if found is not None:
-                        break
-                if found is not None:
-                    refined[i] = found
-                    taken = refined[~np.isnan(refined)]
-
-    displacements = np.abs(refined - est)
+    refined = 2j * eom._refine(eom._EomSystem(noisy), estimates.rates / 2j, tol)
+    displacements = np.abs(refined - estimates.rates)
     ok = ~np.isnan(displacements)
-    distinct: list[complex] = []
-    for g in refined[ok]:
-        if not any(abs(g - u) <= dedup_tol for u in distinct):
-            distinct.append(g)
     return NoiseStudyResult(
         epsilon_max=float(epsilon_max),
         seed=int(seed),
@@ -367,6 +288,6 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
         displacements=displacements,
         max_displacement=float(np.nanmax(displacements)) if ok.any() else math.nan,
         median_displacement=float(np.nanmedian(displacements)) if ok.any() else math.nan,
-        recovered_count=len(distinct),
-        unconverged=tuple(unconverged),
+        recovered_count=int(ok.sum()),
+        unconverged=tuple(int(i) for i in np.flatnonzero(~ok)),
     )

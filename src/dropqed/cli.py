@@ -26,6 +26,7 @@ import math
 import os
 import sys
 import tempfile
+import typing
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -282,8 +283,10 @@ def run(config: RunConfig) -> int:
         d = config.scaling_d or (len(config.dims) if config.dims else None)
         if d is None:
             raise ConfigError("scaling needs --d")
+        if (config.m_min is None) != (config.m_max is None):
+            raise ConfigError("scaling needs both --m-min and --m-max, or neither")
         m_range = None
-        if config.m_min is not None and config.m_max is not None:
+        if config.m_min is not None:
             m_range = range(config.m_min, config.m_max + 1, config.m_step)
         fit = analysis.subradiance_scaling(d, config.theta, m_range,
                                            zero_floor=config.zero_floor)
@@ -373,7 +376,32 @@ def _parse_sweep(text: str) -> np.ndarray:
     return values
 
 
-_CONFIG_FIELDS = {f for f in RunConfig.__dataclass_fields__ if f != "method"}
+_CONFIG_TYPES = {k: v for k, v in typing.get_type_hints(RunConfig).items() if k != "method"}
+
+
+def _is_a(kind: type, value) -> bool:
+    # a JSON integer is a valid float, a JSON boolean is no number at all
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _config_value(path: str, key: str, value):
+    """``value`` checked and converted to the type of RunConfig's ``key``."""
+    hint = _CONFIG_TYPES[key]
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        if isinstance(value, list) and all(_is_a(args[0], v) for v in value):
+            return tuple(args[0](v) for v in value)
+        wanted = f"a list of {args[0].__name__}"
+    else:
+        if value is None and type(None) in args:
+            return None
+        kind = args[0] if args else hint
+        if _is_a(kind, value):
+            return kind(value)
+        wanted = f"of type {kind.__name__}"
+    raise ConfigError(f"config {path!r}: {key} must be {wanted}, got {value!r}")
 
 
 def _load_config_file(path: str) -> dict:
@@ -390,13 +418,9 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key == "method":
             continue
-        if key not in _CONFIG_FIELDS:
+        if key not in _CONFIG_TYPES:
             raise ConfigError(f"config {path!r}: unknown field {key!r}")
-        if key == "dims":
-            value = tuple(int(v) for v in value)
-        elif key == "gammas":
-            value = tuple(float(v) for v in value)
-        out[key] = value
+        out[key] = _config_value(path, key, value)
     return out
 
 

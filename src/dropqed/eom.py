@@ -24,10 +24,10 @@ multiplicity).  Three extraction routes are provided:
 * :func:`all_poles_eig` - eliminate the field amplitudes with one Schur
   complement and diagonalize the resulting N x N matrix.  Backward-stable,
   multiplicity-exact, and the recommended bulk method.
-* :func:`all_poles_cnm` - seeded local searches that minimize the smallest
-  singular value of A(Delta) (the condition-number method's objective with
-  a cleaner zero); handles per-qubit noisy rates and refines external
-  estimates.
+* :func:`all_poles_cnm` - seeded local refinement of one pole per seed:
+  shift-invert and Rayleigh-quotient iteration on the same N x N matrix,
+  each seed claiming its own eigenvector direction; handles per-qubit
+  noisy rates and refines external estimates.
 * :func:`all_poles_det_interp` - fit the degree-N determinant polynomial on
   a sampling circle and take companion-matrix roots.  Limited by the
   determinant's dynamic range; reliable for small networks only and raises
@@ -40,24 +40,33 @@ value reported is ||A v|| / ||v|| for the computed singular vector v, a
 certified upper bound on the true sigma_min, so no check passes that an
 exact SVD would fail.  At N = 216 (6x6x6) one call of :func:`sigma_min`
 takes 0.06 s, against 2.19 s with the dense SVD it replaced (one BLAS
-thread, 2-core Xeon VM).
+thread, 2-core Xeon VM).  The check is memoized per detuning, so a pole
+is factored once however many routes ask about it.
+
+Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm`, the noise
+study and the det-interp polish) works on the N x N matrix H whose
+eigenvalues are the poles: fixed-shift inverse iteration from the seed
+identifies the eigenvector of the pole nearest it, and Rayleigh-quotient
+iteration polishes the pair (Saad, Numerical Methods for Large Eigenvalue
+Problems, SIAM 2011, ch. 4).  Each step is one N x N LU solve: on the
+noisy 3x2x6 network (N = 36) the 36 eigenpairs take 13 ms together and
+their full-matrix checks 120 ms (one BLAS thread, 2-core Xeon VM).
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-from scipy.optimize import minimize
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
+from .chain1d import _sorted_complex
 from .drop import Spectrum, drop_spectrum
-from .errors import ConditioningFailure, ConfigError, MaxIterationsError
+from .errors import ConditioningFailure, MaxIterationsError
 from .lattice import NetworkSpec, enumerate_lines, enumerate_qubits, linearize
 
 
@@ -180,7 +189,6 @@ class _EomSystem:
         rows, cols, vals = zip(*entries)
         a0 = sp.coo_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(size, size))
         self.a0 = a0.toarray()
-        # built eagerly: all_poles_cnm shares one system across threads
         self._a0_sparse = a0.tocsc()
         self._e_sparse = sp.csc_matrix(
             (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
@@ -194,6 +202,7 @@ class _EomSystem:
         self._n_bulk = size - n_qubits
         self._reduced: Optional[np.ndarray] = None
         self._a0_sq: Optional[float] = None
+        self._residuals: dict[complex, float] = {}
 
     def matrix(self, delta: complex) -> np.ndarray:
         a = self.a0.copy()
@@ -244,32 +253,19 @@ class _EomSystem:
         v = vecs[:, 0] if vecs.shape[1] else op.matvec(self._v0)
         return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
-    def sigma_min_reduced(self, delta: complex) -> float:
-        h = self.reduced() - delta * np.eye(self.n_poles)
-        return float(np.linalg.svd(h, compute_uv=False)[-1])
-
     def frobenius(self, delta: complex) -> float:
         # the Delta-bearing slots hold exactly -Delta (A0 is zero there)
         if self._a0_sq is None:
             self._a0_sq = float(np.linalg.norm(self.a0) ** 2)
         return float(np.sqrt(self._a0_sq + self.n_poles * abs(delta) ** 2))
 
-
-def _sorted_complex(values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
-def _n_workers() -> int:
-    raw = os.environ.get("DROPQED_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"DROPQED_THREADS must be a positive integer, got {raw!r}")
-    return workers
+    def residual(self, delta: complex) -> float:
+        """sigma_min(A) / ||A||_F at delta; one sparse factorization per
+        distinct delta, however often it is asked for."""
+        delta = complex(delta)
+        if delta not in self._residuals:
+            self._residuals[delta] = self.sigma_min(delta) / self.frobenius(delta)
+        return self._residuals[delta]
 
 
 def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
@@ -310,93 +306,178 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     the poles and within round-off of zero on them.
 
     Maximizing the condition number is equivalent up to the slowly varying
-    largest singular value, so this is the canonical search objective.
+    largest singular value, so this is the canonical singularity check.
     """
     return _EomSystem(spec).sigma_min(delta)
 
 
-def _objective(system: _EomSystem, name: str) -> Callable[[np.ndarray], float]:
-    if name == "auto":
-        return lambda xy: system.sigma_min_reduced(complex(xy[0], xy[1]))
-    if name == "sigma-min":
-        return lambda xy: system.sigma_min(complex(xy[0], xy[1]))
-    if name == "eig":
-        def smallest_eig(xy: np.ndarray) -> float:
-            a = system.matrix(complex(xy[0], xy[1]))
-            return float(np.abs(np.linalg.eigvals(a)).min())
-        return smallest_eig
-    raise ValueError(f"unknown objective {name!r}")
+_SHIFT_STEPS = 30        # fixed-shift inverse-iteration steps, at most
+_RQI_STEPS = 30          # Rayleigh-quotient steps, at most; a few are typical
+# fixed-shift residual (times ||H||_F) that identifies the eigenvector of the
+# eigenvalue nearest the shift; RQI before that point can jump to another pole
+_IDENTIFY_TOL = 1e-8
+_CONVERGED_TOL = 1e-14   # residual (times ||H||_F) of a converged eigenpair
+# new-direction norm that separates a distinct eigenvector from a re-found
+# one; on noisy and near-resonant networks the former are >= 1e-3 and the
+# latter <= 1e-8
+_SPAN_TOL = 1e-6
+# a seed this close to its refined pole (times ||H||_F) is kept as given;
+# Cartesian-sum seeds of symmetric networks lie within a few eps
+_KEEP_SEED_TOL = 1e-12
 
 
-def _find_pole(system: _EomSystem, seed: complex, tol: float, step: Optional[float],
-               maxfev: int, objective: str) -> complex:
+def _shifted_lu(h: np.ndarray, shift: complex, norm_h: float):
+    """LU factors of H - shift I.
+
+    A shift that is an eigenvalue to working precision (an exactly zero
+    pivot) is nudged by eps ||H||_F, as LAPACK's inverse iteration does.
+    """
+    eye = np.eye(len(h))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lu = sla.lu_factor(h - shift * eye)
+        if not np.all(np.diagonal(lu[0])):
+            lu = sla.lu_factor(h - (shift + np.finfo(float).eps * norm_h) * eye)
+    return lu
+
+
+def _rayleigh(h: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
+    """Rayleigh quotient of unit v and the residual ||H v - mu v||."""
+    hv = h @ v
+    mu = complex(np.vdot(v, hv))
+    return mu, float(np.linalg.norm(hv - mu * v))
+
+
+def _eigenpair(h: np.ndarray, shift: complex,
+               v: np.ndarray) -> tuple[complex, np.ndarray, bool]:
+    """Eigenpair of H nearest ``shift``, iterated from ``v``.
+
+    Fixed-shift inverse iteration on one LU of H - shift I runs until the
+    residual reaches 1e-8 ||H||_F, which identifies the eigenvector of the
+    eigenvalue nearest the shift; Rayleigh-quotient iteration then polishes
+    the pair to 1e-14 ||H||_F.  When the fixed shift identifies nothing
+    (a seed exactly between degenerate poles, say) RQI runs anyway.
+    Returns (mu, unit v, converged).
+    """
+    norm_h = float(np.linalg.norm(h))
+    lu = _shifted_lu(h, shift, norm_h)
+    for _ in range(_SHIFT_STEPS):
+        v = sla.lu_solve(lu, v)
+        v = v / np.linalg.norm(v)
+        mu, resid = _rayleigh(h, v)
+        if resid <= _IDENTIFY_TOL * norm_h:
+            break
+    for _ in range(_RQI_STEPS):
+        if resid <= _CONVERGED_TOL * norm_h:
+            return mu, v, True
+        v = sla.lu_solve(_shifted_lu(h, mu, norm_h), v)
+        v = v / np.linalg.norm(v)
+        mu, resid = _rayleigh(h, v)
+    return mu, v, resid <= _CONVERGED_TOL * norm_h
+
+
+def _start_vector(n: int) -> np.ndarray:
+    # fixed and pseudo-random: all-ones is orthogonal to the antisymmetric
+    # modes of symmetric lattices, so inverse iteration could never reach them
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _extend(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
+    """Append v's component orthogonal to span(basis) if it is a new direction."""
+    for _ in range(2):          # Gram-Schmidt twice is enough
+        v = v - basis @ (basis.conj().T @ v)
+    norm = np.linalg.norm(v)
+    if norm <= _SPAN_TOL:
+        return basis, False
+    return np.column_stack([basis, v / norm]), True
+
+
+def _settle(system: _EomSystem, seed: complex, pole: complex, tol: float) -> complex:
+    """The reported pole for ``seed``: the seed itself when it lies within
+    1e-12 ||H||_F of the refined pole and passes the full-matrix check, else
+    the refined pole if it passes, else NaN.
+
+    Passing the check alone is not enough to keep a seed: with noise at
+    theta = m*pi a seed on the dark poles at Delta = 0 passes it even when
+    its own pole was lifted to about 1e-9 by the noise.
+    """
+    keep = _KEEP_SEED_TOL * np.linalg.norm(system.reduced())
+    if abs(seed - pole) <= keep and system.residual(seed) <= tol:
+        return seed
+    return pole if system.residual(pole) <= tol else complex(np.nan, np.nan)
+
+
+def _find_pole(system: _EomSystem, seed: complex, tol: float) -> complex:
     seed = complex(seed)
     if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
         raise ValueError("seed must be finite")
-    norm_a = system.frobenius(seed)
-    if system.sigma_min(seed) <= tol * norm_a:
-        return seed
-    if step is None:
-        # small relative to typical pole spacing; the simplex expands on its
-        # own when the seed is far, but an oversized start hops basins
-        step = 0.01 * sum(system.spec.gammas)
-    fun = _objective(system, objective)
-    x0 = np.array([seed.real, seed.imag])
-    simplex = np.array([x0, x0 + [step, 0.0], x0 + [0.0, step]])
-    res = minimize(
-        fun,
-        x0,
-        method="Nelder-Mead",
-        options=dict(initial_simplex=simplex, xatol=1e-12, fatol=np.inf,
-                     maxfev=maxfev, maxiter=maxfev),
-    )
-    pole = complex(res.x[0], res.x[1])
-    if system.sigma_min(pole) > tol * system.frobenius(pole):
+    h = system.reduced()
+    mu, _, _ = _eigenpair(h, seed, _start_vector(len(h)))
+    pole = _settle(system, seed, mu, tol)
+    if np.isnan(pole):
         raise MaxIterationsError(
-            f"pole search from seed {seed} did not reach sigma_min <= "
-            f"{tol:g}*||A|| within {res.nfev} evaluations"
+            f"pole refinement from seed {seed} did not reach sigma_min <= "
+            f"{tol:g}*||A||; nearest eigenvalue estimate {mu}"
         )
     return pole
 
 
-def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10,
-              step: Optional[float] = None, maxfev: int = 10000,
-              objective: str = "auto") -> complex:
-    """Refine one pole of A(Delta) from a seed by simplex descent.
+def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
+    """Refine one pole of A(Delta) from a seed.
 
-    Runs derivative-free Nelder-Mead on the singularity objective over
-    (Re Delta, Im Delta) until the simplex collapses below 1e-12, then
-    verifies sigma_min(A) <= tol * ||A||_F on the full matrix, with the
-    certified upper bound of :func:`sigma_min` (sparse LU plus Lanczos).
-    A seed already satisfying the criterion is returned unchanged.
+    Runs shift-invert inverse iteration from the seed, then Rayleigh-quotient
+    iteration, on the N x N matrix of :func:`all_poles_eig` (its eigenvalues
+    are the poles), and verifies sigma_min(A) <= tol * ||A||_F on the full
+    matrix, with the certified upper bound of :func:`sigma_min` (sparse LU
+    plus Lanczos).  A seed within 1e-12 ||H||_F of its refined pole that
+    satisfies the criterion is returned unchanged.
 
-    ``objective`` selects the quantity minimized during the search:
-    ``"auto"`` (smallest singular value of the N x N reduced pencil, shares
-    the full system's singular points, much cheaper), ``"sigma-min"``
-    (smallest singular value of the full matrix), or ``"eig"`` (smallest
-    eigenvalue modulus, the literature's eigenvalue method; slow).
-    Convergence is always judged on the full matrix.
-
-    Raises MaxIterationsError when the evaluation budget is exhausted
-    without meeting the criterion (usually a bad seed).
+    Raises MaxIterationsError when the refined value fails that check.
     """
-    return _find_pole(_EomSystem(spec), seed, tol, step, maxfev, objective)
+    return _find_pole(_EomSystem(spec), seed, tol)
 
 
-def _dedup(values: Sequence[complex], tol: float) -> list[complex]:
-    unique: list[complex] = []
-    for v in sorted(values, key=lambda w: (w.real, w.imag)):
-        if not any(abs(v - u) <= tol for u in unique):
-            unique.append(v)
-    return unique
+def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndarray:
+    """Refine every seed into its own pole; NaN where a seed found none.
 
+    Each seed gets an eigenpair of H by :func:`_eigenpair`.  Converged pairs
+    are accepted closest seed first, each only while its eigenvector adds a
+    new direction to the span Q already accepted, so a pole of multiplicity
+    m is claimed by exactly m seeds.  A rejected seed searches again on
+    Q_perp^H H Q_perp: span Q is invariant, so that matrix holds exactly the
+    unclaimed poles; the result is polished on H.  Every pole is then
+    settled by :func:`_settle`.
+    """
+    seeds = np.asarray(seeds, dtype=complex)
+    if not np.all(np.isfinite(seeds)):
+        raise ValueError("seeds must be finite")
+    h = system.reduced()
+    n = len(h)
+    start = _start_vector(n)
+    pairs = [_eigenpair(h, s, start) for s in seeds]
+    order = np.argsort([abs(mu - s) for (mu, _, _), s in zip(pairs, seeds)], kind="stable")
+    basis = np.zeros((n, 0), dtype=complex)
+    poles = np.full(len(seeds), np.nan, dtype=complex)
 
-def _grid_seeds(system: _EomSystem, side: int = 20) -> np.ndarray:
-    s = system.spec.rate_sum
-    re = np.linspace(0.0, 1.2 * s, side)
-    im = np.linspace(-s, s, side)
-    gammas = (re[:, None] + 1j * im[None, :]).ravel()
-    return gammas / 2j
+    def claim(i: int, mu: complex, v: np.ndarray, converged: bool) -> bool:
+        nonlocal basis
+        new = False
+        if converged:
+            basis, new = _extend(basis, v)
+        if new:
+            poles[i] = mu
+        return new
+
+    rejected = [i for i in order if not claim(i, *pairs[i])]
+    for i in rejected:
+        perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
+        mu, y, _ = _eigenpair(perp.conj().T @ h @ perp, seeds[i], perp.conj().T @ start)
+        claim(i, *_eigenpair(h, mu, perp @ y))
+    for i, pole in enumerate(poles):
+        if not np.isnan(pole):
+            poles[i] = _settle(system, seeds[i], pole, tol)
+    return poles
 
 
 def _validated_residuals(system: _EomSystem, gammas: np.ndarray,
@@ -408,8 +489,7 @@ def _validated_residuals(system: _EomSystem, gammas: np.ndarray,
     else:
         idx = np.unique(np.linspace(0, len(gammas) - 1, sample).astype(int))
     for k in idx:
-        delta = gammas[k] / 2j
-        res[k] = system.sigma_min(delta) / system.frobenius(delta)
+        res[k] = system.residual(gammas[k] / 2j)
         if res[k] > invariant_tol:
             raise ConditioningFailure(
                 f"reported pole {gammas[k]} fails the singularity check: "
@@ -446,77 +526,36 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
 
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
-                  tol: float = 1e-10, step: Optional[float] = None,
-                  maxfev: int = 10000) -> PoleSearchResult:
-    """All N poles by seeded singularity searches (condition-number method).
+                  tol: float = 1e-10) -> PoleSearchResult:
+    """All N poles by seeded local refinement, one pole per seed.
 
     Seeds default to the Cartesian-sum estimates (qubit-averaged rates when
-    a noise field is present), expressed in the Delta plane.  Every seed is
-    refined independently; when N seeds are given, each contributes one pole
-    so exact multiplicities carry over.  Missing poles (failed searches or
-    short seed lists) are re-sought from a 20x20 grid over the physical
-    rectangle [0, 1.2*S] x [-S, S] in the Gamma plane, S = sum_n N_n g_n.
-    Completeness is enforced by the pole count and the trace rule; a run
-    that cannot account for all N poles raises MaxIterationsError.
+    a noise field is present), expressed in the Delta plane; exactly N seeds
+    are required.  Each seed is refined by shift-invert and Rayleigh-quotient
+    iteration on the N x N matrix of :func:`all_poles_eig`.  Two seeds that
+    reach the same eigenvector are told apart by the span of the eigenvectors
+    already claimed: the one farther from its pole searches again among the
+    unclaimed poles only, so exact multiplicities carry over.  Every pole
+    passes the full-matrix check sigma_min <= tol * ||A||_F and the set
+    passes the trace rule; a run that cannot account for all N poles raises
+    MaxIterationsError.
     """
     system = _EomSystem(spec)
     n = system.n_poles
     scale = spec.rate_sum
-    dedup_tol = 1e-7 * scale
     if seeds is None:
         seeds = tuple(drop_spectrum(spec).rates / 2j)
     else:
         seeds = tuple(complex(s) for s in seeds)
-
-    def search(sd: complex) -> Optional[complex]:
-        try:
-            return _find_pole(system, sd, tol, step, maxfev, "auto")
-        except MaxIterationsError:
-            return None
-
-    workers = _n_workers()
-    if workers > 1 and len(seeds) > 1:
-        with ThreadPoolExecutor(workers) as pool:
-            found = list(pool.map(search, seeds))
-    else:
-        found = [search(sd) for sd in seeds]
-
-    converged = [p for p in found if p is not None]
-    unique = _dedup([2j * p for p in converged], dedup_tol)
-
-    complete = len(seeds) == n and len(converged) == n
-    if not complete:
-        # grid rescue: visit candidate seeds in ascending objective order
-        grid = _grid_seeds(system)
-        order = np.argsort([system.sigma_min_reduced(d) for d in grid])
-        budget = 4 * n
-        for k in order[:budget]:
-            if len(unique) >= n:
-                break
-            delta = complex(grid[k])
-            if any(abs(2j * delta - u) <= 10 * dedup_tol for u in unique):
-                continue
-            p = search(delta)
-            if p is not None:
-                g = 2j * p
-                if not any(abs(g - u) <= dedup_tol for u in unique):
-                    unique.append(g)
-
-    if complete:
-        # one pole per seed, snapped to its dedup representative
-        gammas = []
-        for p in converged:
-            g = 2j * p
-            reps = [u for u in unique if abs(g - u) <= dedup_tol]
-            gammas.append(reps[0] if reps else g)
-        gammas = np.array(gammas)
-    else:
-        if len(unique) < n:
-            raise MaxIterationsError(
-                f"condition-number search located {len(unique)} of {n} poles; "
-                "re-seed or use all_poles_eig"
-            )
-        gammas = np.array(unique[:n])
+        if len(seeds) != n:
+            raise ValueError(f"all_poles_cnm needs exactly {n} seeds, got {len(seeds)}")
+    gammas = 2j * _refine(system, seeds, tol)
+    found = int(np.count_nonzero(~np.isnan(gammas)))
+    if found < n:
+        raise MaxIterationsError(
+            f"seeded refinement located {found} of {n} poles; "
+            "re-seed or use all_poles_eig"
+        )
 
     expected = system.pole_sum()
     if abs(gammas.sum() - expected) > 1e-6 * max(1.0, n * scale):
@@ -563,7 +602,9 @@ def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
     roots, capturing multiplicities.  With ``adapt`` a second pass shrinks
     the circle to just enclose the first-pass roots, which extends the range
     over which the low-order coefficients stay above the determinant noise
-    floor.  With ``polish`` each root is refined by :func:`find_pole`.
+    floor.  With ``polish`` every root is refined by :func:`find_pole` on its
+    own, so two roots polished onto one pole fail the trace rule, which is
+    then checked at 1e-9 (unpolished roots: 1e-6) times max(1, N*S).
 
     The determinant's dynamic range limits this route: once the product of
     |pole|/R factors falls below roughly 1e-16 the small-modulus poles are
@@ -599,7 +640,7 @@ def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
         polished = []
         for root in roots:
             try:
-                polished.append(_find_pole(system, complex(root), 1e-10, None, 10000, "auto"))
+                polished.append(_find_pole(system, root, 1e-10))
             except MaxIterationsError as exc:
                 raise ConditioningFailure(
                     f"det-interp root {2j * root} could not be polished onto a "
@@ -616,7 +657,8 @@ def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
         gammas = 2j * roots
 
     expected = system.pole_sum()
-    if abs(gammas.sum() - expected) > 1e-6 * max(1.0, n * scale):
+    trace_tol = 1e-9 if polish else 1e-6
+    if abs(gammas.sum() - expected) > trace_tol * max(1.0, n * scale):
         raise ConditioningFailure(
             f"det-interp pole multiset violates the trace rule "
             f"({gammas.sum():.6g} vs {expected:.6g})"

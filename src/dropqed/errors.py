@@ -14,10 +14,11 @@ class SizeMismatchError(DropQedError):
 
 
 class MaxIterationsError(DropQedError):
-    """A pole search did not converge within its evaluation budget.
+    """A seeded pole search did not account for its poles.
 
-    Usually signals a bad seed; re-seed from a coarse grid or use the
-    dense eigensolve path instead.
+    Raised when a refined pole fails the full-matrix singularity check or
+    the found set breaks the trace rule; usually a bad seed.  Re-seed closer
+    to the poles or use the dense eigensolve path instead.
     """
 
 

@@ -6,6 +6,7 @@ import pytest
 from dropqed import (
     NetworkSpec,
     ThetaOutOfRange,
+    all_poles_eig,
     bic_condition_check,
     chain_rates,
     classify_superradiance,
@@ -13,10 +14,12 @@ from dropqed import (
     expected_cluster_counts,
     label_chain_rates,
     noise_study,
+    sample_noise,
     subradiance_scaling,
 )
 
 from dropqed.analysis import _line_weights
+from oracles import multiset_max_err
 
 
 def spec_of(dims, gammas=None, frac=1.0):
@@ -197,6 +200,17 @@ def test_noise_study_small_network():
     assert result.unconverged == ()
     assert result.max_displacement < 0.5 * spec.rate_sum
     assert np.all(np.isfinite(result.displacements))
+
+
+@pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])
+def test_noise_study_equal_rate_3x3x3(epsilon, seed):
+    spec = spec_of([3, 3, 3], (1.0, 1.0, 1.0), frac=0.65)
+    result = noise_study(spec, epsilon, seed=seed)
+    assert result.recovered_count == 27
+    assert result.unconverged == ()
+    noisy = spec.with_noise(sample_noise(spec, epsilon, seed))
+    want = all_poles_eig(noisy, validate="none").poles.rates
+    assert multiset_max_err(result.refined_poles.rates, want) <= 1e-10 * noisy.rate_sum
 
 
 def test_noise_study_seed_dependence():

@@ -72,27 +72,6 @@ def test_compare_bad_sweep_is_usage_error():
     assert run_cli(["compare", "--dims", "2,2", "--theta-sweep", "nope"]) == 1
 
 
-def test_threads_env_round_trip(tmp_path, monkeypatch):
-    monkeypatch.setenv("DROPQED_THREADS", "2")
-    out = tmp_path / "cnm.json"
-    code = run_cli(["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4",
-                    "--theta-over-pi", "0.65", "--output", str(out)])
-    assert code == 0
-    got = rates_of(read_json(out), "cnm")
-    assert len(got) == 6
-
-
-@pytest.mark.parametrize("threads", ["abc", "0", "-2"])
-def test_invalid_threads_env_is_config_error(tmp_path, monkeypatch, capsys, threads):
-    monkeypatch.setenv("DROPQED_THREADS", threads)
-    code = run_cli(["eom-cnm", "--dims", "2,3", "--theta-over-pi", "0.65",
-                    "--output", str(tmp_path / "cnm.json")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: config:")
-    assert "DROPQED_THREADS" in err and repr(threads) in err
-
-
 def test_compare_validation_failure_exit_code(tmp_path):
     out = tmp_path / "cmp.json"
     code = run_cli(["compare", "--dims", "2,2", "--theta-over-pi", "0.5",
@@ -185,6 +164,21 @@ def test_config_file_errors(tmp_path):
     assert run_cli(["drop", "--config", str(unknown)]) == 1
 
 
+@pytest.mark.parametrize("fields", [
+    {"dims": 5},
+    {"dims": [2], "chain_n": "3"},
+    {"dims": [2], "noise_seed": 1.5},
+])
+def test_config_file_field_types(tmp_path, capsys, fields):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    assert run_cli(["drop", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert list(fields)[-1] in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_classify_command_counts(tmp_path):
     out = tmp_path / "cls.json"
     code = run_cli(["classify", "--dims", "2,3,4", "--theta-over-pi", "0.9999",
@@ -204,6 +198,12 @@ def test_scaling_command(tmp_path):
     doc = read_json(out)
     assert doc["report"]["sizes"] == [8, 27, 64, 125, 216]
     assert -1.4 < doc["report"]["slope"] < -0.7
+
+
+@pytest.mark.parametrize("bound", [["--m-min", "4"], ["--m-max", "12"]])
+def test_scaling_lone_sweep_bound_is_config_error(capsys, bound):
+    assert run_cli(["scaling", "--d", "2"] + bound) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
 
 
 def test_bic_command(tmp_path):
@@ -233,6 +233,10 @@ def test_eom_cnm_command(tmp_path):
     assert code == 0
     got = rates_of(read_json(out), "cnm")
     assert multiset_max_err(got, chain3_rates(0.5 * np.pi)) < 1e-8
+    code = run_cli(["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4",
+                    "--theta-over-pi", "0.65", "--output", str(out)])
+    assert code == 0
+    assert len(rates_of(read_json(out), "cnm")) == 6
 
 
 def test_svg_rendering_deterministic(tmp_path):

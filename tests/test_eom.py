@@ -214,17 +214,27 @@ def test_find_pole_returns_exact_seed():
     assert find_pole(spec, exact) == exact
 
 
-def test_find_pole_eig_objective():
-    spec = spec_of([2], theta=0.4 * np.pi)
-    target = 1 + np.exp(0.4j * np.pi)
-    pole = find_pole(spec, seed=target / 2j + 0.02 - 0.01j, objective="eig")
-    assert abs(2j * pole - target) < 1e-8
-
-
-def test_find_pole_budget_exhaustion():
+def test_find_pole_far_seed_reaches_a_pole():
     spec = spec_of([2, 2])
+    seed = 50.0 + 50.0j
+    poles = all_poles_eig(spec, validate="none").poles.rates / 2j
+    assert np.abs(poles - find_pole(spec, seed)).min() <= 1e-10
+    # a refined pole that cannot pass the full-matrix check is an error
     with pytest.raises(MaxIterationsError):
-        find_pole(spec, seed=50.0 + 50.0j, maxfev=40)
+        find_pole(spec, seed, tol=0.0)
+
+
+@pytest.mark.parametrize("case", ["4x4-clustered", "3x2x6-noisy"])
+def test_find_pole_returns_the_nearest_pole(case):
+    # a seed a third of the way to its pole's nearest neighbour must come
+    # back to that pole, also inside the near-dark cluster at 0.9999 pi
+    spec = SIGMA_MIN_CASES[case]()
+    poles = all_poles_eig(spec, validate="none").poles.rates / 2j
+    for k, pole in enumerate(poles):
+        gaps = np.abs(poles - pole)
+        gaps[k] = np.inf
+        seed = pole + 0.3 * gaps.min() * np.exp(1.9j)
+        assert abs(find_pole(spec, seed) - pole) <= 1e-3 * gaps.min(), k
 
 
 def test_find_pole_rejects_nonfinite_seed():
@@ -303,27 +313,53 @@ def test_all_poles_cnm_with_default_seeds():
     assert np.all(result.residuals <= 1e-9)
 
 
-def test_all_poles_cnm_is_thread_count_independent(monkeypatch):
+def test_all_poles_cnm_is_bit_identical_on_repeat():
     spec = _noisy_acceptance_7()
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("DROPQED_THREADS", threads)
-        runs.append(all_poles_cnm(spec))
+    runs = [all_poles_cnm(spec) for _ in range(2)]
     assert np.array_equal(runs[0].poles.rates, runs[1].poles.rates)
     assert np.array_equal(runs[0].residuals, runs[1].residuals)
+
+
+def test_all_poles_cnm_poles_are_eigenvalues_of_h():
+    spec = _noisy_acceptance_7()
+    eigs = 2j * np.linalg.eigvals(eom._EomSystem(spec).reduced())
+    for gamma in all_poles_cnm(spec).poles.rates:
+        assert np.abs(eigs - gamma).min() <= 1e-10 * spec.rate_sum, gamma
+
+
+def test_all_poles_cnm_factors_each_delta_once(monkeypatch):
+    seen = []
+    original = eom._EomSystem.sigma_min
+
+    def counted(self, delta):
+        seen.append(complex(delta))
+        return original(self, delta)
+    monkeypatch.setattr(eom._EomSystem, "sigma_min", counted)
+    all_poles_cnm(_noisy_acceptance_7())
+    assert seen and len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])
+def test_all_poles_cnm_equal_rate_3x3x3(epsilon, seed):
+    # equal rates make the Cartesian-sum seeds highly degenerate, so seeds
+    # collapse onto shared poles unless the refiner tells them apart
+    spec = spec_of([3, 3, 3], (1.0, 1.0, 1.0), theta=0.65 * np.pi)
+    noisy = spec.with_noise(sample_noise(spec, epsilon, seed))
+    want = all_poles_eig(noisy, validate="none").poles.rates
+    got = all_poles_cnm(noisy).poles.rates
+    assert len(got) == 27
+    assert multiset_max_err(got, want) <= 1e-10 * noisy.rate_sum
+
+
+def test_all_poles_cnm_needs_one_seed_per_pole():
+    spec = spec_of([2], theta=0.3 * np.pi)
+    with pytest.raises(ValueError, match="exactly 2 seeds"):
+        all_poles_cnm(spec, seeds=[5.0 - 5.0j])
 
 
 def test_all_poles_eig_rejects_unknown_validate():
     with pytest.raises(ValueError, match="'sample', 'all' or 'none'"):
         all_poles_eig(spec_of([2, 2]), validate="bogus")
-
-
-def test_all_poles_cnm_grid_rescue():
-    # a single far-off seed forces the grid re-seeding path
-    spec = spec_of([2], theta=0.3 * np.pi)
-    result = all_poles_cnm(spec, seeds=[5.0 - 5.0j])
-    want = drop_spectrum(spec).rates
-    assert multiset_max_err(result.poles.rates, want) < 1e-7 * spec.rate_sum
 
 
 def test_all_poles_cnm_resolves_exact_degeneracy():
@@ -354,6 +390,21 @@ def test_det_interp_4x4_matches_drop(frac):
     result = all_poles_det_interp(spec)
     err = multiset_max_err(result.poles.rates, drop_spectrum(spec).rates)
     assert err < 1e-8 * spec.rate_sum
+
+
+def test_det_interp_polished_poles_obey_trace_rule():
+    # every root is polished, also those already passing sigma_min
+    spec = spec_of([4, 4], (1.0, 4.0), theta=0.3 * np.pi)
+    rates = all_poles_det_interp(spec).poles.rates
+    assert abs(rates.sum() - spec.n_qubits * 5.0) <= 1e-9 * spec.rate_sum
+
+
+@pytest.mark.parametrize("gammas", [(1.0, 0.4), (0.5, 2.0)])
+def test_det_interp_rejects_duplicated_near_dark_pole(gammas):
+    # two roots polish onto one near-dark pole; only the trace rule sees it
+    spec = spec_of([4, 3], gammas, theta=0.9999 * np.pi)
+    with pytest.raises(ConditioningFailure):
+        all_poles_det_interp(spec)
 
 
 def test_det_interp_never_returns_silently_wrong_poles():

@@ -233,6 +233,13 @@ def test_eom_cnm_command(tmp_path):
     assert code == 0
     got = rates_of(read_json(out), "cnm")
     assert multiset_max_err(got, chain3_rates(0.5 * np.pi)) < 1e-8
+
+
+def test_threads_env_round_trip(tmp_path, monkeypatch):
+    # DROPQED_THREADS is no longer read, but perfbench still pins it in the
+    # environment, so a leftover value must not change or break a run.
+    monkeypatch.setenv("DROPQED_THREADS", "2")
+    out = tmp_path / "cnm.json"
     code = run_cli(["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4",
                     "--theta-over-pi", "0.65", "--output", str(out)])
     assert code == 0

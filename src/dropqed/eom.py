@@ -408,19 +408,23 @@ def _settle(system: _EomSystem, seed: complex, pole: complex, tol: float) -> com
     return pole if system.residual(pole) <= tol else complex(np.nan, np.nan)
 
 
-def _find_pole(system: _EomSystem, seed: complex, tol: float) -> complex:
+def _find_pole(system: _EomSystem, seed: complex, tol: float,
+               start: Optional[np.ndarray] = None) -> tuple[complex, np.ndarray]:
+    """The refined pole for ``seed`` and its unit eigenvector of H."""
     seed = complex(seed)
     if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
         raise ValueError("seed must be finite")
     h = system.reduced()
-    mu, _, _ = _eigenpair(h, seed, _start_vector(len(h)))
+    if start is None:
+        start = _start_vector(len(h))
+    mu, v, _ = _eigenpair(h, seed, start)
     pole = _settle(system, seed, mu, tol)
     if np.isnan(pole):
         raise MaxIterationsError(
             f"pole refinement from seed {seed} did not reach sigma_min <= "
             f"{tol:g}*||A||; nearest eigenvalue estimate {mu}"
         )
-    return pole
+    return pole, v
 
 
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
@@ -435,7 +439,7 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
 
     Raises MaxIterationsError when the refined value fails that check.
     """
-    return _find_pole(_EomSystem(spec), seed, tol)
+    return _find_pole(_EomSystem(spec), seed, tol)[0]
 
 
 def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndarray:
@@ -573,6 +577,29 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     )
 
 
+def _second_eigenvector(system: _EomSystem, root: complex, pole: complex,
+                        basis: np.ndarray) -> tuple[complex, np.ndarray]:
+    """Tell a multiple pole from two roots polished onto one simple pole.
+
+    ``root`` reached the eigenvector of an earlier root.  It is refined again
+    from the start vector with span(basis) projected out: at a multiple pole
+    that reaches an independent eigenvector of the same pole, which is then
+    accepted.  Anything else (the old direction again, or a different pole)
+    means the fit lost a pole, and raises ConditioningFailure.
+    """
+    start = _start_vector(len(basis))
+    start = start - basis @ (basis.conj().T @ start)
+    again, v = _find_pole(system, root, 1e-10, start)
+    basis, new = _extend(basis, v)
+    if new and abs(again - pole) <= _IDENTIFY_TOL * np.linalg.norm(system.reduced()):
+        return again, basis
+    raise ConditioningFailure(
+        f"det-interp root {2j * root} polishes onto the eigenvector of an "
+        f"earlier root (pole {2j * pole}); the fit is unreliable here and a "
+        "pole is missing"
+    )
+
+
 def _circle_fit(system: _EomSystem, radius: float, oversample: int):
     """Fit det(A) / det(A(iR)) by a degree-N polynomial on |Delta| = R."""
     n = system.n_poles
@@ -603,8 +630,13 @@ def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
     the circle to just enclose the first-pass roots, which extends the range
     over which the low-order coefficients stay above the determinant noise
     floor.  With ``polish`` every root is refined by :func:`find_pole` on its
-    own, so two roots polished onto one pole fail the trace rule, which is
-    then checked at 1e-9 (unpolished roots: 1e-6) times max(1, N*S).
+    own, and each refined eigenvector of the N x N matrix H must add a new
+    direction to those of the roots before it: two roots on one eigenvector
+    are kept only at a multiple pole, where a second, independent
+    eigenvector exists; otherwise the fit has lost a pole (this happens in
+    clustered near-dark spectra, where the lost pole can leave the sum
+    unchanged) and ConditioningFailure is raised.  The trace rule is then
+    checked at 1e-9 (unpolished roots: 1e-6) times max(1, N*S).
 
     The determinant's dynamic range limits this route: once the product of
     |pole|/R factors falls below roughly 1e-16 the small-modulus poles are
@@ -638,14 +670,19 @@ def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
     unpolished = tuple(np.sort_complex(roots))
     if polish:
         polished = []
+        basis = np.zeros((n, 0), dtype=complex)
         for root in roots:
             try:
-                polished.append(_find_pole(system, root, 1e-10))
+                pole, v = _find_pole(system, root, 1e-10)
+                basis, new = _extend(basis, v)
+                if not new:
+                    pole, basis = _second_eigenvector(system, root, pole, basis)
             except MaxIterationsError as exc:
                 raise ConditioningFailure(
                     f"det-interp root {2j * root} could not be polished onto a "
                     f"pole; the fit is unreliable at this size ({exc})"
                 ) from exc
+            polished.append(pole)
         gammas = np.array([2j * p for p in polished])
     else:
         if np.abs(coeffs).min() < floor:

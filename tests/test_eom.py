@@ -401,10 +401,32 @@ def test_det_interp_polished_poles_obey_trace_rule():
 
 @pytest.mark.parametrize("gammas", [(1.0, 0.4), (0.5, 2.0)])
 def test_det_interp_rejects_duplicated_near_dark_pole(gammas):
-    # two roots polish onto one near-dark pole; only the trace rule sees it
+    # two roots polish onto one near-dark pole
     spec = spec_of([4, 3], gammas, theta=0.9999 * np.pi)
     with pytest.raises(ConditioningFailure):
         all_poles_det_interp(spec)
+
+
+@pytest.mark.parametrize("gammas", [(0.5, 2.0), (1.0, 4.0)])
+def test_det_interp_3x3_near_dark_raises_or_is_right(gammas):
+    # the near-dark cluster is a Cartesian sum a+c, a+d, b+c, b+d: two roots
+    # on the poles a+c and b+d, missing a+d and b+c, keep the trace rule
+    spec = spec_of([3, 3], gammas, theta=0.9999 * np.pi)
+    try:
+        result = all_poles_det_interp(spec)
+    except ConditioningFailure:
+        return
+    want = all_poles_eig(spec, validate="none").poles.rates
+    assert multiset_max_err(result.poles.rates, want) <= 1e-8 * spec.rate_sum
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4], [2, 2, 2]])
+def test_det_interp_keeps_exact_multiplicities(dims):
+    # equal rates give multiple poles, each with independent eigenvectors
+    spec = spec_of(dims, theta=0.3 * np.pi)
+    result = all_poles_det_interp(spec)
+    want = all_poles_eig(spec, validate="none").poles.rates
+    assert multiset_max_err(result.poles.rates, want) <= 1e-8 * spec.rate_sum
 
 
 def test_det_interp_never_returns_silently_wrong_poles():

@@ -20,15 +20,7 @@ from .analysis import (
     noise_study,
     subradiance_scaling,
 )
-from .chain1d import (
-    ChainSpectrum,
-    chain_rates,
-    chain_rates_analytic,
-    char_poly,
-    coupling_matrix,
-    lambda_residual,
-    transfer_matrix,
-)
+from .chain1d import ChainSpectrum, chain_rates, coupling_matrix
 from .drop import MatchReport, Spectrum, drop_spectrum, match_spectra
 from .eom import (
     EomMatrix,
@@ -94,8 +86,6 @@ __all__ = [
     "assemble",
     "bic_condition_check",
     "chain_rates",
-    "chain_rates_analytic",
-    "char_poly",
     "classify_superradiance",
     "coupling_matrix",
     "delinearize",
@@ -106,7 +96,6 @@ __all__ = [
     "expected_cluster_counts",
     "find_pole",
     "label_chain_rates",
-    "lambda_residual",
     "linearize",
     "logdet_at",
     "match_spectra",
@@ -116,6 +105,5 @@ __all__ = [
     "sample_noise",
     "sigma_min",
     "subradiance_scaling",
-    "transfer_matrix",
     "__version__",
 ]

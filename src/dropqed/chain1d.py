@@ -2,23 +2,16 @@
 
 The dimensionless rates ``z_i = Gamma_i / gamma`` of an N-qubit chain are
 the core ingredient of the Cartesian-sum construction for d-dimensional
-networks.  Two independent routes are provided:
+networks.  They are the eigenvalues of the N x N qubit-qubit coupling kernel
+``K[j, k] = exp(i * theta * |j - k|)``, obtained by eliminating the
+waveguide field amplitudes from the chain's equations of motion.  The
+eigensolve is backward-stable and resolves the near-degenerate subradiant
+cluster at theta close to a multiple of pi down to real parts of order
+1e-13.
 
-* ``method="eig"`` (default): eigenvalues of the N x N qubit-qubit coupling
-  kernel ``K[j, k] = exp(i * theta * |j - k|)`` obtained by eliminating the
-  waveguide field amplitudes from the chain's equations of motion.  This is
-  backward-stable and resolves the near-degenerate subradiant cluster at
-  theta close to a multiple of pi down to real parts of order 1e-13.
-
-* ``method="companion"``: roots of the degree-N characteristic polynomial
-  ``(S^N)_11(chi)`` built from the single-cell transfer matrix, via a
-  scale-equilibrated companion eigensolve, mapped by ``z = i / chi``.
-  Coefficient round-off limits this route to small N (it loses the
-  subradiant cluster already for N around 10 near theta = pi), so it is
-  exposed for cross-validation rather than production use.
-
-A third characterization, the two-equation Bloch-phase system, is exposed
-as a residual diagnostic (:func:`lambda_residual`).
+The transfer-matrix characteristic polynomial and the Bloch-phase pole
+system characterize the same rates independently; they live in the test
+oracles (``tests/oracles.py``) as cross-checks of this route.
 """
 
 from __future__ import annotations
@@ -50,69 +43,11 @@ class ChainSpectrum:
             raise ValueError(f"expected {self.n} rates, got {z.shape}")
 
 
-def _sorted_complex(values: np.ndarray) -> np.ndarray:
+def _re_im_order(values: np.ndarray) -> np.ndarray:
+    """Indices that sort complex values by (Re, Im): the library's one
+    output ordering."""
     values = np.asarray(values, dtype=complex)
-    order = np.lexsort((values.imag, values.real))
-    return values[order]
-
-
-def transfer_matrix(chi: complex, theta: float) -> np.ndarray:
-    """2x2 map of (t, r) field amplitudes across one qubit plus one cell.
-
-    ``chi = gamma / (2 * Delta)``.  The determinant is exactly 1: the qubit
-    row adds ``(1 + i*chi)(1 - i*chi) + chi^2 = 1`` and the propagation
-    phases cancel.
-    """
-    chi = complex(chi)
-    if not (np.isfinite(chi.real) and np.isfinite(chi.imag) and np.isfinite(theta)):
-        raise ValueError("transfer_matrix requires finite chi and theta")
-    em = np.exp(-1j * theta)
-    ep = np.exp(1j * theta)
-    return np.array(
-        [
-            [(1 + 1j * chi) * em, 1j * chi * ep],
-            [-1j * chi * em, (1 - 1j * chi) * ep],
-        ]
-    )
-
-
-def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.convolve(a, b)
-
-
-def _poly_add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = max(len(a), len(b))
-    out = np.zeros(n, dtype=complex)
-    out[: len(a)] += a
-    out[: len(b)] += b
-    return out
-
-
-def char_poly(n: int, theta: float) -> np.ndarray:
-    """Coefficients c_0..c_N (ascending in chi) of ``(S^N)_11``.
-
-    Computed by raising the transfer matrix, with entries kept as chi
-    polynomials, to the N-th power (N - 1 polynomial multiplies).  The
-    leading coefficient is ``(i)^N (-2i sin theta)^(N-1) e^(-i theta)``; it
-    vanishes at theta = m*pi, where the missing chi-roots sit at infinity
-    and correspond to exact zero decay rates.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    em = np.exp(-1j * theta)
-    ep = np.exp(1j * theta)
-    s = [
-        [np.array([em, 1j * em]), np.array([0j, 1j * ep])],
-        [np.array([0j, -1j * em]), np.array([ep, -1j * ep])],
-    ]
-    p = [[s[0][0], s[0][1]], [s[1][0], s[1][1]]]
-    for _ in range(n - 1):
-        q = [[None, None], [None, None]]
-        for i in range(2):
-            for j in range(2):
-                q[i][j] = _poly_add(_poly_mul(p[i][0], s[0][j]), _poly_mul(p[i][1], s[1][j]))
-        p = q
-    return p[0][0]
+    return np.lexsort((values.imag, values.real))
 
 
 def coupling_matrix(n: int, theta: float) -> np.ndarray:
@@ -126,101 +61,10 @@ def coupling_matrix(n: int, theta: float) -> np.ndarray:
     return np.exp(1j * theta * np.abs(j[:, None] - j[None, :]))
 
 
-def _rates_eig(n: int, theta: float) -> np.ndarray:
-    if n == 1:
-        return np.array([1.0 + 0j])
-    return np.linalg.eigvals(coupling_matrix(n, theta))
-
-
-def _rates_companion(n: int, theta: float) -> np.ndarray:
-    c = char_poly(n, theta)
-    # exact-zero leading coefficients (analytic zeros at theta = m*pi, or
-    # underflow of (2 sin theta)^(N-1)) map to chi -> inf, i.e. z = 0
-    deg = len(c) - 1
-    while deg > 0 and c[deg] == 0:
-        deg -= 1
-    n_dark = (len(c) - 1) - deg
-    if deg == 0:
-        return np.zeros(n, dtype=complex)
-    cc = c[: deg + 1]
-    # equilibrate chi = scale * w so the end coefficients have equal magnitude
-    scale = (abs(cc[0]) / abs(cc[deg])) ** (1.0 / deg)
-    w_roots = np.polynomial.polynomial.polyroots(cc * scale ** np.arange(deg + 1))
-    chi = w_roots * scale
-    if np.any(np.abs(chi) < 1e-14):
-        raise ArithmeticError(
-            "characteristic polynomial produced a chi-root at 0; "
-            "its constant coefficient should have unit modulus"
-        )
-    return np.concatenate([1j / chi, np.zeros(n_dark, dtype=complex)])
-
-
-def chain_rates(n: int, theta: float, method: str = "auto") -> ChainSpectrum:
-    """All N dimensionless collective decay rates of an N-qubit chain.
-
-    ``method="auto"`` uses the coupling-kernel eigensolve.  The companion
-    route follows the characteristic-polynomial construction literally and
-    is accurate only at small N; see the module docstring.
-    """
+def chain_rates(n: int, theta: float) -> ChainSpectrum:
+    """All N dimensionless collective decay rates of an N-qubit chain: the
+    eigenvalues of :func:`coupling_matrix`, sorted by (Re, Im)."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if method in ("auto", "eig"):
-        z = _rates_eig(n, theta)
-    elif method == "companion":
-        z = _rates_companion(n, theta)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return ChainSpectrum(n=n, theta=theta, z=_sorted_complex(z))
-
-
-def chain_rates_analytic(n: int, theta: float) -> ChainSpectrum:
-    """Closed-form rates for N = 2 or N = 3 (oracle for chain_rates).
-
-    N = 2: ``z = 1 -/+ e^(i theta)``.
-    N = 3: ``z = (2 + e^(2 i theta) +/- e^(i theta) sqrt(8 + e^(2 i theta))) / 2``
-    and ``z = 1 - e^(2 i theta)``.
-    """
-    e1 = np.exp(1j * theta)
-    e2 = np.exp(2j * theta)
-    if n == 2:
-        z = np.array([1 - e1, 1 + e1])
-    elif n == 3:
-        root = np.sqrt(8 + e2)
-        z = np.array([(2 + e2 + e1 * root) / 2, (2 + e2 - e1 * root) / 2, 1 - e2])
-    else:
-        raise ValueError("closed forms are available for n in {2, 3} only")
-    return ChainSpectrum(n=n, theta=theta, z=_sorted_complex(z))
-
-
-def lambda_residual(n: int, theta: float, z: complex) -> float:
-    """Residual of the two-equation Bloch-phase pole system at candidate z.
-
-    The phase is ``lam = arccos(cos theta + chi sin theta)`` on the principal
-    branch (``0 <= Re lam <= pi``) with ``chi = gamma / (2 Delta) = i / z``;
-    ``cos lam`` is half the transfer matrix's trace, so ``exp(+/- i lam)``
-    are its eigenvalues.  The second equation then reads
-    ``(Delta + i gamma/2) sin(N lam) = sin((N-1) lam) Delta e^(i theta)``
-    (gamma = 1); it follows from expanding ``(S^N)_11`` in Chebyshev
-    polynomials of ``cos lam``, which also fixes the sign in the first
-    equation (the commonly quoted form with ``- chi sin theta`` is not
-    consistent with this second equation).
-
-    Because the sine magnitudes grow like exp(N |Im lam|), the defect is
-    normalized by the larger side's magnitude (floored at 1), and the sign
-    ambiguity of sin is resolved by also trying lam -> -lam and 2*pi - lam
-    and keeping the smallest residual.  True poles give residuals at
-    round-off level; non-poles give order-one values.
-    """
-    z = complex(z)
-    if z == 0:
-        raise ValueError("z = 0 is not a valid pole candidate for the phase system")
-    chi = 1j / z
-    delta = z / 2j
-    lam0 = np.arccos(complex(np.cos(theta) + chi * np.sin(theta)))
-    best = np.inf
-    for lam in (lam0, -lam0, 2 * np.pi - lam0):
-        lhs = (delta + 0.5j) * np.sin(n * lam)
-        rhs = np.sin((n - 1) * lam) * delta * np.exp(1j * theta)
-        res = abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-        best = min(best, res)
-    return float(best)
+    z = np.array([1.0 + 0j]) if n == 1 else np.linalg.eigvals(coupling_matrix(n, theta))
+    return ChainSpectrum(n=n, theta=theta, z=z[_re_im_order(z)])

@@ -11,9 +11,11 @@ or CSV with columns ``method,re,im,tuple,k``.  Rates are sorted by
 same configuration (including the noise seed) are byte-identical.  Files
 are written atomically (temp file + rename).
 
-Exit codes: 0 success, 1 usage/config error, 2 validation failure,
-3 solver failure.  The propagation phase is always entered as a multiple of
-pi to avoid decimal transcription drift.
+Each command is one handler in ``_COMMANDS`` returning its spectra and
+report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
+(a report with ``"passed": false``), 3 solver failure.  The propagation
+phase is always entered as a multiple of pi to avoid decimal transcription
+drift.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import analysis, eom
-from .chain1d import chain_rates
-from .drop import Spectrum, drop_spectrum, match_spectra
+from .chain1d import _re_im_order, chain_rates
+from .drop import MatchReport, Spectrum, drop_spectrum, match_spectra
 from .errors import ConfigError, DropQedError
 from .lattice import NetworkSpec, sample_noise
 from .render import render_scatter
@@ -135,10 +137,13 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
+# (spectrum, superradiance dimension per rate or None) pairs to emit
+_Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
+
+
 def _spectrum_rows(s: Spectrum, k_labels: Optional[Sequence[int]] = None) -> list[dict]:
-    order = np.lexsort((s.rates.imag, s.rates.real))
     rows = []
-    for i in order:
+    for i in _re_im_order(s.rates):
         tup = list(s.index_tuples[i]) if s.index_tuples is not None else None
         k = int(k_labels[i]) if k_labels is not None else None
         rows.append({
@@ -150,8 +155,7 @@ def _spectrum_rows(s: Spectrum, k_labels: Optional[Sequence[int]] = None) -> lis
     return rows
 
 
-def _emit(config: RunConfig, spectra: list[tuple[Spectrum, Optional[Sequence[int]]]],
-          report: Optional[dict]) -> str:
+def _emit(config: RunConfig, spectra: _Spectra, report: Optional[dict]) -> str:
     if config.out_format == "json":
         doc = {
             "config": config.as_dict(),
@@ -196,147 +200,137 @@ def _eom_spectrum(spec: NetworkSpec, method: str, solver_tol: float) -> Spectrum
     raise ConfigError(f"unknown EoM method {method!r}")
 
 
+def _chain(config: RunConfig) -> tuple[_Spectra, None]:
+    if config.chain_n is None:
+        raise ConfigError("chain needs --n")
+    result = chain_rates(config.chain_n, config.theta)
+    return [(Spectrum(rates=result.z, method="chain"), None)], None
+
+
+def _drop(config: RunConfig) -> tuple[_Spectra, None]:
+    return [(drop_spectrum(config.network()), None)], None
+
+
+def _eom(config: RunConfig) -> tuple[_Spectra, None]:
+    method = {"eom-eig": "eigen", "eom-cnm": "cnm", "eom-det": "det-interp"}[config.method]
+    return [(_eom_spectrum(config.network(), method, config.solver_tol), None)], None
+
+
+def _match(config: RunConfig, spec: NetworkSpec) -> tuple[Spectrum, Spectrum, MatchReport]:
+    """Cartesian-sum and EoM spectra of ``spec`` and their optimal pairing."""
+    a = drop_spectrum(spec)
+    b = _eom_spectrum(spec, config.eom_method, config.solver_tol)
+    return a, b, match_spectra(a, b, config.match_tol * spec.rate_sum)
+
+
+def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
+    if not config.theta_sweep:
+        a, b, match = _match(config, config.network())
+        return [(a, None), (b, None)], {
+            "max_abs_error": _sig(match.max_abs_error),
+            "mean_abs_error": _sig(match.mean_abs_error),
+            "tol": _sig(match.tol),
+            "passed": match.passed,
+        }
+    rows = []
+    for frac in _parse_sweep(config.theta_sweep):
+        swept = RunConfig(**{**config.__dict__, "theta_sweep": None,
+                             "theta_over_pi": float(frac)})
+        match = _match(config, swept.network())[2]
+        rows.append({
+            "theta_over_pi": _sig(float(frac)),
+            "max_abs_error": _sig(match.max_abs_error),
+            "passed": match.passed,
+        })
+    return [], {
+        "sweep": rows,
+        "worst_max_abs_error": _sig(max(r["max_abs_error"] for r in rows)),
+        "passed": all(r["passed"] for r in rows),
+    }
+
+
+def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.SuperradianceReport]:
+    spec = config.network()
+    a = drop_spectrum(spec)
+    cls = analysis.classify_superradiance(spec, a)
+    expected = analysis.expected_cluster_counts(spec.dims)
+    return [(a, cls.k_labels)], {
+        "cluster_counts": {str(k): v for k, v in sorted(cls.cluster_counts.items())},
+        "expected_counts": {str(k): v for k, v in sorted(expected.items())},
+        "cluster_centers": {
+            "+".join(str(a_) for a_ in axes) or "none":
+                {"re": _sig(c.real), "im": _sig(c.imag)}
+            for axes, c in cls.cluster_centers.items()
+        },
+        "passed": cls.cluster_counts == expected,
+    }, cls
+
+
+def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
+    d = config.scaling_d or (len(config.dims) if config.dims else None)
+    if d is None:
+        raise ConfigError("scaling needs --d")
+    if (config.m_min is None) != (config.m_max is None):
+        raise ConfigError("scaling needs both --m-min and --m-max, or neither")
+    m_range = None
+    if config.m_min is not None:
+        m_range = range(config.m_min, config.m_max + 1, config.m_step)
+    fit = analysis.subradiance_scaling(d, config.theta, m_range,
+                                       zero_floor=config.zero_floor)
+    return [], {
+        "d": d,
+        "sizes": list(fit.sizes),
+        "min_rates": [_sig(v) for v in fit.min_rates],
+        "slope": _sig(fit.slope),
+        "intercept": _sig(fit.intercept),
+    }
+
+
+def _noise(config: RunConfig) -> tuple[_Spectra, dict]:
+    spec = RunConfig(**{**config.__dict__, "epsilon_max": None}).network()
+    study = analysis.noise_study(spec, config.epsilon_max or 0.0,
+                                 config.noise_seed or 0, tol=config.solver_tol)
+    return [(study.drop_estimates, None), (study.refined_poles, None)], {
+        "epsilon_max": _sig(study.epsilon_max),
+        "seed": study.seed,
+        "recovered_count": study.recovered_count,
+        "expected_count": spec.n_qubits,
+        "max_displacement": _sig(study.max_displacement),
+        "median_displacement": _sig(study.median_displacement),
+        "unconverged_seeds": list(study.unconverged),
+        "passed": study.recovered_count == spec.n_qubits,
+    }
+
+
+def _bic(config: RunConfig) -> tuple[_Spectra, dict]:
+    bic = analysis.bic_condition_check(config.network(), m=config.bic_m,
+                                       rank_tol=config.rank_tol)
+    return [], {
+        "m": bic.m,
+        "nullity": bic.nullity,
+        "expected_nullity": bic.expected_nullity,
+        "max_violation": {k: _sig(v) for k, v in bic.max_violation.items()},
+        "violations": [
+            {"rule": v.rule, "axis": v.line.direction,
+             "transverse": list(v.line.transverse), "vector": v.vector,
+             "value": _sig(v.value)}
+            for v in bic.violations
+        ],
+        "passed": bic.nullity == bic.expected_nullity,
+    }
+
+
+# every command returns (spectra, report[, report for the SVG legend])
+_COMMANDS = {
+    "chain": _chain, "drop": _drop, "eom-eig": _eom, "eom-cnm": _eom,
+    "eom-det": _eom, "compare": _compare, "classify": _classify,
+    "scaling": _scaling, "noise": _noise, "bic": _bic,
+}
+
+
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
-    spectra: list[tuple[Spectrum, Optional[Sequence[int]]]] = []
-    report: Optional[dict] = None
-    svg_report = None
-    code = EXIT_OK
-
-    if config.method == "chain":
-        if config.chain_n is None:
-            raise ConfigError("chain needs --n")
-        result = chain_rates(config.chain_n, config.theta)
-        spectra.append((Spectrum(rates=result.z, method="chain"), None))
-
-    elif config.method == "drop":
-        spectra.append((drop_spectrum(config.network()), None))
-
-    elif config.method in ("eom-eig", "eom-cnm", "eom-det"):
-        method = {"eom-eig": "eigen", "eom-cnm": "cnm", "eom-det": "det-interp"}[config.method]
-        spec = config.network()
-        spectra.append((_eom_spectrum(spec, method, config.solver_tol), None))
-
-    elif config.method == "compare":
-        if config.theta_sweep:
-            rows = []
-            all_passed = True
-            for frac in _parse_sweep(config.theta_sweep):
-                swept = RunConfig(**{**config.__dict__, "theta_sweep": None,
-                                     "theta_over_pi": float(frac)})
-                spec = swept.network()
-                match = match_spectra(
-                    drop_spectrum(spec),
-                    _eom_spectrum(spec, config.eom_method, config.solver_tol),
-                    config.match_tol * spec.rate_sum,
-                )
-                rows.append({
-                    "theta_over_pi": _sig(float(frac)),
-                    "max_abs_error": _sig(match.max_abs_error),
-                    "passed": match.passed,
-                })
-                all_passed = all_passed and match.passed
-            report = {
-                "sweep": rows,
-                "worst_max_abs_error": _sig(max(r["max_abs_error"] for r in rows)),
-                "passed": all_passed,
-            }
-            if not all_passed:
-                code = EXIT_VALIDATION
-        else:
-            spec = config.network()
-            a = drop_spectrum(spec)
-            b = _eom_spectrum(spec, config.eom_method, config.solver_tol)
-            tol = config.match_tol * spec.rate_sum
-            match = match_spectra(a, b, tol)
-            spectra.extend([(a, None), (b, None)])
-            report = {
-                "max_abs_error": _sig(match.max_abs_error),
-                "mean_abs_error": _sig(match.mean_abs_error),
-                "tol": _sig(tol),
-                "passed": match.passed,
-            }
-            if not match.passed:
-                code = EXIT_VALIDATION
-
-    elif config.method == "classify":
-        spec = config.network()
-        a = drop_spectrum(spec)
-        cls = analysis.classify_superradiance(spec, a)
-        expected = analysis.expected_cluster_counts(spec.dims)
-        spectra.append((a, cls.k_labels))
-        svg_report = cls
-        report = {
-            "cluster_counts": {str(k): v for k, v in sorted(cls.cluster_counts.items())},
-            "expected_counts": {str(k): v for k, v in sorted(expected.items())},
-            "cluster_centers": {
-                "+".join(str(a_) for a_ in axes) or "none":
-                    {"re": _sig(c.real), "im": _sig(c.imag)}
-                for axes, c in cls.cluster_centers.items()
-            },
-            "passed": cls.cluster_counts == expected,
-        }
-        if cls.cluster_counts != expected:
-            code = EXIT_VALIDATION
-
-    elif config.method == "scaling":
-        d = config.scaling_d or (len(config.dims) if config.dims else None)
-        if d is None:
-            raise ConfigError("scaling needs --d")
-        if (config.m_min is None) != (config.m_max is None):
-            raise ConfigError("scaling needs both --m-min and --m-max, or neither")
-        m_range = None
-        if config.m_min is not None:
-            m_range = range(config.m_min, config.m_max + 1, config.m_step)
-        fit = analysis.subradiance_scaling(d, config.theta, m_range,
-                                           zero_floor=config.zero_floor)
-        report = {
-            "d": d,
-            "sizes": list(fit.sizes),
-            "min_rates": [_sig(v) for v in fit.min_rates],
-            "slope": _sig(fit.slope),
-            "intercept": _sig(fit.intercept),
-        }
-
-    elif config.method == "noise":
-        base = RunConfig(**{**config.__dict__, "epsilon_max": None})
-        spec = base.network()
-        study = analysis.noise_study(spec, config.epsilon_max or 0.0,
-                                     config.noise_seed or 0, tol=config.solver_tol)
-        spectra.extend([(study.drop_estimates, None), (study.refined_poles, None)])
-        report = {
-            "epsilon_max": _sig(study.epsilon_max),
-            "seed": study.seed,
-            "recovered_count": study.recovered_count,
-            "expected_count": spec.n_qubits,
-            "max_displacement": _sig(study.max_displacement),
-            "median_displacement": _sig(study.median_displacement),
-            "unconverged_seeds": list(study.unconverged),
-            "passed": study.recovered_count == spec.n_qubits,
-        }
-        if study.recovered_count != spec.n_qubits:
-            code = EXIT_VALIDATION
-
-    elif config.method == "bic":
-        spec = config.network()
-        bic = analysis.bic_condition_check(spec, m=config.bic_m,
-                                           rank_tol=config.rank_tol)
-        report = {
-            "m": bic.m,
-            "nullity": bic.nullity,
-            "expected_nullity": bic.expected_nullity,
-            "max_violation": {k: _sig(v) for k, v in bic.max_violation.items()},
-            "violations": [
-                {"rule": v.rule, "axis": v.line.direction,
-                 "transverse": list(v.line.transverse), "vector": v.vector,
-                 "value": _sig(v.value)}
-                for v in bic.violations
-            ],
-            "passed": bic.nullity == bic.expected_nullity,
-        }
-        if bic.nullity != bic.expected_nullity:
-            code = EXIT_VALIDATION
-
+    spectra, report, *svg_report = _COMMANDS[config.method](config)
     text = _emit(config, spectra, report)
     if config.output:
         _write_atomic(config.output, text)
@@ -345,9 +339,10 @@ def run(config: RunConfig) -> int:
     if config.svg_path:
         if not spectra:
             raise ConfigError("no spectra to render for --svg")
-        svg = render_scatter([s for s, _ in spectra], report=svg_report)
+        svg = render_scatter([s for s, _ in spectra],
+                             report=svg_report[0] if svg_report else None)
         _write_atomic(config.svg_path, svg)
-    return code
+    return EXIT_VALIDATION if report and report.get("passed") is False else EXIT_OK
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:

@@ -47,10 +47,6 @@ class Spectrum:
     def __len__(self) -> int:
         return len(self.rates)
 
-    def sorted_rates(self) -> np.ndarray:
-        order = np.lexsort((self.rates.imag, self.rates.real))
-        return self.rates[order]
-
 
 @dataclass(frozen=True)
 class MatchReport:

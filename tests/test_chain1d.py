@@ -3,15 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import (
-    chain_rates,
-    chain_rates_analytic,
+from dropqed import chain_rates, coupling_matrix
+from oracles import (
+    chain2_rates,
+    chain3_rates,
     char_poly,
-    coupling_matrix,
+    companion_rates,
     lambda_residual,
+    multiset_max_err,
     transfer_matrix,
 )
-from oracles import chain2_rates, chain3_rates, multiset_max_err
 
 THETAS_50 = np.linspace(0.01, 1.99, 50) * np.pi
 
@@ -91,11 +92,9 @@ def test_chain_examples_from_closed_forms():
 
 
 def test_analytic_values_at_theta_0_and_pi():
-    assert multiset_max_err(chain_rates_analytic(2, 0.0).z, [0.0, 2.0]) < 1e-15
-    assert multiset_max_err(chain_rates_analytic(2, np.pi).z, [2.0, 0.0]) < 1e-12
-    assert multiset_max_err(chain_rates_analytic(3, np.pi).z, [0.0, 3.0, 0.0]) < 1e-12
-    with pytest.raises(ValueError):
-        chain_rates_analytic(4, 0.5)
+    assert multiset_max_err(chain2_rates(0.0), [0.0, 2.0]) < 1e-15
+    assert multiset_max_err(chain2_rates(np.pi), [2.0, 0.0]) < 1e-12
+    assert multiset_max_err(chain3_rates(np.pi), [0.0, 3.0, 0.0]) < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -108,17 +107,23 @@ def test_oracle_equivalence_50_thetas(n):
 
 @pytest.mark.parametrize("method", ["auto", "companion"])
 def test_methods_agree_small_n(method):
-    for n in (1, 2, 3, 5, 8):
-        for theta in (0.3 * np.pi, 0.65 * np.pi, 1.3 * np.pi):
-            a = chain_rates(n, theta, method="auto").z
-            b = chain_rates(n, theta, method=method).z
-            assert multiset_max_err(a, b) < 1e-9
+    # the library's eigensolve and the companion oracle, each against the
+    # 30-digit eigenvalues of the coupling kernel
+    mp = pytest.importorskip("mpmath")
+    route = {"auto": lambda n, t: chain_rates(n, t).z, "companion": companion_rates}[method]
+    with mp.workdps(30):
+        for n in (1, 2, 3, 5, 8):
+            for theta in (0.3 * np.pi, 0.65 * np.pi, 1.3 * np.pi):
+                k = mp.matrix([[mp.expj(mp.mpf(theta) * abs(i - j)) for j in range(n)]
+                               for i in range(n)])
+                oracle = [complex(v) for v in mp.eig(k)[0]]
+                assert multiset_max_err(route(n, theta), oracle) < 1e-9
 
 
 def test_companion_handles_resonant_theta():
     # at theta = m*pi the leading coefficients degenerate; missing chi-roots
     # are exact dark rates
-    z = chain_rates(4, np.pi, method="companion").z
+    z = companion_rates(4, np.pi)
     assert multiset_max_err(z, [0, 0, 0, 4]) < 1e-9
 
 

@@ -1,10 +1,13 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dropqed.cli import main
-from oracles import chain3_rates, multiset_max_err
+from oracles import cartesian_rate_multiset, chain2_rates, chain3_rates, multiset_max_err
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args):
@@ -66,6 +69,17 @@ def test_compare_theta_sweep(tmp_path):
     assert [r["theta_over_pi"] for r in rows] == [0.1, 0.3, 0.5, 0.7, 0.9]
     assert all(r["passed"] for r in rows)
     assert doc["report"]["worst_max_abs_error"] <= 1e-8 * (3 + 3 * 0.4)
+
+
+def test_compare_theta_sweep_validation_failure(tmp_path):
+    out = tmp_path / "sweep.json"
+    code = run_cli(["compare", "--dims", "3,3", "--gammas", "1,0.4",
+                    "--theta-sweep", "0.1:0.9:5", "--match-tol", "1e-30",
+                    "--output", str(out)])
+    assert code == 2
+    report = read_json(out)["report"]
+    assert [r["passed"] for r in report["sweep"]] == [False] * 5
+    assert report["passed"] is False
 
 
 def test_compare_bad_sweep_is_usage_error():
@@ -226,24 +240,20 @@ def test_eom_det_command(tmp_path):
     assert multiset_max_err(got, [0.0, 0.8, 2.0, 2.8]) < 1e-7
 
 
-def test_eom_cnm_command(tmp_path):
+@pytest.mark.parametrize("dims, gammas, frac", [
+    ((3,), (1.0,), 0.5),
+    ((2, 3), (1.0, 0.4), 0.65),
+], ids=["3", "2x3"])
+def test_eom_cnm_command(tmp_path, dims, gammas, frac):
     out = tmp_path / "cnm.json"
-    code = run_cli(["eom-cnm", "--dims", "3", "--theta-over-pi", "0.5",
-                    "--output", str(out)])
+    code = run_cli(["eom-cnm", "--dims", ",".join(map(str, dims)),
+                    "--gammas", ",".join(map(str, gammas)),
+                    "--theta-over-pi", str(frac), "--output", str(out)])
     assert code == 0
     got = rates_of(read_json(out), "cnm")
-    assert multiset_max_err(got, chain3_rates(0.5 * np.pi)) < 1e-8
-
-
-def test_threads_env_round_trip(tmp_path, monkeypatch):
-    # DROPQED_THREADS is no longer read, but perfbench still pins it in the
-    # environment, so a leftover value must not change or break a run.
-    monkeypatch.setenv("DROPQED_THREADS", "2")
-    out = tmp_path / "cnm.json"
-    code = run_cli(["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4",
-                    "--theta-over-pi", "0.65", "--output", str(out)])
-    assert code == 0
-    assert len(rates_of(read_json(out), "cnm")) == 6
+    chains = {2: chain2_rates, 3: chain3_rates}
+    want = cartesian_rate_multiset([chains[n](frac * np.pi) for n in dims], gammas)
+    assert multiset_max_err(got, want) < 1e-8
 
 
 def test_svg_rendering_deterministic(tmp_path):
@@ -281,3 +291,17 @@ def test_svg_empty_overlay_is_valid():
     assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
     assert text.count("<circle") == 2
     assert "<path" not in text
+
+
+def test_readme_commands_run(tmp_path, capsys):
+    # every example of the README's "Command line" block, output files
+    # redirected into tmp_path
+    block = README.read_text().split("## Command line", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    commands = [line.split()[1:] for line in block.splitlines()
+                if line.startswith("dropqed ")]
+    assert commands
+    for argv in commands:
+        argv = [str(tmp_path / arg) if flag in ("--output", "--svg") else arg
+                for flag, arg in zip([None] + argv, argv)]
+        assert run_cli(argv) == 0, argv

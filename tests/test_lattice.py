@@ -106,7 +106,6 @@ def test_noise_mean_rates_close_to_symmetric():
     means = field.mean_rates()
     assert abs(means[0] - 1.0) < 0.1
     assert abs(means[1] - 3.0) < 0.3
-    assert set(field.line_means(0)) == set(enumerate_lines(spec, 0))
 
 
 def test_effective_gammas_with_and_without_noise():

@@ -9,7 +9,19 @@ Every command emits the same JSON schema::
 or CSV with columns ``method,re,im,tuple,k``.  Rates are sorted by
 (Re, Im) and printed with 12 significant digits, so repeated runs with the
 same configuration (including the noise seed) are byte-identical.  Files
-are written atomically (temp file + rename).
+are written atomically (temp file + rename) with the mode a plain open()
+gives; a path that cannot be written is a config error.
+
+Rate rows are written from one fixed row template, joined over per-column
+lists of value texts, because ``json.dumps(indent=2)`` falls back to the
+json module's pure-Python encoder and spent most of a large ``drop`` job.
+The bytes are exactly those of ``json.dumps(doc, indent=2)`` over one dict
+per rate, and of ``csv.writer`` (``\\r\\n`` line ends): a JSON number is
+``float.__repr__`` of the rounded value, or ``NaN``, ``Infinity`` and
+``-Infinity``; a CSV number is ``f"{_sig(x):.12g}"``, and no CSV field
+needs quoting (method names hold no comma or quote).  ``config`` and
+``report`` still go through ``json.dumps(indent=2)``, indented one level.
+The tests compare both formats byte for byte with that reference writer.
 
 Each command is one handler in ``_COMMANDS`` returning its spectra and
 report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
@@ -21,8 +33,7 @@ drift.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
+import itertools
 import json
 import math
 import os
@@ -141,53 +152,104 @@ def _sig(x: float) -> float:
 _Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
 
 
-def _spectrum_rows(s: Spectrum, k_labels: Optional[Sequence[int]] = None) -> list[dict]:
-    rows = []
-    for i in _re_im_order(s.rates):
-        tup = list(s.index_tuples[i]) if s.index_tuples is not None else None
-        k = int(k_labels[i]) if k_labels is not None else None
-        rows.append({
-            "re": _sig(float(s.rates[i].real)),
-            "im": _sig(float(s.rates[i].imag)),
-            "tuple": tup,
-            "k": k,
-        })
-    return rows
+def _columns(s: Spectrum, k_labels: Optional[Sequence[int]]) -> tuple[
+        list[float], list[float], Optional[list[tuple[int, ...]]], Optional[list[int]]]:
+    """Re and Im rounded as ``_sig`` rounds, index tuples and k labels of
+    the rates in (Re, Im) order; tuples and k labels are None where there
+    are none."""
+    order = _re_im_order(s.rates)
+    rates = s.rates[order]
+    # _sig's rounding without a Python-level call per value
+    rounded = [list(map(float, map("{:.12g}".format, part.tolist())))
+               for part in (rates.real, rates.imag)]
+    tuples = None if s.index_tuples is None else [s.index_tuples[i] for i in order.tolist()]
+    ks = None if k_labels is None else np.asarray(k_labels, dtype=int)[order].tolist()
+    return *rounded, tuples, ks
+
+
+# json.dumps writes a rounded rate by float.__repr__, except these
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# one rate row at its depth in the JSON document (json.dumps, indent=2)
+_JSON_ROW = ('        {\n          "re": %s,\n          "im": %s,\n'
+             '          "tuple": %s,\n          "k": %s\n        }')
+
+
+def _json_numbers(values: list[float]) -> list[str]:
+    texts = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
+    return texts
+
+
+def _json_tuples(tuples: Optional[list[tuple[int, ...]]], count: int) -> list[str]:
+    """JSON text of each index tuple; a spectrum's tuples share one length."""
+    if tuples is None:
+        return ["null"] * count
+    if not tuples or not tuples[0]:
+        return ["[]"] * count
+    item = "\n            %d"
+    template = "[" + ",".join([item] * len(tuples[0])) + "\n          ]"
+    return list(map(template.__mod__, tuples))
+
+
+def _json_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> str:
+    re, im, tuples, ks = _columns(s, k_labels)
+    head = f'    {{\n      "method": {json.dumps(s.method)},\n      "rates": '
+    if not re:
+        return head + "[]\n    }"
+    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(
+        _json_numbers(re), _json_numbers(im), _json_tuples(tuples, len(re)),
+        ["null"] * len(re) if ks is None else map(str, ks))))
+    return head + "[\n" + rows + "\n      ]\n    }"
+
+
+def _csv_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> str:
+    re, im, tuples, ks = _columns(s, k_labels)
+    count = len(re)
+    if not tuples or not tuples[0]:
+        tuple_col = [""] * count
+    else:
+        tuple_col = list(map(" ".join(["%d"] * len(tuples[0])).__mod__, tuples))
+    k_col = [""] * count if ks is None else map(str, ks)
+    return "".join(map("{}{:.12g},{:.12g},{},{}\r\n".format,
+                       itertools.repeat(s.method + ","), re, im, tuple_col, k_col))
+
+
+def _nested_json(value) -> str:
+    """``value`` as json.dumps(indent=2) writes it one level deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
 def _emit(config: RunConfig, spectra: _Spectra, report: Optional[dict]) -> str:
-    if config.out_format == "json":
-        doc = {
-            "config": config.as_dict(),
-            "spectra": [
-                {"method": s.method, "rates": _spectrum_rows(s, k)}
-                for s, k in spectra
-            ],
-            "report": report,
-        }
-        return json.dumps(doc, indent=2) + "\n"
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(["method", "re", "im", "tuple", "k"])
-    for s, k in spectra:
-        for row in _spectrum_rows(s, k):
-            tup = " ".join(str(v) for v in row["tuple"]) if row["tuple"] else ""
-            writer.writerow([s.method, f"{row['re']:.12g}", f"{row['im']:.12g}",
-                             tup, "" if row["k"] is None else row["k"]])
-    return buf.getvalue()
+    if config.out_format == "csv":
+        return "method,re,im,tuple,k\r\n" + "".join(
+            _csv_spectrum(s, k) for s, k in spectra)
+    listed = "[]"
+    if spectra:
+        listed = "[\n" + ",\n".join(_json_spectrum(s, k) for s, k in spectra) + "\n  ]"
+    return ('{\n  "config": ' + _nested_json(config.as_dict())
+            + ',\n  "spectra": ' + listed
+            + ',\n  "report": ' + _nested_json(report) + "\n}\n")
 
 
 def _write_atomic(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    """Write ``text`` to ``path`` through a temp file and a rename, with the
+    mode a plain open() would give; an OSError becomes a ConfigError."""
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   suffix=".tmp")
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _eom_spectrum(spec: NetworkSpec, method: str, solver_tol: float) -> Spectrum:
@@ -331,14 +393,14 @@ _COMMANDS = {
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     spectra, report, *svg_report = _COMMANDS[config.method](config)
+    if config.svg_path and not spectra:
+        raise ConfigError("no spectra to render for --svg")
     text = _emit(config, spectra, report)
     if config.output:
         _write_atomic(config.output, text)
     else:
         sys.stdout.write(text)
     if config.svg_path:
-        if not spectra:
-            raise ConfigError("no spectra to render for --svg")
         svg = render_scatter([s for s, _ in spectra],
                              report=svg_report[0] if svg_report else None)
         _write_atomic(config.svg_path, svg)

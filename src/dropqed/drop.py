@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .chain1d import chain_rates
 from .errors import SizeMismatchError
@@ -82,6 +81,9 @@ def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[comple
     Uses an exact assignment (Hungarian) on the |a_i - b_j| cost matrix;
     greedy pairing can mispair near-degenerate clusters close to theta = m*pi.
     """
+    # imported here: no Cartesian-sum-only caller should pay for scipy
+    from scipy.optimize import linear_sum_assignment
+
     ra = a.rates if isinstance(a, Spectrum) else np.asarray(a, dtype=complex)
     rb = b.rates if isinstance(b, Spectrum) else np.asarray(b, dtype=complex)
     if len(ra) != len(rb):

@@ -57,6 +57,9 @@ iteration polishes the pair (Saad, Numerical Methods for Large Eigenvalue
 Problems, SIAM 2011, ch. 4).  Each step is one N x N LU solve: on the
 noisy 3x2x6 network (N = 36) the 36 eigenpairs take 13 ms together and
 their full-matrix checks 120 ms (one BLAS thread, 2-core Xeon VM).
+
+scipy is imported inside the functions that use it, so importing this
+module loads none of it: the Cartesian-sum commands never need it.
 """
 
 from __future__ import annotations
@@ -66,9 +69,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
 from .chain1d import _re_im_order
 from .drop import Spectrum, drop_spectrum
@@ -191,6 +191,8 @@ class _EomSystem:
             row += 1
         assert row == size
 
+        import scipy.sparse as sp
+
         rows, cols, vals = zip(*entries)
         vals = np.array(vals, dtype=complex)
         self._a0 = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
@@ -222,6 +224,8 @@ class _EomSystem:
         ordering and always invertible.
         """
         if self._reduced is None:
+            import scipy.linalg as sla
+
             nb, nq = self._n_bulk, self.n_poles
             cols_e, cols_w = self._a0[:, :nq], self._a0[:, nq:]
             # both blocks are fresh dense copies, so LAPACK may overwrite them
@@ -241,6 +245,8 @@ class _EomSystem:
         two triangular solves with one sparse LU of A, and the return value
         is ||A v|| / ||v||, which no vector can push below the true sigma_min.
         """
+        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+
         a = self._a0 - delta * self._e_sparse
         try:
             lu = splu(a)
@@ -337,6 +343,8 @@ def _shifted_lu(h: np.ndarray, shift: complex, norm_h: float):
     A shift that is an eigenvalue to working precision (an exactly zero
     pivot) is nudged by eps ||H||_F, as LAPACK's inverse iteration does.
     """
+    import scipy.linalg as sla
+
     eye = np.eye(len(h))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", sla.LinAlgWarning)
@@ -364,10 +372,12 @@ def _eigenpair(h: np.ndarray, shift: complex,
     (a seed exactly between degenerate poles, say) RQI runs anyway.
     Returns (mu, unit v, converged).
     """
+    from scipy.linalg import lu_solve
+
     norm_h = float(np.linalg.norm(h))
     lu = _shifted_lu(h, shift, norm_h)
     for _ in range(_SHIFT_STEPS):
-        v = sla.lu_solve(lu, v)
+        v = lu_solve(lu, v)
         v = v / np.linalg.norm(v)
         mu, resid = _rayleigh(h, v)
         if resid <= _IDENTIFY_TOL * norm_h:
@@ -375,7 +385,7 @@ def _eigenpair(h: np.ndarray, shift: complex,
     for _ in range(_RQI_STEPS):
         if resid <= _CONVERGED_TOL * norm_h:
             return mu, v, True
-        v = sla.lu_solve(_shifted_lu(h, mu, norm_h), v)
+        v = lu_solve(_shifted_lu(h, mu, norm_h), v)
         v = v / np.linalg.norm(v)
         mu, resid = _rayleigh(h, v)
     return mu, v, resid <= _CONVERGED_TOL * norm_h

@@ -3,7 +3,16 @@
 The chain and small-lattice rate formulas here are transcribed directly
 from the closed-form results they validate against and are kept free of
 any library code paths they are used to check.
+
+``reference_emit`` is the CLI document writer the library used before its
+fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
+``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
 """
+
+import csv
+import io
+import json
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -143,3 +152,46 @@ def cartesian_rate_multiset(per_axis_rates, gammas) -> np.ndarray:
     for combo in itertools.product(*per_axis_rates):
         out.append(sum(g * z for g, z in zip(gammas, combo)))
     return np.array(out)
+
+
+def _sig12(x):
+    """Round to 12 significant digits, passing None and non-finite values."""
+    if x is None or not math.isfinite(x):
+        return x
+    return float(f"{x:.12g}")
+
+
+def _reference_rows(s, k_labels):
+    rows = []
+    rates = np.asarray(s.rates, dtype=complex)
+    for i in np.lexsort((rates.imag, rates.real)):
+        rows.append({
+            "re": _sig12(float(rates[i].real)),
+            "im": _sig12(float(rates[i].imag)),
+            "tuple": list(s.index_tuples[i]) if s.index_tuples is not None else None,
+            "k": int(k_labels[i]) if k_labels is not None else None,
+        })
+    return rows
+
+
+def reference_emit(config, spectra, report) -> str:
+    """The CLI document for ``config`` (its ``as_dict()`` and
+    ``out_format``), ``spectra`` as (spectrum, k labels or None) pairs and
+    ``report``, written by the json and csv modules."""
+    if config.out_format == "json":
+        doc = {
+            "config": config.as_dict(),
+            "spectra": [{"method": s.method, "rates": _reference_rows(s, k)}
+                        for s, k in spectra],
+            "report": report,
+        }
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\r\n")
+    writer.writerow(["method", "re", "im", "tuple", "k"])
+    for s, k in spectra:
+        for row in _reference_rows(s, k):
+            tup = " ".join(str(v) for v in row["tuple"]) if row["tuple"] else ""
+            writer.writerow([s.method, f"{row['re']:.12g}", f"{row['im']:.12g}",
+                             tup, "" if row["k"] is None else row["k"]])
+    return buf.getvalue()

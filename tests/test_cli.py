@@ -1,11 +1,21 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from dropqed import Spectrum, cli
 from dropqed.cli import main
-from oracles import cartesian_rate_multiset, chain2_rates, chain3_rates, multiset_max_err
+from oracles import (
+    cartesian_rate_multiset,
+    chain2_rates,
+    chain3_rates,
+    multiset_max_err,
+    reference_emit,
+)
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -305,3 +315,113 @@ def test_readme_commands_run(tmp_path, capsys):
         argv = [str(tmp_path / arg) if flag in ("--output", "--svg") else arg
                 for flag, arg in zip([None] + argv, argv)]
         assert run_cli(argv) == 0, argv
+
+
+# ------------------------------------------------------ emitted bytes, files
+
+ODD_VALUES = Spectrum(
+    rates=np.array([np.nan, complex(1.5, np.inf), -np.inf, complex(-0.0, -0.0),
+                    complex(0.0, np.nan), 1.234567890123456e15 - 1e-7j,
+                    2.5e-300 + 1e-320j, 0.1 + 0.2j]),
+    method="eigen")
+EMPTY = Spectrum(rates=np.array([], dtype=complex), method="cnm")
+
+
+def _handler_output(argv):
+    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    spectra, report, *_ = cli._COMMANDS[config.method](config)
+    return spectra, report
+
+
+EMIT_CASES = {
+    "nan-inf-negative-zero": lambda: ([(ODD_VALUES, None)], None),
+    "tuple-and-k-null-beside-tuples": lambda: (
+        [(ODD_VALUES, None), _handler_output(["drop", "--dims", "2,3"])[0][0]],
+        {"passed": True}),
+    "classify-k-labels": lambda: _handler_output(
+        ["classify", "--dims", "2,3,4", "--theta-over-pi", "0.9999"]),
+    "noise-two-spectra": lambda: _handler_output(
+        ["noise", "--dims", "2,2", "--gammas", "1,2", "--theta-over-pi", "0.65",
+         "--epsilon-max", "0.05", "--noise-seed", "7"]),
+    "compare-two-spectra": lambda: _handler_output(
+        ["compare", "--dims", "2,3", "--gammas", "1,0.4", "--theta-over-pi", "0.3"]),
+    "empty-spectrum": lambda: ([(EMPTY, None), (ODD_VALUES, None)], {"x": float("nan")}),
+    "no-spectra": lambda: ([], {"sweep": [], "passed": True}),
+    "no-spectra-no-report": lambda: ([], None),
+}
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+@pytest.mark.parametrize("case", sorted(EMIT_CASES))
+def test_emitter_matches_reference_bytes(case, out_format):
+    spectra, report = EMIT_CASES[case]()
+    config = cli.RunConfig(method="compare", dims=(2, 3), gammas=(1.0, 0.4),
+                           epsilon_max=0.05, noise_seed=7, out_format=out_format,
+                           output="out.json", svg_path=None)
+    assert cli._emit(config, spectra, report) == reference_emit(config, spectra, report)
+
+
+@pytest.mark.parametrize("argv", [
+    ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--m", "1"],
+    ["scaling", "--d", "1", "--m-min", "4", "--m-max", "8"],
+    ["compare", "--dims", "2,2", "--theta-sweep", "0.3:0.5:2"],
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_svg_without_spectra_fails_before_emitting(tmp_path, capsys, argv, to_file):
+    argv = argv + ["--svg", str(tmp_path / "x.svg")]
+    if to_file:
+        argv += ["--output", str(tmp_path / "x.json")]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: no spectra to render for --svg\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--output", "--svg"])
+def test_unwritable_output_path_is_config_error(tmp_path, capsys, flag):
+    target = tmp_path / "missing" / "doc"
+    argv = ["classify", "--dims", "2,2", "--theta-over-pi", "0.9999", flag, str(target)]
+    if flag == "--svg":
+        argv += ["--output", str(tmp_path / "doc.json")]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config: cannot write {str(target)!r}")
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "missing").exists()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_written_files_get_umask_mode(tmp_path, umask):
+    out, svg = tmp_path / "doc.json", tmp_path / "doc.svg"
+    old = os.umask(umask)
+    try:
+        assert run_cli(["classify", "--dims", "2,2", "--theta-over-pi", "0.9999",
+                        "--output", str(out), "--svg", str(svg)]) == 0
+    finally:
+        os.umask(old)
+    for path in (out, svg):
+        assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_cartesian_commands_load_no_scipy():
+    # a fresh interpreter: this test process has scipy loaded already
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import dropqed.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = dropqed.cli.main(['drop', '--dims', '3,4', '--format', 'csv'])\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True)
+    result = json.loads(proc.stdout)
+    assert result["code"] == 0
+    modules = set(result["modules"])
+    assert not {m for m in modules
+                if m.startswith(("scipy.linalg", "scipy.sparse", "scipy.optimize"))}
+    layers = ("lattice", "chain1d", "drop", "eom", "analysis", "render", "cli")
+    assert {f"dropqed.{layer}" for layer in layers} <= modules

@@ -277,7 +277,8 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)
     estimates = drop_spectrum(noisy)
-    refined = 2j * eom._refine(eom._EomSystem(noisy), estimates.rates / 2j, tol)
+    poles, _ = eom._refine(eom._EomSystem(noisy), estimates.rates / 2j, tol)
+    refined = 2j * poles
     displacements = np.abs(refined - estimates.rates)
     ok = ~np.isnan(displacements)
     return NoiseStudyResult(

@@ -1,10 +1,20 @@
 """Cartesian-sum construction of d-dimensional spectra and spectrum matching.
 
-Every collective decay rate of the d-dimensional network is conjectured to
-be a sum ``sum_n gamma_n * z_{s_n}^{(n)}`` of one dimensionless 1-D rate per
-axis; the N index tuples ``s`` enumerate the full spectrum.  Retaining the
-tuple on each rate is what later makes the superradiance-dimension
+Every collective decay rate of the d-dimensional network is a sum
+``sum_n gamma_n * z_{s_n}^{(n)}`` of one dimensionless 1-D rate per axis;
+the N index tuples ``s`` enumerate the full spectrum.  Retaining the tuple
+on each rate is what later makes the superradiance-dimension
 classification unambiguous.
+
+The sum is exact for a symmetric network: there the effective Hamiltonian
+of the equations of motion (:mod:`dropqed.eom`) is the Kronecker sum
+``H = sum_n I x ... x (-(i/2) gamma_n K_n) x ... x I`` of the per-axis
+chain kernels K_n, so its eigenvectors are tensor products of chain
+eigenvectors and its eigenvalues are the Cartesian sums (Chang, Jiang,
+Gorshkov & Kimble, NJP 14, 063003 (2012)).  Per-qubit rate noise breaks
+that structure, because the rates along one line differ from qubit to
+qubit; the sum over qubit-averaged rates is then only an estimate, which
+the EoM routes refine.
 """
 
 from __future__ import annotations
@@ -66,10 +76,11 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     qubit-averaged rate of each axis.
     """
     gammas = spec.effective_gammas()
-    per_axis = [chain_rates(n, spec.theta).z for n in spec.dims]
+    # axes of equal length share one chain eigensolve
+    per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
     total = np.zeros(1, dtype=complex)
-    for g, z in zip(gammas, per_axis):
-        total = (total[:, None] + g * z[None, :]).ravel()
+    for g, n in zip(gammas, spec.dims):
+        total = (total[:, None] + g * per_length[n][None, :]).ravel()
     tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
     return Spectrum(rates=total, method="drop", index_tuples=tuples)
 

@@ -17,46 +17,38 @@ system matrix A(Delta) is singular, rotated by Gamma = 2i Delta.  Poles
 admit nontrivial solutions with no incoming field, so the boundary inputs
 (t_1 and r_{M+1} on every line) are eliminated, which makes A square.
 
-Delta enters linearly on the N excitation rows only, hence det A is a
-degree-N polynomial in Delta and there are exactly N poles (with
-multiplicity).  Three extraction routes are provided:
+Delta enters linearly on the N excitation rows only, so there are exactly
+N poles (with multiplicity).  Eliminating the field amplitudes leaves
+H e = Delta e with the N x N effective Hamiltonian
+H[j, k] = -(i/2) sum_lines sqrt(g_j g_k) exp(i theta |j - k|), summed over
+the lines through both qubits, with per-qubit rates g and |j - k| counted
+in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
+(2012)).  H is built directly from the chain kernel, one block per line;
+for a symmetric network it is the Kronecker sum of the per-axis chain
+matrices (see :mod:`dropqed.drop`).  All three routes work on H:
+:func:`all_poles_eig` diagonalizes it (the bulk method),
+:func:`all_poles_cnm` refines one pole per seed, and
+:func:`all_poles_det_interp` polishes the roots of a determinant fit on it
+(small networks only; it raises :class:`~dropqed.errors.ConditioningFailure`
+when its own checks fail).
 
-* :func:`all_poles_eig` - eliminate the field amplitudes with one Schur
-  complement and diagonalize the resulting N x N matrix.  Backward-stable,
-  multiplicity-exact, and the recommended bulk method.
-* :func:`all_poles_cnm` - seeded local refinement of one pole per seed:
-  shift-invert and Rayleigh-quotient iteration on the same N x N matrix,
-  each seed claiming its own eigenvector direction; handles per-qubit
-  noisy rates and refines external estimates.
-* :func:`all_poles_det_interp` - fit the degree-N determinant polynomial on
-  two sampling circles, take companion-matrix roots and polish each on the
-  N x N matrix.  Limited by the determinant's dynamic range; reliable for
-  small networks only and raises
-  :class:`~dropqed.errors.ConditioningFailure` when its own checks fail.
-
-Every route ends with the same step: the poles must obey the trace rule
-(their sum equals the total per-qubit rate within 1e-9 max(1, N S),
-S = sum_n N_n gamma_n), are sorted by (Re, Im), and pass the singularity
-check sigma_min(A) <= 1e-9 ||A||_F on the full system (all of them, or a
-sample in :func:`all_poles_eig`).  A0 is kept sparse only; dense copies
-are made for the Schur complement and the determinant and null-space
-routes, which need them.  A has about three nonzeros per row, so
-sigma_min comes from one sparse LU of A and Lanczos on (A^H A)^{-1}; the
-value reported is ||A v|| / ||v|| for the computed singular vector v, a
-certified upper bound on the true sigma_min, so no check passes that an
-exact SVD would fail.  At N = 216 (6x6x6) one call of :func:`sigma_min`
-takes 0.06 s, against 2.19 s with the dense SVD it replaced (one BLAS
-thread, 2-core Xeon VM).  The check is memoized per detuning, so a pole
-is factored once however many routes ask about it.
+Every route ends with the same step: the trace rule (the poles sum to the
+total per-qubit rate within 1e-9 max(1, N S), S = sum_n N_n gamma_n), the
+(Re, Im) sort, and a certificate for every pole on the full system.  For
+the pole's eigenvector e of H, x = (e, -B_w^{-1} B_e e) solves the bulk
+(field) rows, whose field block B_w does not depend on Delta and is
+factored once by a sparse LU; ||A x|| / ||x|| / ||A||_F at the pole must be
+at most 1e-9.  That bounds sigma_min(A)/||A||_F from above, so no pole
+passes that an exact SVD would fail, and it is evaluated on the assembled
+sparse (2d+1)N matrix, so a wrong H fails it.  The Lanczos
+:func:`sigma_min` is for users and tests; no solve path calls it.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm`, the noise
-study and the det-interp polish) works on the N x N matrix H whose
-eigenvalues are the poles: fixed-shift inverse iteration from the seed
-identifies the eigenvector of the pole nearest it, and Rayleigh-quotient
-iteration polishes the pair (Saad, Numerical Methods for Large Eigenvalue
-Problems, SIAM 2011, ch. 4).  Each step is one N x N LU solve: on the
-noisy 3x2x6 network (N = 36) the 36 eigenpairs take 13 ms together and
-their full-matrix checks 120 ms (one BLAS thread, 2-core Xeon VM).
+study and the det-interp polish) uses fixed-shift inverse iteration from
+the seed to identify the eigenvector of the pole nearest it, and
+Rayleigh-quotient iteration to polish the pair (Saad, Numerical Methods for
+Large Eigenvalue Problems, SIAM 2011, ch. 4).  Each step is one N x N LU
+solve.
 
 scipy is imported inside the functions that use it, so importing this
 module loads none of it: the Cartesian-sum commands never need it.
@@ -70,10 +62,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .chain1d import _re_im_order
+from .chain1d import _re_im_order, coupling_matrix
 from .drop import Spectrum, drop_spectrum
-from .errors import ConditioningFailure, MaxIterationsError
-from .lattice import NetworkSpec, enumerate_lines, enumerate_qubits, linearize
+from .errors import ConditioningFailure, ConfigError, MaxIterationsError
+from .lattice import NetworkSpec, enumerate_lines, enumerate_qubits
 
 
 @dataclass(frozen=True)
@@ -98,10 +90,10 @@ class EomMatrix:
 class PoleSearchResult:
     """Poles found by one extraction route.
 
-    ``residuals[k]`` is sigma_min(A) at pole k divided by the Frobenius norm
-    of A there; NaN where validation was sampled out.  The sigma_min used
-    is the certified upper bound of :func:`sigma_min`, so a residual never
-    understates how far A is from singular.
+    ``residuals[k]`` is the certificate of pole k (see the module
+    docstring), an upper bound on sigma_min(A)/||A||_F there, so it never
+    understates how far A is from singular; NaN only with
+    ``all_poles_eig(validate="none")``.
     """
 
     poles: Spectrum
@@ -112,7 +104,11 @@ class PoleSearchResult:
 
 @dataclass(frozen=True)
 class NullSpaceResult:
-    """Null space of A(Delta): dimension and qubit-excitation components."""
+    """Null space of A(Delta): dimension and qubit-excitation components.
+
+    ``singular_values`` are those of the N x N matrix H - Delta I, whose
+    null space is the excitation part of A's, not those of A itself.
+    """
 
     nullity: int
     e_basis: np.ndarray          # shape (N, nullity), columns are unit vectors
@@ -120,123 +116,119 @@ class NullSpaceResult:
     rank_tol: float
 
 
+# Dense memory a route may hold, in bytes: up to four complex N x N arrays
+# (H, the eigensolver's copy and eigenvectors, or the refinement's LU and
+# projections), or copies of the dense (2d+1)N system for the determinant
+# route.  Past it a run would fail only at the allocation itself, or swap
+# first.  2 GiB admits N <= 5792 for H (17 x 17 x 17).
+_MEMORY_BUDGET = 2 * 2 ** 30
+
+
+def _check_dense(n: int, what: str) -> None:
+    """Raise ConfigError when four complex n x n arrays exceed the budget."""
+    need = 4 * 16 * n * n
+    if need > _MEMORY_BUDGET:
+        raise ConfigError(f"{what} is {n} x {n}: its dense work arrays need "
+                          f"{need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+
+
+def _lines(spec: NetworkSpec) -> list[np.ndarray]:
+    """Per axis, the qubits' linear indices with row l listing line l (in
+    :func:`~dropqed.lattice.enumerate_lines` order) along the axis."""
+    grid = np.arange(spec.n_qubits).reshape(spec.dims)
+    return [np.moveaxis(grid, axis, -1).reshape(-1, m) for axis, m in enumerate(spec.dims)]
+
+
+def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
+    """The N x N effective Hamiltonian H, whose eigenvalues are the poles.
+
+    Each line adds -(i/2) sqrt(g_j g_k) K[j, k] over its own qubits, with K
+    the chain kernel of :func:`~dropqed.chain1d.coupling_matrix` and g the
+    per-qubit rates along the line.
+    """
+    _check_dense(spec.n_qubits, "the effective Hamiltonian")
+    rates = spec.resolved_rates()
+    h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
+    for axis, lines in enumerate(_lines(spec)):
+        # the lines of one axis are disjoint, so no entry is added twice
+        root = np.sqrt(rates[lines, axis])
+        kernel = -0.5j * coupling_matrix(lines.shape[1], spec.theta)
+        h[lines[:, :, None], lines[:, None, :]] += root[:, :, None] * root[:, None, :] * kernel
+    return h
+
+
 class _EomSystem:
-    """A(Delta) = A0 - Delta * E assembled once, sparse; E selects excitation rows."""
+    """A(Delta) = A0 - Delta * E assembled once, sparse; E selects excitation
+    rows.  ``h`` is the network's effective Hamiltonian."""
 
     def __init__(self, spec: NetworkSpec):
-        self.spec = spec
-        d, dims = spec.ndim, spec.dims
-        n_qubits = spec.n_qubits
-        size = (2 * d + 1) * n_qubits
-        rates = spec.resolved_rates()
-        qubits = enumerate_qubits(spec)
-        qpos = {q: linearize(dims, q) for q in qubits}
-
-        index_map: dict = {("e", q): qpos[q] for q in qubits}
-        col = n_qubits
-        lines = {n: enumerate_lines(spec, n) for n in range(d)}
-        tcol: dict = {}
-        rcol: dict = {}
-        for n in range(d):
-            for line in lines[n]:
-                m = dims[n]
-                for j in range(2, m + 2):
-                    tcol[(n, line.transverse, j)] = col
-                    index_map[("t", n, line.transverse, j)] = col
-                    col += 1
-                for j in range(1, m + 1):
-                    rcol[(n, line.transverse, j)] = col
-                    index_map[("r", n, line.transverse, j)] = col
-                    col += 1
-        assert col == size
-
-        # A0 as (row, col, value) triplets, each slot filled at most once
-        entries: list[tuple[int, int, complex]] = []
-        put = entries.append
-        em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
-        row = 0
-        # right-mover rows: t_{j+1} e^{-i theta} - t_j + i sqrt(g/2) e = 0
-        for n in range(d):
-            for line in lines[n]:
-                for pos, q in enumerate(line.qubits(dims), start=1):
-                    g = rates[qpos[q], n]
-                    put((row, tcol[(n, line.transverse, pos + 1)], em))
-                    if pos >= 2:
-                        put((row, tcol[(n, line.transverse, pos)], -1.0))
-                    put((row, qpos[q], 1j * np.sqrt(g / 2)))
-                    row += 1
-        # left-mover rows: r_{j+1} e^{+i theta} - r_j - i sqrt(g/2) e = 0
-        for n in range(d):
-            for line in lines[n]:
-                m = dims[n]
-                for pos, q in enumerate(line.qubits(dims), start=1):
-                    g = rates[qpos[q], n]
-                    if pos <= m - 1:
-                        put((row, rcol[(n, line.transverse, pos + 1)], ep))
-                    put((row, rcol[(n, line.transverse, pos)], -1.0))
-                    put((row, qpos[q], -1j * np.sqrt(g / 2)))
-                    row += 1
-        # excitation rows: sum_n sqrt(g/2)(t_sigma + r_sigma) - Delta e = 0
-        self._e_rows = np.empty(n_qubits, dtype=int)
-        for q in qubits:
-            for n in range(d):
-                g = rates[qpos[q], n]
-                coup = np.sqrt(g / 2)
-                pos = q[n]
-                transverse = tuple(c for j, c in enumerate(q) if j != n)
-                if pos >= 2:
-                    put((row, tcol[(n, transverse, pos)], coup))
-                put((row, rcol[(n, transverse, pos)], coup))
-            self._e_rows[qpos[q]] = row
-            row += 1
-        assert row == size
-
+        self.h = _hamiltonian(spec)      # first: its size check precedes any assembly
         import scipy.sparse as sp
 
-        rows, cols, vals = zip(*entries)
-        vals = np.array(vals, dtype=complex)
-        self._a0 = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-        self._a0_sq = float(np.linalg.norm(vals) ** 2)
+        n_qubits, d = spec.n_qubits, spec.ndim
+        size = (2 * d + 1) * n_qubits
+        rates = spec.resolved_rates()
+        em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
+        index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
+        rows, cols, vals = [], [], []
+
+        def put(row, col, value):
+            rows.append(row.ravel())
+            cols.append(col.ravel())
+            vals.append(np.broadcast_to(value, row.shape).ravel())
+
+        # rows: all right-mover relations, all left-mover ones, then one
+        # excitation relation per qubit; columns: e, then per axis and line
+        # t_2..t_{M+1} and r_1..r_M.  Entry [l, j] below is the qubit at
+        # position j + 1 on line l of the axis.
+        for axis, lines in enumerate(_lines(spec)):
+            n_lines, m = lines.shape
+            first = n_qubits * (1 + 2 * axis) + 2 * m * np.arange(n_lines)[:, None]
+            t_next = first + np.arange(m)        # column of t_{j+1}
+            r_here = t_next + m                  # column of r_j
+            right = axis * n_qubits + np.arange(n_qubits).reshape(n_lines, m)
+            left = right + d * n_qubits
+            excite = 2 * d * n_qubits + lines
+            coup = np.sqrt(rates[lines, axis] / 2)
+            # right movers: t_{j+1} e^{-i theta} - t_j + i sqrt(g/2) e = 0
+            put(right, t_next, em)
+            put(right[:, 1:], t_next[:, :-1], -1.0)
+            put(right, lines, 1j * coup)
+            # left movers: r_{j+1} e^{+i theta} - r_j - i sqrt(g/2) e = 0
+            put(left[:, :-1], r_here[:, 1:], ep)
+            put(left, r_here, -1.0)
+            put(left, lines, -1j * coup)
+            # excitation: sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
+            put(excite[:, 1:], t_next[:, :-1], coup[:, 1:])
+            put(excite, r_here, coup)
+            for line, start in zip(enumerate_lines(spec, axis), first[:, 0].tolist()):
+                index_map.update({("t", axis, line.transverse, j + 2): start + j for j in range(m)})
+                index_map.update({("r", axis, line.transverse, j + 1): start + m + j for j in range(m)})
+
+        self._a0 = sp.csc_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+            shape=(size, size))
+        self._a0_sq = float(np.linalg.norm(self._a0.data) ** 2)
+        self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
         self._e_sparse = sp.csc_matrix(
             (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
         # fixed pseudo-random Lanczos start: on symmetric lattices structured
         # vectors (all ones, say) can be orthogonal to the wanted one
         self._v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
+        self.spec = spec
         self.size = size
         self.n_poles = n_qubits
         self.index_map = index_map
         self.rates = rates
         self._n_bulk = size - n_qubits
-        self._reduced: Optional[np.ndarray] = None
-        self._residuals: dict[complex, float] = {}
+        self._bulk = None
 
     def matrix(self, delta: complex) -> np.ndarray:
-        """Dense A(Delta), for the determinant and null-space routes."""
+        """Dense A(Delta), for the determinant route."""
+        _check_dense(self.size, "the dense full system")
         a = self._a0.toarray()
         a[self._e_rows, np.arange(self.n_poles)] -= delta
         return a
-
-    def reduced(self) -> np.ndarray:
-        """N x N matrix whose eigenvalues are the poles (Schur complement).
-
-        Bulk rows give w = -B_w^{-1} B_e e, so the excitation rows become
-        (C_e - C_w B_w^{-1} B_e) e = Delta e.  B_w is triangular up to row
-        ordering and always invertible.
-        """
-        if self._reduced is None:
-            import scipy.linalg as sla
-
-            nb, nq = self._n_bulk, self.n_poles
-            cols_e, cols_w = self._a0[:, :nq], self._a0[:, nq:]
-            # both blocks are fresh dense copies, so LAPACK may overwrite them
-            x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
-                          overwrite_a=True, overwrite_b=True)
-            self._reduced = cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
-        return self._reduced
-
-    def pole_sum(self) -> float:
-        """Exact sum of all poles' Gamma values: total of per-qubit rates."""
-        return float(self.rates.sum())
 
     def sigma_min(self, delta: complex) -> float:
         """Certified upper bound on the smallest singular value of A(Delta).
@@ -265,28 +257,42 @@ class _EomSystem:
         v = vecs[:, 0] if vecs.shape[1] else op.matvec(self._v0)
         return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
-    def frobenius(self, delta: complex) -> float:
+    def frobenius(self, delta):
+        """||A(Delta)||_F, elementwise over an array of detunings."""
         # the Delta-bearing slots hold exactly -Delta (A0 is zero there)
-        return float(np.sqrt(self._a0_sq + self.n_poles * abs(delta) ** 2))
+        return np.sqrt(self._a0_sq + self.n_poles * np.abs(delta) ** 2)
 
-    def residual(self, delta: complex) -> float:
-        """sigma_min(A) / ||A||_F at delta; one sparse factorization per
-        distinct delta, however often it is asked for."""
-        delta = complex(delta)
-        if delta not in self._residuals:
-            self._residuals[delta] = self.sigma_min(delta) / self.frobenius(delta)
-        return self._residuals[delta]
+    def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+        """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
+        e_k of ``vecs``, with x_k = (e_k, -B_w^{-1} B_e e_k): the pole
+        certificate of the module docstring.  Columns go in blocks, so the
+        full-system vectors never take (2d+1)N^2 entries at once."""
+        if self._bulk is None:
+            # bulk rows: B_e e + B_w w = 0; B_w is triangular up to row
+            # ordering and always invertible, so one sparse LU serves every Delta
+            from scipy.sparse.linalg import splu
+
+            nb, nq = self._n_bulk, self.n_poles
+            self._bulk = (self._a0[:nb, :nq], splu(self._a0[:nb, nq:]))
+        bulk_e, bulk_lu = self._bulk
+        deltas = np.asarray(deltas, dtype=complex)
+        out = np.empty(len(deltas))
+        for k in range(0, len(deltas), _CERT_BLOCK):
+            part = slice(k, k + _CERT_BLOCK)
+            e = vecs[:, part]
+            x = np.vstack([e, -bulk_lu.solve(bulk_e @ e)])
+            ax = self._a0 @ x
+            ax[self._e_rows] -= deltas[part] * e
+            out[part] = (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
+                         / self.frobenius(deltas[part]))
+        return out
 
 
 def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     """Build the (2d+1)N system matrix at one complex detuning."""
     system = _EomSystem(spec)
-    return EomMatrix(
-        a=system.matrix(delta),
-        index_map=system.index_map,
-        delta=complex(delta),
-        rates=system.rates,
-    )
+    return EomMatrix(a=system.matrix(delta), index_map=system.index_map,
+                     delta=complex(delta), rates=system.rates)
 
 
 def det_at(spec: NetworkSpec, delta: complex) -> complex:
@@ -315,8 +321,8 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     bound on the true sigma_min, equal to it up to about 1e-9 relative off
     the poles and within round-off of zero on them.
 
-    Maximizing the condition number is equivalent up to the slowly varying
-    largest singular value, so this is the canonical singularity check.
+    It is the singularity check for users and tests; the solvers certify
+    their poles with eigenvectors of H instead and never call it.
     """
     return _EomSystem(spec).sigma_min(delta)
 
@@ -334,7 +340,8 @@ _SPAN_TOL = 1e-6
 # a seed this close to its refined pole (times ||H||_F) is kept as given;
 # Cartesian-sum seeds of symmetric networks lie within a few eps
 _KEEP_SEED_TOL = 1e-12
-_CHECK_TOL = 1e-9        # sigma_min/||A||_F of every reported pole, at most
+_CHECK_TOL = 1e-9        # certificate of every reported pole, at most
+_CERT_BLOCK = 64         # eigenvectors certified per sparse solve
 
 
 def _shifted_lu(h: np.ndarray, shift: complex, norm_h: float):
@@ -408,19 +415,20 @@ def _extend(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.column_stack([basis, v / norm]), True
 
 
-def _settle(system: _EomSystem, seed: complex, pole: complex, tol: float) -> complex:
-    """The reported pole for ``seed``: the seed itself when it lies within
-    1e-12 ||H||_F of the refined pole and passes the full-matrix check, else
+def _settle(system: _EomSystem, seeds: np.ndarray, poles: np.ndarray,
+            vecs: np.ndarray, tol: float) -> np.ndarray:
+    """The reported poles: seed k itself when it lies within 1e-12 ||H||_F
+    of refined pole k and passes the certificate with eigenvector k, else
     the refined pole if it passes, else NaN.
 
-    Passing the check alone is not enough to keep a seed: with noise at
-    theta = m*pi a seed on the dark poles at Delta = 0 passes it even when
-    its own pole was lifted to about 1e-9 by the noise.
+    Passing the certificate alone is not enough to keep a seed: with noise
+    at theta = m*pi a seed on the dark poles at Delta = 0 passes it even
+    when its own pole was lifted to about 1e-9 by the noise.
     """
-    keep = _KEEP_SEED_TOL * np.linalg.norm(system.reduced())
-    if abs(seed - pole) <= keep and system.residual(seed) <= tol:
-        return seed
-    return pole if system.residual(pole) <= tol else complex(np.nan, np.nan)
+    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * np.linalg.norm(system.h)
+    keep &= system.certificates(seeds, vecs) <= tol
+    passed = keep | (system.certificates(poles, vecs) <= tol)
+    return np.where(passed, np.where(keep, seeds, poles), complex(np.nan, np.nan))
 
 
 def _find_pole(system: _EomSystem, seed: complex, tol: float,
@@ -429,15 +437,14 @@ def _find_pole(system: _EomSystem, seed: complex, tol: float,
     seed = complex(seed)
     if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
         raise ValueError("seed must be finite")
-    h = system.reduced()
     if start is None:
-        start = _start_vector(len(h))
-    mu, v, _ = _eigenpair(h, seed, start)
-    pole = _settle(system, seed, mu, tol)
+        start = _start_vector(system.n_poles)
+    mu, v, _ = _eigenpair(system.h, seed, start)
+    pole = complex(_settle(system, np.array([seed]), np.array([mu]), v[:, None], tol)[0])
     if np.isnan(pole):
         raise MaxIterationsError(
-            f"pole refinement from seed {seed} did not reach sigma_min <= "
-            f"{tol:g}*||A||; nearest eigenvalue estimate {mu}"
+            f"pole refinement from seed {seed} did not reach a certificate <= "
+            f"{tol:g}; nearest eigenvalue estimate {mu}"
         )
     return pole, v
 
@@ -446,18 +453,17 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     """Refine one pole of A(Delta) from a seed.
 
     Runs shift-invert inverse iteration from the seed, then Rayleigh-quotient
-    iteration, on the N x N matrix of :func:`all_poles_eig` (its eigenvalues
-    are the poles), and verifies sigma_min(A) <= tol * ||A||_F on the full
-    matrix, with the certified upper bound of :func:`sigma_min` (sparse LU
-    plus Lanczos).  A seed within 1e-12 ||H||_F of its refined pole that
-    satisfies the criterion is returned unchanged.
+    iteration, on H, and requires the pole's certificate on the full system
+    (see the module docstring) to be at most ``tol``.  A seed within
+    1e-12 ||H||_F of its refined pole that passes it is returned unchanged.
 
-    Raises MaxIterationsError when the refined value fails that check.
+    Raises MaxIterationsError when the refined value fails the certificate.
     """
     return _find_pole(_EomSystem(spec), seed, tol)[0]
 
 
-def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndarray:
+def _refine(system: _EomSystem, seeds: Sequence[complex],
+            tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Refine every seed into its own pole; NaN where a seed found none.
 
     Each seed gets an eigenpair of H by :func:`_eigenpair`.  Converged pairs
@@ -466,18 +472,19 @@ def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndar
     m is claimed by exactly m seeds.  A rejected seed searches again on
     Q_perp^H H Q_perp: span Q is invariant, so that matrix holds exactly the
     unclaimed poles; the result is polished on H.  Every pole is then
-    settled by :func:`_settle`.
+    settled by :func:`_settle`.  Returns the poles and their eigenvectors.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
-    h = system.reduced()
+    h = system.h
     n = len(h)
     start = _start_vector(n)
     pairs = [_eigenpair(h, s, start) for s in seeds]
     order = np.argsort([abs(mu - s) for (mu, _, _), s in zip(pairs, seeds)], kind="stable")
     basis = np.zeros((n, 0), dtype=complex)
     poles = np.full(len(seeds), np.nan, dtype=complex)
+    vecs = np.zeros((n, len(seeds)), dtype=complex)
 
     def claim(i: int, mu: complex, v: np.ndarray, converged: bool) -> bool:
         nonlocal basis
@@ -485,7 +492,7 @@ def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndar
         if converged:
             basis, new = _extend(basis, v)
         if new:
-            poles[i] = mu
+            poles[i], vecs[:, i] = mu, v
         return new
 
     rejected = [i for i in order if not claim(i, *pairs[i])]
@@ -493,65 +500,58 @@ def _refine(system: _EomSystem, seeds: Sequence[complex], tol: float) -> np.ndar
         perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
         mu, y, _ = _eigenpair(perp.conj().T @ h @ perp, seeds[i], perp.conj().T @ start)
         claim(i, *_eigenpair(h, mu, perp @ y))
-    for i, pole in enumerate(poles):
-        if not np.isnan(pole):
-            poles[i] = _settle(system, seeds[i], pole, tol)
-    return poles
+    found = ~np.isnan(poles)
+    poles[found] = _settle(system, seeds[found], poles[found], vecs[:, found], tol)
+    return poles, vecs
 
 
-def _finish(system: _EomSystem, gammas: np.ndarray, method: str,
-            seeds: Sequence[complex], error: type[Exception],
-            sample: Optional[int] = None) -> PoleSearchResult:
-    """The last step of every route: trace rule, (Re, Im) order, validation.
+def _finish(system: _EomSystem, gammas: np.ndarray, vecs: Optional[np.ndarray],
+            method: str, seeds: Sequence[complex],
+            error: type[Exception]) -> PoleSearchResult:
+    """The last step of every route: trace rule, (Re, Im) order, certificate.
 
     The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
-    S = sum_n N_n gamma_n, else ``error`` is raised.  ``sample`` evenly
-    spaced poles (all when None) then get the full-matrix check
-    sigma_min/||A||_F <= 1e-9, which raises ConditioningFailure.
+    S = sum_n N_n gamma_n, else ``error`` is raised.  Every pole is then
+    certified with its eigenvector, column k of ``vecs`` (None only for
+    ``validate="none"``); a certificate above 1e-9 raises ConditioningFailure.
     """
     n = system.n_poles
-    expected = system.pole_sum()
+    expected = float(system.rates.sum())     # exact: the total per-qubit rate
     if abs(gammas.sum() - expected) > 1e-9 * max(1.0, n * system.spec.rate_sum):
         raise error(
             f"{method} pole multiset violates the trace rule: sum {gammas.sum():.6g} "
             f"vs expected {expected:.6g}; duplicates or missed poles likely"
         )
-    gammas = gammas[_re_im_order(gammas)]
+    order = _re_im_order(gammas)
+    gammas = gammas[order]
     residuals = np.full(n, np.nan)
-    if sample is None or sample >= n:
-        idx = np.arange(n)
-    else:
-        idx = np.unique(np.linspace(0, n - 1, sample).astype(int))
-    for k in idx:
-        residuals[k] = system.residual(gammas[k] / 2j)
-        if residuals[k] > _CHECK_TOL:
+    if vecs is not None:
+        residuals = system.certificates(gammas / 2j, vecs[:, order])
+        worst = int(np.argmax(residuals))
+        if not residuals[worst] <= _CHECK_TOL:
             raise ConditioningFailure(
-                f"reported pole {gammas[k]} fails the singularity check: "
-                f"sigma_min/||A|| = {residuals[k]:.3e} > {_CHECK_TOL:g}"
+                f"reported pole {gammas[worst]} fails the singularity check: "
+                f"certificate {residuals[worst]:.3e} > {_CHECK_TOL:g}"
             )
-    return PoleSearchResult(
-        poles=Spectrum(rates=gammas, method=method),
-        seeds_used=tuple(seeds),
-        residuals=residuals,
-        method=method,
-    )
+    return PoleSearchResult(poles=Spectrum(rates=gammas, method=method),
+                            seeds_used=tuple(seeds), residuals=residuals, method=method)
 
 
 def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResult:
-    """All N poles via Schur-complement reduction and a dense eigensolve.
+    """All N poles as the eigenvalues of H, by a dense eigensolve.
 
     Needs no seeds, resolves multiplicities exactly, and is robust in the
-    clustered near-resonant regime.  The poles must pass the trace rule;
-    ``validate`` controls how many of them get the full-matrix singularity
-    check: "sample" (six), "all", or "none".
+    clustered near-resonant regime.  The poles must pass the trace rule.
+    "sample" (the default) and "all" both certify every pole with its
+    eigenvector on the full system; "none" skips the certificate.
     """
-    samples = {"sample": 6, "all": None, "none": 0}
-    if validate not in samples:
+    if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
     system = _EomSystem(spec)
-    gammas = 2j * np.linalg.eigvals(system.reduced())
-    return _finish(system, gammas, "eigen", (), ConditioningFailure, samples[validate])
+    values, vecs = np.linalg.eig(system.h)
+    return _finish(system, 2j * values, None if validate == "none" else vecs,
+                   "eigen", (), ConditioningFailure)
 
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
@@ -561,13 +561,12 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     Seeds default to the Cartesian-sum estimates (qubit-averaged rates when
     a noise field is present), expressed in the Delta plane; exactly N seeds
     are required.  Each seed is refined by shift-invert and Rayleigh-quotient
-    iteration on the N x N matrix of :func:`all_poles_eig`.  Two seeds that
-    reach the same eigenvector are told apart by the span of the eigenvectors
-    already claimed: the one farther from its pole searches again among the
-    unclaimed poles only, so exact multiplicities carry over.  Every pole
-    passes the full-matrix check sigma_min <= tol * ||A||_F; a run that
-    cannot account for all N poles, or whose poles break the trace rule,
-    raises MaxIterationsError.
+    iteration on H.  Two seeds that reach the same eigenvector are told
+    apart by the span of the eigenvectors already claimed: the one farther
+    from its pole searches again among the unclaimed poles only, so exact
+    multiplicities carry over.  Every pole's certificate must be at most
+    ``tol``; a run that cannot account for all N poles, or whose poles break
+    the trace rule, raises MaxIterationsError.
     """
     system = _EomSystem(spec)
     n = system.n_poles
@@ -577,32 +576,32 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
         seeds = tuple(complex(s) for s in seeds)
         if len(seeds) != n:
             raise ValueError(f"all_poles_cnm needs exactly {n} seeds, got {len(seeds)}")
-    gammas = 2j * _refine(system, seeds, tol)
-    found = int(np.count_nonzero(~np.isnan(gammas)))
+    poles, vecs = _refine(system, seeds, tol)
+    found = int(np.count_nonzero(~np.isnan(poles)))
     if found < n:
         raise MaxIterationsError(
             f"seeded refinement located {found} of {n} poles; "
             "re-seed or use all_poles_eig"
         )
-    return _finish(system, gammas, "cnm", seeds, MaxIterationsError)
+    return _finish(system, 2j * poles, vecs, "cnm", seeds, MaxIterationsError)
 
 
 def _second_eigenvector(system: _EomSystem, root: complex, pole: complex,
-                        basis: np.ndarray) -> tuple[complex, np.ndarray]:
+                        basis: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
     """Tell a multiple pole from two roots polished onto one simple pole.
 
     ``root`` reached the eigenvector of an earlier root.  It is refined again
     from the start vector with span(basis) projected out: at a multiple pole
-    that reaches an independent eigenvector of the same pole, which is then
-    accepted.  Anything else (the old direction again, or a different pole)
-    means the fit lost a pole, and raises ConditioningFailure.
+    that reaches an independent eigenvector of the same pole, returned with
+    the extended basis.  Anything else (the old direction again, or another
+    pole) means the fit lost a pole, and raises ConditioningFailure.
     """
     start = _start_vector(len(basis))
     start = start - basis @ (basis.conj().T @ start)
     again, v = _find_pole(system, root, 1e-10, start)
     basis, new = _extend(basis, v)
-    if new and abs(again - pole) <= _IDENTIFY_TOL * np.linalg.norm(system.reduced()):
-        return again, basis
+    if new and abs(again - pole) <= _IDENTIFY_TOL * np.linalg.norm(system.h):
+        return again, v, basis
     raise ConditioningFailure(
         f"det-interp root {2j * root} polishes onto the eigenvector of an "
         f"earlier root (pole {2j * pole}); the fit is unreliable here and a "
@@ -640,18 +639,16 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     on the circle, and takes companion-matrix roots, capturing
     multiplicities.  A second pass on a circle just enclosing the first-pass
     roots keeps the low-order coefficients above the determinant noise
-    floor.  Every root is then refined by :func:`find_pole` on its own, and
-    each refined eigenvector of the N x N matrix H must add a new direction
-    to those of the roots before it: two roots on one eigenvector are kept
-    only at a multiple pole, where a second, independent eigenvector exists;
-    otherwise the fit has lost a pole (this happens in clustered near-dark
-    spectra, where the lost pole can leave the sum unchanged) and
-    ConditioningFailure is raised.
+    floor.  Every root is then refined by :func:`find_pole`, and each
+    refined eigenvector of H must add a new direction to those before it:
+    two roots on one eigenvector are kept only at a multiple pole; otherwise
+    the fit has lost a pole (in clustered near-dark spectra the lost pole
+    can leave the sum unchanged) and ConditioningFailure is raised.
 
     The determinant's dynamic range limits this route: once the product of
     |pole|/R factors falls below roughly 1e-16 the small-modulus poles are
     unrecoverable.  A fit residual above 1e-6, a root that cannot be
-    polished, a broken trace rule or a failed singularity check raises
+    polished, a broken trace rule or a failed certificate raises
     ConditioningFailure (the eigensolve route is then needed).
     """
     system = _EomSystem(spec)
@@ -672,21 +669,22 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
         if resid2 <= _FIT_TOL:
             roots = r2 * np.polynomial.polynomial.polyroots(coeffs2)
 
-    polished = []
+    polished, vecs = [], []
     basis = np.zeros((n, 0), dtype=complex)
     for root in roots:
         try:
             pole, v = _find_pole(system, root, 1e-10)
             basis, new = _extend(basis, v)
             if not new:
-                pole, basis = _second_eigenvector(system, root, pole, basis)
+                pole, v, basis = _second_eigenvector(system, root, pole, basis)
         except MaxIterationsError as exc:
             raise ConditioningFailure(
                 f"det-interp root {2j * root} could not be polished onto a "
                 f"pole; the fit is unreliable at this size ({exc})"
             ) from exc
         polished.append(pole)
-    return _finish(system, 2j * np.array(polished), "det-interp",
+        vecs.append(v)
+    return _finish(system, 2j * np.array(polished), np.column_stack(vecs), "det-interp",
                    roots[_re_im_order(roots)], ConditioningFailure)
 
 
@@ -694,20 +692,17 @@ def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> Nul
     """Null-space dimension of A(Delta) and the excitation parts of its basis.
 
     Bound states live at Delta = 0 when theta is a multiple of pi; their
-    count is prod_n (N_n - 1).  The returned basis columns are the
-    e-components of the full null vectors (not renormalized), which is what
-    the bound-state sign-sum condition constrains.
+    count is prod_n (N_n - 1).  The field block is invertible, so the null
+    space of A(Delta) is that of H - Delta I, extended by the field: this
+    takes the SVD of the N x N matrix H - Delta I, counting singular values
+    below ``rank_tol`` times the largest.  The basis columns are unit null
+    vectors of H - Delta I, the excitation components of A's null vectors,
+    which is what the bound-state sign-sum condition constrains.
     """
-    system = _EomSystem(spec)
-    a = system.matrix(delta)
-    _, svals, vh = np.linalg.svd(a)
-    null_mask = svals < rank_tol * svals[0]
-    nullity = int(null_mask.sum())
-    basis = vh[len(svals) - nullity:].conj().T[: system.n_poles, :] if nullity else \
-        np.zeros((system.n_poles, 0))
-    return NullSpaceResult(
-        nullity=nullity,
-        e_basis=basis,
-        singular_values=svals,
-        rank_tol=float(rank_tol),
-    )
+    h = _hamiltonian(spec)
+    n = len(h)
+    _, svals, vh = np.linalg.svd(h - complex(delta) * np.eye(n))
+    nullity = int((svals < rank_tol * svals[0]).sum())
+    basis = vh[n - nullity:].conj().T
+    return NullSpaceResult(nullity=nullity, e_basis=basis, singular_values=svals,
+                           rank_tol=float(rank_tol))

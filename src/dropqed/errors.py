@@ -6,7 +6,8 @@ class DropQedError(Exception):
 
 
 class ConfigError(DropQedError):
-    """A run configuration (file or flags) could not be validated."""
+    """A run configuration (file or flags) could not be validated, or asks
+    for a network too large for the dense-memory budget of the EoM routes."""
 
 
 class SizeMismatchError(DropQedError):

@@ -60,7 +60,7 @@ class NoiseField:
     def __post_init__(self) -> None:
         rates = np.asarray(self.rates, dtype=float)
         object.__setattr__(self, "rates", rates)
-        n_qubits = int(np.prod(self.dims))
+        n_qubits = math.prod(self.dims)
         if rates.shape != (n_qubits, len(self.dims)):
             raise ValueError(
                 f"rates shape {rates.shape} does not match "
@@ -121,7 +121,8 @@ class NetworkSpec:
 
     @property
     def n_qubits(self) -> int:
-        return int(np.prod(self.dims))
+        # exact: np.prod wraps silently in int64 for huge dims
+        return math.prod(self.dims)
 
     @property
     def rate_sum(self) -> float:

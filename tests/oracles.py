@@ -33,6 +33,24 @@ def dense_sigma_min(a) -> float:
     return float(np.linalg.svd(np.asarray(a), compute_uv=False)[-1])
 
 
+def reduced(system) -> np.ndarray:
+    """N x N matrix whose eigenvalues are the poles, by the Schur complement
+    of an ``eom._EomSystem``'s sparse (2d+1)N system: the reference for the
+    library's direct build of H from the line kernels.
+
+    Bulk rows give w = -B_w^{-1} B_e e, so the excitation rows become
+    (C_e - C_w B_w^{-1} B_e) e = Delta e.  B_w is triangular up to row
+    ordering and always invertible.
+    """
+    import scipy.linalg as sla
+
+    nb, nq = system._n_bulk, system.n_poles
+    cols_e, cols_w = system._a0[:, :nq], system._a0[:, nq:]
+    x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
+                  overwrite_a=True, overwrite_b=True)
+    return cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
+
+
 def chain2_rates(theta: float) -> np.ndarray:
     """Two-qubit chain: z = 1 -/+ exp(i theta)."""
     e = np.exp(1j * theta)

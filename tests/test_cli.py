@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropqed import Spectrum, cli
+from dropqed import NetworkSpec, Spectrum, cli
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -116,6 +116,16 @@ def test_solver_error_exit_code(capsys):
     assert run_cli(["bic", "--dims", "2", "--theta-over-pi", "0.5"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: solver:")
+
+
+def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
+    # refused by the memory budget before anything is assembled
+    def allocates(self):
+        raise AssertionError("rates resolved before the size check")
+    monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
+    assert run_cli(["eom-eig", "--dims", "100,100,100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "budget" in err
 
 
 def test_unknown_method_is_usage_error():

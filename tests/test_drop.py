@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dropqed import drop
 from dropqed import (
     NetworkSpec,
     SizeMismatchError,
@@ -164,3 +165,22 @@ def test_spectrum_validates_tuples():
     with pytest.raises(ValueError):
         Spectrum(rates=np.array([1.0 + 0j, 2.0 + 0j]), method="drop",
                  index_tuples=((1,), (1,)))
+
+
+def test_drop_spectrum_solves_each_axis_length_once(monkeypatch):
+    calls = []
+    original = drop.chain_rates
+
+    def counted(n, theta):
+        calls.append(n)
+        return original(n, theta)
+    monkeypatch.setattr(drop, "chain_rates", counted)
+    spec = spec_of([5, 5, 5], (1.0, 4.0, 2.0), 0.65)
+    got = drop_spectrum(spec).rates
+    assert calls == [5]
+    z = original(5, spec.theta).z
+    # the same sums in the same order as one eigensolve per axis: equal bits
+    assert np.array_equal(got, cartesian_rate_multiset([z, z, z], spec.gammas))
+    calls.clear()
+    drop_spectrum(spec_of([4, 2, 4, 2], (1.0, 2.0, 3.0, 4.0), 0.3))
+    assert calls == [4, 2]

@@ -4,6 +4,7 @@ from scipy.sparse.linalg import ArpackNoConvergence
 
 from dropqed import (
     ConditioningFailure,
+    ConfigError,
     MaxIterationsError,
     NetworkSpec,
     all_poles_cnm,
@@ -15,12 +16,13 @@ from dropqed import (
     drop_spectrum,
     find_pole,
     logdet_at,
+    noise_study,
     nullity_at,
     sample_noise,
     sigma_min,
 )
 from dropqed import eom
-from oracles import dense_sigma_min, lattice_2x2_rates, multiset_max_err
+from oracles import dense_sigma_min, multiset_max_err, reduced
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -200,6 +202,68 @@ def test_sigma_min_unconverged_lanczos_stays_an_upper_bound(monkeypatch, converg
     assert sigma_min(spec, delta) >= dense_sigma_min(a) - 1e-12 * np.linalg.norm(a)
 
 
+# ------------------------------------------------- effective Hamiltonian H
+
+H_CASES = {
+    "5x3x4": lambda: spec_of([5, 3, 4], (1.0, 4.0, 2.0)),
+    "3x2x6-noisy": _noisy_acceptance_7,
+    "4x4-clustered": SIGMA_MIN_CASES["4x4-clustered"],
+    "2x2-pi": SIGMA_MIN_CASES["2x2-pi"],
+    "8x8x8": lambda: spec_of([8, 8, 8], (1.0, 4.0, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(H_CASES))
+def test_direct_h_matches_schur_complement(case):
+    system = eom._EomSystem(H_CASES[case]())
+    want = reduced(system)
+    assert np.linalg.norm(system.h - want) <= 1e-14 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("dims, gammas, frac", [
+    ([5, 3, 4], (1.0, 4.0, 2.0), 0.5),
+    ([4, 4], (1.0, 0.4), 1.0),
+])
+def test_symmetric_h_is_kronecker_sum_of_chain_kernels(dims, gammas, frac):
+    # H = sum_n I x ... x (-(i/2) g_n K_n) x ... x I: why the Cartesian sum
+    # is exact for symmetric networks
+    theta = frac * np.pi
+    want = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for axis, (m, g) in enumerate(zip(dims, gammas)):
+        j = np.arange(m)
+        kernel = -0.5j * g * np.exp(1j * theta * np.abs(j[:, None] - j[None, :]))
+        term = np.ones((1, 1))
+        for other, size in enumerate(dims):
+            term = np.kron(term, kernel if other == axis else np.eye(size))
+        want += term
+    h = eom._EomSystem(spec_of(dims, gammas, theta)).h
+    assert np.linalg.norm(h - want) <= 1e-15 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("case", sorted(set(SIGMA_MIN_CASES) - {"5x5x5"}))
+def test_certificate_never_undercuts_dense_sigma_min(case):
+    spec = SIGMA_MIN_CASES[case]()
+    result = all_poles_eig(spec)
+    for gamma, resid in zip(result.poles.rates, result.residuals):
+        a = assemble(spec, gamma / 2j).a
+        norm = np.linalg.norm(a)
+        assert resid <= 1e-9
+        assert resid * norm >= dense_sigma_min(a) - 1e-12 * norm, gamma
+
+
+def test_oversized_network_fails_before_any_allocation(monkeypatch):
+    def allocates(self):
+        raise AssertionError("rates resolved before the size check")
+    monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
+    huge = spec_of([100, 100, 100])
+    for route in (all_poles_eig, all_poles_cnm, all_poles_det_interp,
+                  lambda spec: nullity_at(spec, 0.0)):
+        with pytest.raises(ConfigError, match="budget"):
+            route(huge)
+    monkeypatch.undo()
+    assert eom._EomSystem(spec_of([10, 10, 10])).h.shape == (1000, 1000)
+
+
 # --------------------------------------------------------------- find_pole
 
 def test_find_pole_2x2_superradiant():
@@ -258,8 +322,7 @@ def test_all_poles_eig_matches_drop(dims, gammas, frac):
     assert len(result.poles.rates) == spec.n_qubits
     err = multiset_max_err(result.poles.rates, drop_spectrum(spec).rates)
     assert err < 1e-8 * spec.rate_sum
-    checked = result.residuals[~np.isnan(result.residuals)]
-    assert len(checked) > 0 and np.all(checked <= 1e-9)
+    assert np.all(result.residuals <= 1e-9)
 
 
 @pytest.mark.parametrize("dims, gammas", [
@@ -323,21 +386,30 @@ def test_all_poles_cnm_is_bit_identical_on_repeat():
 
 def test_all_poles_cnm_poles_are_eigenvalues_of_h():
     spec = _noisy_acceptance_7()
-    eigs = 2j * np.linalg.eigvals(eom._EomSystem(spec).reduced())
+    eigs = 2j * np.linalg.eigvals(reduced(eom._EomSystem(spec)))
     for gamma in all_poles_cnm(spec).poles.rates:
         assert np.abs(eigs - gamma).min() <= 1e-10 * spec.rate_sum, gamma
 
 
-def test_all_poles_cnm_factors_each_delta_once(monkeypatch):
-    seen = []
-    original = eom._EomSystem.sigma_min
-
-    def counted(self, delta):
-        seen.append(complex(delta))
-        return original(self, delta)
-    monkeypatch.setattr(eom._EomSystem, "sigma_min", counted)
-    all_poles_cnm(_noisy_acceptance_7())
-    assert seen and len(seen) == len(set(seen))
+def test_solve_paths_certify_every_pole_without_lanczos(monkeypatch):
+    # every route certifies its poles with eigenvectors of H; the Lanczos
+    # sigma_min is for users and tests only
+    calls = []
+    monkeypatch.setattr(eom._EomSystem, "sigma_min",
+                        lambda self, delta: calls.append(delta) or 0.0)
+    noisy = _noisy_acceptance_7()
+    results = [
+        all_poles_eig(noisy),
+        all_poles_eig(noisy, validate="all"),
+        all_poles_cnm(noisy),
+        all_poles_det_interp(spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)),
+    ]
+    for result in results:
+        assert np.all(result.residuals <= 1e-9), result.method
+    find_pole(noisy, drop_spectrum(noisy).rates[0] / 2j)
+    noise_study(spec_of([3, 2, 6], (1.0, 3.0, 2.0), theta=0.65 * np.pi), 0.05, seed=0)
+    nullity_at(spec_of([2, 3], theta=np.pi), 0.0)
+    assert calls == []
 
 
 @pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])

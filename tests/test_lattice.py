@@ -115,3 +115,9 @@ def test_effective_gammas_with_and_without_noise():
     eff = noisy.effective_gammas()
     assert eff != (1.0, 2.0)
     assert abs(eff[0] - 1.0) < 0.2 and abs(eff[1] - 2.0) < 0.4
+
+
+def test_n_qubits_is_exact_for_huge_dims():
+    # int64 products wrap: (2**32, 2**32) gave 0 qubits
+    assert NetworkSpec((2 ** 32, 2 ** 32), (1.0, 1.0), 0.5).n_qubits == 2 ** 64
+    assert NetworkSpec((10 ** 7,) * 3, (1.0,) * 3, 0.5).n_qubits == 10 ** 21

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import eom
 from .chain1d import ChainSpectrum, chain_rates
-from .drop import Spectrum, drop_spectrum
+from .drop import Spectrum, _cartesian_rates, drop_spectrum
 from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, enumerate_lines, linearize, sample_noise
 
@@ -138,10 +138,10 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum,
         )
     if drop_spec.index_tuples is None:
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
-    super_index = {}
-    for n, size in enumerate(spec.dims):
-        z = chain_rates(size, spec.theta).z
-        super_index[n] = int(np.argmax(z.real)) + 1   # 1-based like the tuples
+    # 1-based like the tuples; axes of equal length share one chain eigensolve
+    top = {size: int(np.argmax(chain_rates(size, spec.theta).z.real)) + 1
+           for size in dict.fromkeys(spec.dims)}
+    super_index = [top[size] for size in spec.dims]
     k_labels = []
     clusters: dict[tuple[int, ...], list[complex]] = {}
     for rate, tup in zip(drop_spec.rates, drop_spec.index_tuples):
@@ -185,7 +185,7 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     sizes, mins = [], []
     for m in m_values:
         spec = NetworkSpec(dims=(m,) * d, gammas=(1.0,) * d, theta=theta)
-        rates = drop_spectrum(spec).rates.real
+        rates = _cartesian_rates(spec).real
         alive = rates[rates > zero_floor]
         if len(alive) == 0:
             raise ValueError(f"no nonzero rates above the floor for M = {m}")

@@ -68,6 +68,18 @@ class MatchReport:
     passed: bool
 
 
+def _cartesian_rates(spec: NetworkSpec) -> np.ndarray:
+    """The ``prod N_n`` Cartesian-sum rates of the network, last axis
+    fastest (the order of :func:`itertools.product` over the axes)."""
+    gammas = spec.effective_gammas()
+    # axes of equal length share one chain eigensolve
+    per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
+    total = np.zeros(1, dtype=complex)
+    for g, n in zip(gammas, spec.dims):
+        total = (total[:, None] + g * per_length[n][None, :]).ravel()
+    return total
+
+
 def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     """All ``prod N_n`` Cartesian-sum rates of the network, with index tuples.
 
@@ -75,14 +87,8 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     field present the construction is an approximation seeded by the
     qubit-averaged rate of each axis.
     """
-    gammas = spec.effective_gammas()
-    # axes of equal length share one chain eigensolve
-    per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
-    total = np.zeros(1, dtype=complex)
-    for g, n in zip(gammas, spec.dims):
-        total = (total[:, None] + g * per_length[n][None, :]).ravel()
     tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
-    return Spectrum(rates=total, method="drop", index_tuples=tuples)
+    return Spectrum(rates=_cartesian_rates(spec), method="drop", index_tuples=tuples)
 
 
 def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[complex],

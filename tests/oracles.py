@@ -51,6 +51,19 @@ def reduced(system) -> np.ndarray:
     return cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
 
 
+def exp_kernel(n: int, theta: float) -> np.ndarray:
+    """The chain kernel ``exp(i theta |j - k|)`` by one complex exponential
+    per entry: the reference for the library's gather from N phases."""
+    j = np.arange(n)
+    return np.exp(1j * theta * np.abs(j[:, None] - j[None, :]))
+
+
+def dense_chain_rates(n: int, theta: float) -> np.ndarray:
+    """Chain rates by one dense eigensolve of the full N x N kernel: the
+    reference for the library's centrosymmetric split."""
+    return np.linalg.eigvals(exp_kernel(n, theta))
+
+
 def chain2_rates(theta: float) -> np.ndarray:
     """Two-qubit chain: z = 1 -/+ exp(i theta)."""
     e = np.exp(1j * theta)

@@ -7,6 +7,7 @@ from dropqed import (
     NetworkSpec,
     ThetaOutOfRange,
     all_poles_eig,
+    analysis,
     bic_condition_check,
     chain_rates,
     classify_superradiance,
@@ -104,6 +105,27 @@ def test_classify_at_exact_resonance_limits():
             assert abs(rate) <= 1e-9 * gammas_sum
         if k == spec.ndim:
             assert abs(rate - gammas_sum) <= 1e-9 * gammas_sum
+
+
+def test_classify_solves_each_axis_length_once(monkeypatch):
+    calls = []
+    original = analysis.chain_rates
+
+    def counted(n, theta):
+        calls.append(n)
+        return original(n, theta)
+    for dims in ([12, 12, 12], [4, 2, 4, 2]):
+        spec = spec_of(dims, frac=0.9999)
+        s = drop_spectrum(spec)
+        calls.clear()
+        monkeypatch.setattr(analysis, "chain_rates", counted)
+        report = classify_superradiance(spec, s)
+        monkeypatch.undo()
+        assert calls == list(dict.fromkeys(dims))
+        top = [int(np.argmax(original(n, spec.theta).z.real)) + 1 for n in dims]
+        assert report.k_labels == tuple(
+            sum(t == best for t, best in zip(tup, top)) for tup in s.index_tuples)
+        assert report.cluster_counts == expected_cluster_counts(dims)
 
 
 def test_label_chain_rates():

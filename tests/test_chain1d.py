@@ -9,12 +9,16 @@ from oracles import (
     chain3_rates,
     char_poly,
     companion_rates,
+    dense_chain_rates,
+    exp_kernel,
     lambda_residual,
     multiset_max_err,
     transfer_matrix,
 )
 
 THETAS_50 = np.linspace(0.01, 1.99, 50) * np.pi
+# theta = 0, pi, 2 pi give the rank-1 kernel; 0.9999 pi the subradiant cluster
+SPLIT_FRACS = (0.0, 0.3, 0.5, 0.9999, 1.0, 1.02, 2.0)
 
 
 def test_transfer_matrix_identity_at_chi_zero():
@@ -203,3 +207,19 @@ def test_lambda_residual_rejects_non_poles():
 def test_lambda_residual_rejects_zero():
     with pytest.raises(ValueError):
         lambda_residual(3, np.pi, 0.0)
+
+
+@pytest.mark.parametrize("frac", SPLIT_FRACS)
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 51, 513, 1000])
+def test_coupling_matrix_is_bit_identical_to_exp_formula(n, frac):
+    assert np.array_equal(coupling_matrix(n, frac * np.pi), exp_kernel(n, frac * np.pi))
+
+
+@pytest.mark.parametrize("frac", SPLIT_FRACS)
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 50, 51, 200, 201])
+def test_split_matches_full_kernel_eigensolve(n, frac):
+    # both parities, and the rank-1 kernel at theta = m*pi, whose N - 1 zero
+    # rates are split between the two blocks
+    z = chain_rates(n, frac * np.pi).z
+    assert multiset_max_err(z, dense_chain_rates(n, frac * np.pi)) <= 1e-12 * n
+    assert abs(z.sum() - n) <= 1e-12 * n

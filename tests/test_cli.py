@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dropqed import NetworkSpec, Spectrum, cli
+from dropqed import NetworkSpec, Spectrum, analysis, cli, drop
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -232,6 +232,24 @@ def test_scaling_command(tmp_path):
     doc = read_json(out)
     assert doc["report"]["sizes"] == [8, 27, 64, 125, 216]
     assert -1.4 < doc["report"]["slope"] < -0.7
+
+
+def test_scaling_report_builds_no_index_tuples(monkeypatch, capsys):
+    # the sweep takes its rates from the Cartesian sum alone; its report
+    # bytes equal those of the rates of the full drop_spectrum (tuples and all)
+    argv = ["scaling", "--d", "2", "--m-min", "100", "--m-max", "300", "--m-step", "50"]
+
+    def no_tuples(spec):
+        raise AssertionError("scaling built index tuples")
+    monkeypatch.setattr(analysis, "drop_spectrum", no_tuples)
+    monkeypatch.setattr(drop, "drop_spectrum", no_tuples)
+    assert run_cli(argv) == 0
+    got = capsys.readouterr().out
+    monkeypatch.undo()
+    monkeypatch.setattr(analysis, "_cartesian_rates",
+                        lambda spec: drop.drop_spectrum(spec).rates)
+    assert run_cli(argv) == 0
+    assert got == capsys.readouterr().out
 
 
 @pytest.mark.parametrize("bound", [["--m-min", "4"], ["--m-max", "12"]])

@@ -30,9 +30,7 @@ from .eom import (
     all_poles_det_interp,
     all_poles_eig,
     assemble,
-    det_at,
     find_pole,
-    logdet_at,
     nullity_at,
     sigma_min,
 )
@@ -89,7 +87,6 @@ __all__ = [
     "classify_superradiance",
     "coupling_matrix",
     "delinearize",
-    "det_at",
     "drop_spectrum",
     "enumerate_lines",
     "enumerate_qubits",
@@ -97,7 +94,6 @@ __all__ = [
     "find_pole",
     "label_chain_rates",
     "linearize",
-    "logdet_at",
     "match_spectra",
     "noise_study",
     "nullity_at",

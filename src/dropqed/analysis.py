@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import eom
-from .chain1d import ChainSpectrum, chain_rates
+from .chain1d import ChainSpectrum
 from .drop import Spectrum, _cartesian_rates, drop_spectrum
 from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, enumerate_lines, linearize, sample_noise
@@ -138,10 +138,9 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum,
         )
     if drop_spec.index_tuples is None:
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
-    # 1-based like the tuples; axes of equal length share one chain eigensolve
-    top = {size: int(np.argmax(chain_rates(size, spec.theta).z.real)) + 1
-           for size in dict.fromkeys(spec.dims)}
-    super_index = [top[size] for size in spec.dims]
+    # Re of a Cartesian-sum rate is sum_n gamma_n Re z_n with every
+    # gamma_n > 0, so the largest one picks every axis's superradiant rate
+    super_index = drop_spec.index_tuples[int(np.argmax(drop_spec.rates.real))]
     k_labels = []
     clusters: dict[tuple[int, ...], list[complex]] = {}
     for rate, tup in zip(drop_spec.rates, drop_spec.index_tuples):

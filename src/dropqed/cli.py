@@ -253,11 +253,11 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _eom_spectrum(spec: NetworkSpec, method: str, solver_tol: float) -> Spectrum:
-    if method in ("eigen", "eig"):
+    if method == "eigen":
         return eom.all_poles_eig(spec).poles
     if method == "cnm":
         return eom.all_poles_cnm(spec, tol=solver_tol).poles
-    if method in ("det-interp", "det"):
+    if method == "det-interp":
         return eom.all_poles_det_interp(spec).poles
     raise ConfigError(f"unknown EoM method {method!r}")
 

@@ -25,12 +25,10 @@ the lines through both qubits, with per-qubit rates g and |j - k| counted
 in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 (2012)).  H is built directly from the chain kernel, one block per line;
 for a symmetric network it is the Kronecker sum of the per-axis chain
-matrices (see :mod:`dropqed.drop`).  All three routes work on H:
-:func:`all_poles_eig` diagonalizes it (the bulk method),
-:func:`all_poles_cnm` refines one pole per seed, and
-:func:`all_poles_det_interp` polishes the roots of a determinant fit on it
-(small networks only; it raises :class:`~dropqed.errors.ConditioningFailure`
-when its own checks fail).
+matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
+H (the bulk method) and :func:`all_poles_cnm` refines one pole per seed on
+it; :func:`all_poles_det_interp` never uses H, and takes the poles from a
+contour integral of the resolvent of the sparse full system.
 
 Every route ends with the same step: the trace rule (the poles sum to the
 total per-qubit rate within 1e-9 max(1, N S), S = sum_n N_n gamma_n), the
@@ -43,12 +41,11 @@ passes that an exact SVD would fail, and it is evaluated on the assembled
 sparse (2d+1)N matrix, so a wrong H fails it.  The Lanczos
 :func:`sigma_min` is for users and tests; no solve path calls it.
 
-Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm`, the noise
-study and the det-interp polish) uses fixed-shift inverse iteration from
-the seed to identify the eigenvector of the pole nearest it, and
-Rayleigh-quotient iteration to polish the pair (Saad, Numerical Methods for
-Large Eigenvalue Problems, SIAM 2011, ch. 4).  Each step is one N x N LU
-solve.
+Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
+study) uses fixed-shift inverse iteration from the seed to identify the
+eigenvector of the pole nearest it, and Rayleigh-quotient iteration to
+polish the pair (Saad, Numerical Methods for Large Eigenvalue Problems,
+SIAM 2011, ch. 4).  Each step is one N x N LU solve.
 
 scipy is imported inside the functions that use it, so importing this
 module loads none of it: the Cartesian-sum commands never need it.
@@ -118,17 +115,19 @@ class NullSpaceResult:
 
 # Dense memory a route may hold, in bytes: up to four complex N x N arrays
 # (H, the eigensolver's copy and eigenvectors, or the refinement's LU and
-# projections), or copies of the dense (2d+1)N system for the determinant
-# route.  Past it a run would fail only at the allocation itself, or swap
-# first.  2 GiB admits N <= 5792 for H (17 x 17 x 17).
+# projections), four (2d+1)N x (N + 4) blocks for the contour route (the
+# probes, one node's solve and the two moments), or copies of the dense
+# (2d+1)N system of :func:`assemble`.  Past it a run would fail only at the
+# allocation itself, or swap first.  2 GiB admits N <= 5792 for H
+# (17 x 17 x 17).
 _MEMORY_BUDGET = 2 * 2 ** 30
 
 
-def _check_dense(n: int, what: str) -> None:
-    """Raise ConfigError when four complex n x n arrays exceed the budget."""
-    need = 4 * 16 * n * n
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """Raise ConfigError when four complex rows x cols arrays exceed the budget."""
+    need = 4 * 16 * rows * cols
     if need > _MEMORY_BUDGET:
-        raise ConfigError(f"{what} is {n} x {n}: its dense work arrays need "
+        raise ConfigError(f"{what} is {rows} x {cols}: its dense work arrays need "
                           f"{need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
@@ -146,7 +145,7 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
     the chain kernel of :func:`~dropqed.chain1d.coupling_matrix` and g the
     per-qubit rates along the line.
     """
-    _check_dense(spec.n_qubits, "the effective Hamiltonian")
+    _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
     rates = spec.resolved_rates()
     h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
     for axis, lines in enumerate(_lines(spec)):
@@ -216,19 +215,11 @@ class _EomSystem:
         # vectors (all ones, say) can be orthogonal to the wanted one
         self._v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
         self.spec = spec
-        self.size = size
         self.n_poles = n_qubits
         self.index_map = index_map
         self.rates = rates
         self._n_bulk = size - n_qubits
         self._bulk = None
-
-    def matrix(self, delta: complex) -> np.ndarray:
-        """Dense A(Delta), for the determinant route."""
-        _check_dense(self.size, "the dense full system")
-        a = self._a0.toarray()
-        a[self._e_rows, np.arange(self.n_poles)] -= delta
-        return a
 
     def sigma_min(self, delta: complex) -> float:
         """Certified upper bound on the smallest singular value of A(Delta).
@@ -290,26 +281,13 @@ class _EomSystem:
 
 def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     """Build the (2d+1)N system matrix at one complex detuning."""
+    size = (2 * spec.ndim + 1) * spec.n_qubits
+    _check_dense(size, size, "the dense full system")
     system = _EomSystem(spec)
-    return EomMatrix(a=system.matrix(delta), index_map=system.index_map,
-                     delta=complex(delta), rates=system.rates)
-
-
-def det_at(spec: NetworkSpec, delta: complex) -> complex:
-    """Determinant of A(Delta) by pivoted LU.
-
-    May overflow to inf for large systems; use :func:`logdet_at` then.
-    """
-    phase, logabs = logdet_at(spec, delta)
-    with np.errstate(over="ignore"):
-        return phase * np.exp(logabs)
-
-
-def logdet_at(spec: NetworkSpec, delta: complex) -> tuple[complex, float]:
-    """(unit-modulus phase, log|det|) of A(Delta); overflow-safe."""
-    system = _EomSystem(spec)
-    phase, logabs = np.linalg.slogdet(system.matrix(delta))
-    return complex(phase), float(logabs)
+    a = system._a0.toarray()
+    a[system._e_rows, np.arange(system.n_poles)] -= delta
+    return EomMatrix(a=a, index_map=system.index_map, delta=complex(delta),
+                     rates=system.rates)
 
 
 def sigma_min(spec: NetworkSpec, delta: complex) -> float:
@@ -431,24 +409,6 @@ def _settle(system: _EomSystem, seeds: np.ndarray, poles: np.ndarray,
     return np.where(passed, np.where(keep, seeds, poles), complex(np.nan, np.nan))
 
 
-def _find_pole(system: _EomSystem, seed: complex, tol: float,
-               start: Optional[np.ndarray] = None) -> tuple[complex, np.ndarray]:
-    """The refined pole for ``seed`` and its unit eigenvector of H."""
-    seed = complex(seed)
-    if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
-        raise ValueError("seed must be finite")
-    if start is None:
-        start = _start_vector(system.n_poles)
-    mu, v, _ = _eigenpair(system.h, seed, start)
-    pole = complex(_settle(system, np.array([seed]), np.array([mu]), v[:, None], tol)[0])
-    if np.isnan(pole):
-        raise MaxIterationsError(
-            f"pole refinement from seed {seed} did not reach a certificate <= "
-            f"{tol:g}; nearest eigenvalue estimate {mu}"
-        )
-    return pole, v
-
-
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     """Refine one pole of A(Delta) from a seed.
 
@@ -459,7 +419,18 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
 
     Raises MaxIterationsError when the refined value fails the certificate.
     """
-    return _find_pole(_EomSystem(spec), seed, tol)[0]
+    seed = complex(seed)
+    if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
+        raise ValueError("seed must be finite")
+    system = _EomSystem(spec)
+    mu, v, _ = _eigenpair(system.h, seed, _start_vector(system.n_poles))
+    pole = complex(_settle(system, np.array([seed]), np.array([mu]), v[:, None], tol)[0])
+    if np.isnan(pole):
+        raise MaxIterationsError(
+            f"pole refinement from seed {seed} did not reach a certificate <= "
+            f"{tol:g}; nearest eigenvalue estimate {mu}"
+        )
+    return pole
 
 
 def _refine(system: _EomSystem, seeds: Sequence[complex],
@@ -586,106 +557,57 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     return _finish(system, 2j * poles, vecs, "cnm", seeds, MaxIterationsError)
 
 
-def _second_eigenvector(system: _EomSystem, root: complex, pole: complex,
-                        basis: np.ndarray) -> tuple[complex, np.ndarray, np.ndarray]:
-    """Tell a multiple pole from two roots polished onto one simple pole.
-
-    ``root`` reached the eigenvector of an earlier root.  It is refined again
-    from the start vector with span(basis) projected out: at a multiple pole
-    that reaches an independent eigenvector of the same pole, returned with
-    the extended basis.  Anything else (the old direction again, or another
-    pole) means the fit lost a pole, and raises ConditioningFailure.
-    """
-    start = _start_vector(len(basis))
-    start = start - basis @ (basis.conj().T @ start)
-    again, v = _find_pole(system, root, 1e-10, start)
-    basis, new = _extend(basis, v)
-    if new and abs(again - pole) <= _IDENTIFY_TOL * np.linalg.norm(system.h):
-        return again, v, basis
-    raise ConditioningFailure(
-        f"det-interp root {2j * root} polishes onto the eigenvector of an "
-        f"earlier root (pole {2j * pole}); the fit is unreliable here and a "
-        "pole is missing"
-    )
-
-
-_RADIUS_FACTOR = 1.5     # first sampling radius, times S: encloses every pole
-_OVERSAMPLE = 4          # circle nodes per polynomial coefficient
-_FIT_TOL = 1e-6          # relative residual of an accepted circle fit
-
-
-def _circle_fit(system: _EomSystem, radius: float) -> tuple[np.ndarray, float]:
-    """Fit det(A) / det(A(iR)) by a degree-N polynomial on |Delta| = R;
-    returns the coefficients and the relative fit residual."""
-    n = system.n_poles
-    m = max(_OVERSAMPLE * (n + 1), 16)
-    nodes = radius * np.exp(2j * np.pi * np.arange(m) / m)
-    ref_phase, ref_log = np.linalg.slogdet(system.matrix(1j * radius))
-    values = np.empty(m, dtype=complex)
-    for k in range(m):
-        phase, logabs = np.linalg.slogdet(system.matrix(nodes[k]))
-        values[k] = phase / ref_phase * np.exp(logabs - ref_log)
-    # roots-of-unity least squares == truncated inverse DFT
-    coeffs = np.fft.fft(values)[: n + 1] / m
-    fitted = np.polynomial.polynomial.polyval(nodes / radius, coeffs)
-    return coeffs, float(np.abs(fitted - values).max() / np.abs(values).max())
+_RADIUS_FACTOR = 1.5     # contour radius, times S: encloses every pole
+_NODES = 48              # trapezoid-rule nodes on the contour
+_EXTRA_PROBES = 4        # probe columns beyond the N poles
 
 
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
-    """All N poles from the degree-N determinant polynomial.
+    """All N poles by a contour integral of the resolvent (Beyn's method).
 
-    Samples det(A) on scaled roots of unity of radius 1.5 S, S = sum_n N_n
-    gamma_n (enclosing every pole), recovers the polynomial by least squares
-    on the circle, and takes companion-matrix roots, capturing
-    multiplicities.  A second pass on a circle just enclosing the first-pass
-    roots keeps the low-order coefficients above the determinant noise
-    floor.  Every root is then refined by :func:`find_pole`, and each
-    refined eigenvector of H must add a new direction to those before it:
-    two roots on one eigenvector are kept only at a multiple pole; otherwise
-    the fit has lost a pole (in clustered near-dark spectra the lost pole
-    can leave the sum unchanged) and ConditioningFailure is raised.
+    The trapezoid rule on 48 nodes of the circle |Delta| = 1.5 S, S =
+    sum_n N_n gamma_n (it encloses every pole), gives the moments
+    M_p = (1/2 pi i) oint Delta^p A(Delta)^{-1} V dDelta, p = 0, 1, of the
+    sparse pencil A0 - Delta E, one sparse LU per node, for a fixed
+    pseudo-random V of N + 4 columns.  With the top-N SVD M_0 = U Sigma W^H
+    the poles are the eigenvalues of U^H M_1 W Sigma^{-1}, and the
+    excitation rows of U y give their eigenvectors (W.-J. Beyn, Linear
+    Algebra Appl. 436, 3839 (2012)).  det A is never formed, so the
+    determinant's dynamic range does not limit the route.
 
-    The determinant's dynamic range limits this route: once the product of
-    |pole|/R factors falls below roughly 1e-16 the small-modulus poles are
-    unrecoverable.  A fit residual above 1e-6, a root that cannot be
-    polished, a broken trace rule or a failed certificate raises
-    ConditioningFailure (the eigensolve route is then needed).
+    The name and the "det-interp" method string are those of the
+    determinant fit this replaced, kept because the ``eom-det`` command and
+    ``--eom-method det-interp`` select the route.  A node on a pole, a
+    broken trace rule or a failed certificate raises ConditioningFailure.
     """
+    n = spec.n_qubits
+    size = (2 * spec.ndim + 1) * n
+    _check_dense(size, n + _EXTRA_PROBES, "the contour route's probe block")
+    from scipy.sparse.linalg import splu
+
     system = _EomSystem(spec)
-    n = system.n_poles
-    scale = spec.rate_sum
-    radius = _RADIUS_FACTOR * scale
-
-    coeffs, resid = _circle_fit(system, radius)
-    if resid > _FIT_TOL:
-        raise ConditioningFailure(
-            f"polynomial fit residual {resid:.3e} exceeds {_FIT_TOL:g} on the "
-            f"sampling circle R = {radius:.3g}"
-        )
-    roots = radius * np.polynomial.polynomial.polyroots(coeffs)
-    r2 = min(max(1.3 * float(np.abs(roots).max()), 0.02 * scale), radius)
-    if r2 < 0.95 * radius:
-        coeffs2, resid2 = _circle_fit(system, r2)
-        if resid2 <= _FIT_TOL:
-            roots = r2 * np.polynomial.polynomial.polyroots(coeffs2)
-
-    polished, vecs = [], []
-    basis = np.zeros((n, 0), dtype=complex)
-    for root in roots:
+    probes = np.random.default_rng(0).standard_normal((size, n + _EXTRA_PROBES)).astype(complex)
+    m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
+    radius = _RADIUS_FACTOR * spec.rate_sum
+    for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
         try:
-            pole, v = _find_pole(system, root, 1e-10)
-            basis, new = _extend(basis, v)
-            if not new:
-                pole, v, basis = _second_eigenvector(system, root, pole, basis)
-        except MaxIterationsError as exc:
-            raise ConditioningFailure(
-                f"det-interp root {2j * root} could not be polished onto a "
-                f"pole; the fit is unreliable at this size ({exc})"
-            ) from exc
-        polished.append(pole)
-        vecs.append(v)
-    return _finish(system, 2j * np.array(polished), np.column_stack(vecs), "det-interp",
-                   roots[_re_im_order(roots)], ConditioningFailure)
+            lu = splu(system._a0 - z * system._e_sparse)
+        except RuntimeError as exc:
+            if "singular" not in str(exc):
+                raise
+            raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
+        # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
+        x = lu.solve(probes)
+        x *= z / _NODES
+        m0 += x
+        x *= z
+        m1 += x
+    u, s, wh = np.linalg.svd(m0, full_matrices=False)
+    u, s, wh = u[:, :n], s[:n], wh[:n]
+    deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
+    vecs = u[:n] @ y                     # the excitation rows come first
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return _finish(system, 2j * deltas, vecs, "det-interp", (), ConditioningFailure)
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

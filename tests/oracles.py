@@ -4,6 +4,9 @@ The chain and small-lattice rate formulas here are transcribed directly
 from the closed-form results they validate against and are kept free of
 any library code paths they are used to check.
 
+``det_at`` and ``logdet_at`` take the determinant of the library's dense
+assembled system; the tests check its degree and its zeros.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -16,6 +19,8 @@ import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from dropqed import assemble
 
 
 def multiset_max_err(a, b) -> float:
@@ -49,6 +54,20 @@ def reduced(system) -> np.ndarray:
     x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
                   overwrite_a=True, overwrite_b=True)
     return cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
+
+
+def logdet_at(spec, delta) -> tuple[complex, float]:
+    """(unit-modulus phase, log|det|) of the dense assembled A(Delta) by
+    pivoted LU; overflow-safe."""
+    phase, logabs = np.linalg.slogdet(assemble(spec, delta).a)
+    return complex(phase), float(logabs)
+
+
+def det_at(spec, delta) -> complex:
+    """Determinant of A(Delta); may overflow to inf for large systems."""
+    phase, logabs = logdet_at(spec, delta)
+    with np.errstate(over="ignore"):
+        return phase * np.exp(logabs)
 
 
 def exp_kernel(n: int, theta: float) -> np.ndarray:

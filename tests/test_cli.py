@@ -196,6 +196,10 @@ def test_config_file_errors(tmp_path):
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"dims": [2], "frobnicate": 1}))
     assert run_cli(["drop", "--config", str(unknown)]) == 1
+    # only the --eom-method choices name a route, also in a config file
+    alias = tmp_path / "alias.json"
+    alias.write_text(json.dumps({"eom_method": "det"}))
+    assert run_cli(["compare", "--dims", "2,2", "--config", str(alias)]) == 1
 
 
 @pytest.mark.parametrize("fields", [

@@ -12,17 +12,15 @@ from dropqed import (
     all_poles_eig,
     assemble,
     chain_rates,
-    det_at,
     drop_spectrum,
     find_pole,
-    logdet_at,
     noise_study,
     nullity_at,
     sample_noise,
     sigma_min,
 )
 from dropqed import eom
-from oracles import dense_sigma_min, multiset_max_err, reduced
+from oracles import dense_sigma_min, det_at, logdet_at, multiset_max_err, reduced
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -260,6 +258,11 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
                   lambda spec: nullity_at(spec, 0.0)):
         with pytest.raises(ConfigError, match="budget"):
             route(huge)
+    # H of 15x15x15 fits the budget; the contour route's four probe blocks,
+    # 23625 x 3379 complex each (about 5 GB), do not
+    eom._check_dense(15 ** 3, 15 ** 3, "H")
+    with pytest.raises(ConfigError, match="budget"):
+        all_poles_det_interp(spec_of([15, 15, 15]))
     monkeypatch.undo()
     assert eom._EomSystem(spec_of([10, 10, 10])).h.shape == (1000, 1000)
 
@@ -466,52 +469,65 @@ def test_det_interp_4x4_matches_drop(frac):
 
 
 def test_det_interp_polished_poles_obey_trace_rule():
-    # every root is polished, also those already passing sigma_min
     spec = spec_of([4, 4], (1.0, 4.0), theta=0.3 * np.pi)
     rates = all_poles_det_interp(spec).poles.rates
     assert abs(rates.sum() - spec.n_qubits * 5.0) <= 1e-9 * spec.rate_sum
 
 
+def _det_matches_eig(spec):
+    result = all_poles_det_interp(spec)
+    want = all_poles_eig(spec, validate="none").poles.rates
+    assert multiset_max_err(result.poles.rates, want) <= 1e-8 * spec.rate_sum
+    assert result.seeds_used == ()
+
+
 @pytest.mark.parametrize("gammas", [(1.0, 0.4), (0.5, 2.0)])
 def test_det_interp_rejects_duplicated_near_dark_pole(gammas):
-    # two roots polish onto one near-dark pole
-    spec = spec_of([4, 3], gammas, theta=0.9999 * np.pi)
-    with pytest.raises(ConditioningFailure):
-        all_poles_det_interp(spec)
+    # near resonance the dark poles cluster: each is found once, no raise
+    _det_matches_eig(spec_of([4, 3], gammas, theta=0.9999 * np.pi))
 
 
 @pytest.mark.parametrize("gammas", [(0.5, 2.0), (1.0, 4.0)])
 def test_det_interp_3x3_near_dark_raises_or_is_right(gammas):
-    # the near-dark cluster is a Cartesian sum a+c, a+d, b+c, b+d: two roots
-    # on the poles a+c and b+d, missing a+d and b+c, keep the trace rule
-    spec = spec_of([3, 3], gammas, theta=0.9999 * np.pi)
-    try:
-        result = all_poles_det_interp(spec)
-    except ConditioningFailure:
-        return
-    want = all_poles_eig(spec, validate="none").poles.rates
-    assert multiset_max_err(result.poles.rates, want) <= 1e-8 * spec.rate_sum
+    # the near-dark cluster is a Cartesian sum a+c, a+d, b+c, b+d: poles on
+    # a+c and b+d alone, missing a+d and b+c, would keep the trace rule
+    _det_matches_eig(spec_of([3, 3], gammas, theta=0.9999 * np.pi))
 
 
-@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4], [2, 2, 2]])
+# (rates, theta / pi) of the networks below that are not equal-rate at 0.3 pi
+_MULTIPLICITY_CASES = {(5, 3, 4): ((1.0, 4.0, 2.0), 0.5), (8, 8): (None, 1.0),
+                       (3, 3, 3): (None, 0.65)}
+
+
+@pytest.mark.parametrize("dims", [[2, 2], [3, 3], [4, 4], [2, 2, 2], [5, 3, 4], [8, 8],
+                                  [3, 3, 3]])
 def test_det_interp_keeps_exact_multiplicities(dims):
-    # equal rates give multiple poles, each with independent eigenvectors
-    spec = spec_of(dims, theta=0.3 * np.pi)
-    result = all_poles_det_interp(spec)
-    want = all_poles_eig(spec, validate="none").poles.rates
-    assert multiset_max_err(result.poles.rates, want) <= 1e-8 * spec.rate_sum
+    # equal rates give multiple poles, each with independent eigenvectors;
+    # 8x8 at theta = pi has a 49-fold dark pole at Delta = 0
+    gammas, frac = _MULTIPLICITY_CASES.get(tuple(dims), (None, 0.3))
+    _det_matches_eig(spec_of(dims, gammas, theta=frac * np.pi))
 
 
 def test_det_interp_never_returns_silently_wrong_poles():
-    # deep in the clustered regime the method must either succeed to
-    # tolerance or raise; both outcomes are acceptable, silence is not
-    spec = spec_of([4, 4], (1.0, 0.4), theta=0.9 * np.pi)
-    try:
-        result = all_poles_det_interp(spec)
-    except ConditioningFailure:
-        return
-    err = multiset_max_err(result.poles.rates, drop_spectrum(spec).rates)
-    assert err < 1e-8 * spec.rate_sum
+    # deep in the clustered regime
+    _det_matches_eig(spec_of([4, 4], (1.0, 0.4), theta=0.9 * np.pi))
+
+
+def test_det_interp_is_bit_identical_on_repeat():
+    spec = spec_of([3, 3], (0.5, 2.0), theta=0.9999 * np.pi)
+    runs = [all_poles_det_interp(spec) for _ in range(2)]
+    assert np.array_equal(runs[0].poles.rates, runs[1].poles.rates)
+    assert np.array_equal(runs[0].residuals, runs[1].residuals)
+
+
+def test_det_interp_node_on_a_pole_raises(monkeypatch):
+    import scipy.sparse.linalg
+
+    def singular(a):
+        raise RuntimeError("Factor is exactly singular")
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", singular)
+    with pytest.raises(ConditioningFailure, match="is a pole"):
+        all_poles_det_interp(spec_of([2, 2]))
 
 
 @pytest.mark.parametrize("dims, gammas, frac", [
@@ -519,6 +535,9 @@ def test_det_interp_never_returns_silently_wrong_poles():
     ([3, 3], (1.0, 0.4), 0.5),
     ([2, 2, 3], (1.0, 4.0, 2.0), 0.65),
     ([12], (1.0,), 0.5),
+    ([5, 3, 4], (1.0, 4.0, 2.0), 0.5),
+    ([8, 8], (1.0, 1.0), 1.0),
+    ([3, 3, 3], (1.0, 1.0, 1.0), 0.65),
 ])
 def test_det_interp_agrees_with_cnm(dims, gammas, frac):
     spec = spec_of(dims, gammas, theta=frac * np.pi)

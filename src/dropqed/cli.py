@@ -12,20 +12,35 @@ same configuration (including the noise seed) are byte-identical.  Files
 are written atomically (temp file + rename) with the mode a plain open()
 gives; a path that cannot be written is a config error.
 
-Rate rows are written from one fixed row template, joined over per-column
-lists of value texts, because ``json.dumps(indent=2)`` falls back to the
-json module's pure-Python encoder and spent most of a large ``drop`` job.
-The bytes are exactly those of ``json.dumps(doc, indent=2)`` over one dict
-per rate, and of ``csv.writer`` (``\\r\\n`` line ends): a JSON number is
-``float.__repr__`` of the rounded value, or ``NaN``, ``Infinity`` and
-``-Infinity``; a CSV number is ``f"{_sig(x):.12g}"``, and no CSV field
-needs quoting (method names hold no comma or quote).  ``config`` and
-``report`` still go through ``json.dumps(indent=2)``, indented one level.
-The tests compare both formats byte for byte with that reference writer.
+Rate rows are written from one fixed row template per spectrum, one ``%``
+over (re, im, *index tuple, k) per row, and the document is one join of
+its pieces, because ``json.dumps(indent=2)`` falls back to the json
+module's pure-Python encoder and spent most of a large ``drop`` job.  The
+bytes are exactly those of ``json.dumps(doc, indent=2)`` over one dict per
+rate, and of ``csv.writer`` (``\\r\\n`` line ends), with each value rounded
+to 12 significant digits as ``_sig`` rounds it.  Each Re and Im is
+formatted once, as its ``%.12g`` text t:
+
+* a CSV number is t itself, and no CSV field needs quoting (method names
+  hold no comma or quote);
+* a JSON number is t when t holds a ``.`` and no ``e``: at most 12
+  significant digits in fixed notation of a normal float are already
+  ``float.__repr__`` of ``float(t)``.  Any other text (an integral value
+  such as ``3`` or ``123456789012``, an exponent form, which covers
+  subnormals, and ``nan``/``inf``) falls back to ``float.__repr__(float(t))``,
+  or ``NaN``, ``Infinity`` and ``-Infinity``.
+
+``config`` and ``report`` still go through ``json.dumps(indent=2)``,
+indented one level.  The tests compare both formats byte for byte with
+that reference writer, on named cases and on arbitrary float64 values.
+
+The parser registers all ten commands, so ``--help``, usage and errors are
+those of the full tree, but adds flags only to the command being invoked.
 
 Each command is one handler in ``_COMMANDS`` returning its spectra and
 report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
-(a report with ``"passed": false``), 3 solver failure.  The propagation
+(a report with ``"passed": false``), 3 solver failure (a solver error, or
+a ``LinAlgError`` from numpy or scipy).  The propagation
 phase is always entered as a multiple of pi to avoid decimal transcription
 drift.
 """
@@ -33,7 +48,6 @@ drift.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -41,6 +55,7 @@ import sys
 import tempfile
 import typing
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -153,66 +168,66 @@ _Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
 
 
 def _columns(s: Spectrum, k_labels: Optional[Sequence[int]]) -> tuple[
-        list[float], list[float], Optional[list[tuple[int, ...]]], Optional[list[int]]]:
-    """Re and Im rounded as ``_sig`` rounds, index tuples and k labels of
-    the rates in (Re, Im) order; tuples and k labels are None where there
-    are none."""
+        list[str], list[str], Optional[list[list[int]]], Optional[list[int]]]:
+    """``%.12g`` texts of Re and Im, one column per axis of the index tuples,
+    and the k labels, of the rates in (Re, Im) order; the axis columns and
+    the k labels are None where there are none."""
     order = _re_im_order(s.rates)
     rates = s.rates[order]
-    # _sig's rounding without a Python-level call per value
-    rounded = [list(map(float, map("{:.12g}".format, part.tolist())))
-               for part in (rates.real, rates.imag)]
-    tuples = None if s.index_tuples is None else [s.index_tuples[i] for i in order.tolist()]
+    texts = [list(map("%.12g".__mod__, part.tolist())) for part in (rates.real, rates.imag)]
+    order = order.tolist()
+    axes = None
+    if s.index_tuples is not None:
+        # a spectrum's index tuples share one length
+        tuples = list(map(s.index_tuples.__getitem__, order))
+        axes = [list(map(itemgetter(j), tuples)) for j in range(len(tuples[0]) if tuples else 0)]
     ks = None if k_labels is None else np.asarray(k_labels, dtype=int)[order].tolist()
-    return *rounded, tuples, ks
+    return *texts, axes, ks
 
 
-# json.dumps writes a rounded rate by float.__repr__, except these
+# json.dumps writes these rounded rates otherwise than float.__repr__
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-# one rate row at its depth in the JSON document (json.dumps, indent=2)
-_JSON_ROW = ('        {\n          "re": %s,\n          "im": %s,\n'
-             '          "tuple": %s,\n          "k": %s\n        }')
 
 
-def _json_numbers(values: list[float]) -> list[str]:
-    texts = list(map(float.__repr__, values))
-    if not all(map(math.isfinite, values)):
-        texts = [_JSON_NONFINITE.get(t, t) for t in texts]
-    return texts
+def _json_numbers(texts: list[str]) -> list[str]:
+    """The JSON number of each ``%.12g`` text, as json.dumps writes the
+    rounded value: a text with a point and no exponent is already
+    ``float.__repr__`` of that value, any other goes through float()."""
+    return [t if "." in t and "e" not in t else _JSON_NONFINITE.get(t) or float(t).__repr__()
+            for t in texts]
 
 
-def _json_tuples(tuples: Optional[list[tuple[int, ...]]], count: int) -> list[str]:
-    """JSON text of each index tuple; a spectrum's tuples share one length."""
-    if tuples is None:
-        return ["null"] * count
-    if not tuples or not tuples[0]:
-        return ["[]"] * count
-    item = "\n            %d"
-    template = "[" + ",".join([item] * len(tuples[0])) + "\n          ]"
-    return list(map(template.__mod__, tuples))
+def _json_row(axes: Optional[list], has_k: bool) -> str:
+    """Template of one rate row and its separator over (re, im, *tuple, k),
+    at the row's depth in the JSON document (json.dumps, indent=2)."""
+    if axes is None:
+        tuple_text = "null"
+    elif not axes:
+        tuple_text = "[]"
+    else:
+        tuple_text = "[" + ",".join(["\n            %d"] * len(axes)) + "\n          ]"
+    return ('        {\n          "re": %s,\n          "im": %s,\n'
+            f'          "tuple": {tuple_text},\n          "k": {"%d" if has_k else "null"}\n'
+            '        },\n')
 
 
-def _json_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> str:
-    re, im, tuples, ks = _columns(s, k_labels)
+def _json_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
+    re, im, axes, ks = _columns(s, k_labels)
     head = f'    {{\n      "method": {json.dumps(s.method)},\n      "rates": '
     if not re:
-        return head + "[]\n    }"
-    rows = ",\n".join(map(_JSON_ROW.__mod__, zip(
-        _json_numbers(re), _json_numbers(im), _json_tuples(tuples, len(re)),
-        ["null"] * len(re) if ks is None else map(str, ks))))
-    return head + "[\n" + rows + "\n      ]\n    }"
+        return [head, "[]\n    }"]
+    rows = list(map(_json_row(axes, ks is not None).__mod__, zip(
+        _json_numbers(re), _json_numbers(im), *(axes or ()), *([] if ks is None else [ks]))))
+    rows[-1] = rows[-1][:-2]   # the last row takes no separator
+    return [head, "[\n", *rows, "\n      ]\n    }"]
 
 
-def _csv_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> str:
-    re, im, tuples, ks = _columns(s, k_labels)
-    count = len(re)
-    if not tuples or not tuples[0]:
-        tuple_col = [""] * count
-    else:
-        tuple_col = list(map(" ".join(["%d"] * len(tuples[0])).__mod__, tuples))
-    k_col = [""] * count if ks is None else map(str, ks)
-    return "".join(map("{}{:.12g},{:.12g},{},{}\r\n".format,
-                       itertools.repeat(s.method + ","), re, im, tuple_col, k_col))
+def _csv_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
+    # a %.12g text is already the CSV field; no field needs quoting
+    re, im, axes, ks = _columns(s, k_labels)
+    template = (s.method.replace("%", "%%") + ",%s,%s," + " ".join(["%d"] * len(axes or ()))
+                + ("," if ks is None else ",%d") + "\r\n")
+    return list(map(template.__mod__, zip(re, im, *(axes or ()), *([] if ks is None else [ks]))))
 
 
 def _nested_json(value) -> str:
@@ -222,14 +237,22 @@ def _nested_json(value) -> str:
 
 def _emit(config: RunConfig, spectra: _Spectra, report: Optional[dict]) -> str:
     if config.out_format == "csv":
-        return "method,re,im,tuple,k\r\n" + "".join(
-            _csv_spectrum(s, k) for s, k in spectra)
-    listed = "[]"
+        parts = ["method,re,im,tuple,k\r\n"]
+        for s, k in spectra:
+            parts += _csv_spectrum(s, k)
+        return "".join(parts)
+    parts = ['{\n  "config": ', _nested_json(config.as_dict()), ',\n  "spectra": ']
     if spectra:
-        listed = "[\n" + ",\n".join(_json_spectrum(s, k) for s, k in spectra) + "\n  ]"
-    return ('{\n  "config": ' + _nested_json(config.as_dict())
-            + ',\n  "spectra": ' + listed
-            + ',\n  "report": ' + _nested_json(report) + "\n}\n")
+        parts.append("[\n")
+        for i, (s, k) in enumerate(spectra):
+            if i:
+                parts.append(",\n")
+            parts += _json_spectrum(s, k)
+        parts.append("\n  ]")
+    else:
+        parts.append("[]")
+    parts += [',\n  "report": ', _nested_json(report), "\n}\n"]
+    return "".join(parts)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -481,7 +504,49 @@ def _load_config_file(path: str) -> dict:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """The flags of command ``name``."""
+    p.add_argument("--config", help="JSON config file; flags override it")
+    p.add_argument("--dims", help="qubits per axis, e.g. 5,3,4")
+    p.add_argument("--gammas", help="rate per axis, e.g. 1,4,2 (default all 1)")
+    p.add_argument("--theta-over-pi", type=float, help="phase as a multiple of pi")
+    p.add_argument("--epsilon-max", type=float, help="noise level for the rates")
+    p.add_argument("--noise-seed", type=int, help="noise RNG seed")
+    p.add_argument("--match-tol", type=float,
+                   help="relative match tolerance (times sum_n N_n gamma_n)")
+    p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
+    p.add_argument("--solver-tol", type=float, help="pole search tolerance")
+    p.add_argument("--format", choices=("json", "csv"), dest="out_format")
+    p.add_argument("--output", help="write results here (atomic)")
+    p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
+    if name == "chain":
+        p.add_argument("--n", type=int, dest="chain_n", help="chain length")
+    if name == "compare":
+        p.add_argument("--eom-method", choices=("eigen", "cnm", "det-interp"),
+                       help="EoM route to compare against (default eigen)")
+        p.add_argument("--theta-sweep", metavar="START:STOP:COUNT",
+                       help="validate over a sweep of theta/pi values")
+    if name == "scaling":
+        p.add_argument("--d", type=int, dest="scaling_d", help="lattice dimension")
+        p.add_argument("--m-min", type=int)
+        p.add_argument("--m-max", type=int)
+        p.add_argument("--m-step", type=int)
+        p.add_argument("--zero-floor", type=float)
+    if name == "bic":
+        p.add_argument("--m", type=int, dest="bic_m", help="resonance order")
+
+
+def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
+    """The parser for ``argv`` (``sys.argv[1:]`` when None).
+
+    Every command is registered, so usage, choices and errors are those of
+    the full tree, but only the command named by ``argv[0]`` gets its flags:
+    argparse hands all later arguments to that command alone.  When
+    ``argv[0]`` names no command, every command gets them.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    invoked = argv[0] if argv and argv[0] in _METHODS else None
     parser = argparse.ArgumentParser(
         prog="dropqed",
         description="Collective decay rates of d-dimensional qubit networks.",
@@ -489,34 +554,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="method", required=True)
     for name in _METHODS:
         p = sub.add_parser(name)
-        p.add_argument("--config", help="JSON config file; flags override it")
-        p.add_argument("--dims", help="qubits per axis, e.g. 5,3,4")
-        p.add_argument("--gammas", help="rate per axis, e.g. 1,4,2 (default all 1)")
-        p.add_argument("--theta-over-pi", type=float, help="phase as a multiple of pi")
-        p.add_argument("--epsilon-max", type=float, help="noise level for the rates")
-        p.add_argument("--noise-seed", type=int, help="noise RNG seed")
-        p.add_argument("--match-tol", type=float,
-                       help="relative match tolerance (times sum_n N_n gamma_n)")
-        p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
-        p.add_argument("--solver-tol", type=float, help="pole search tolerance")
-        p.add_argument("--format", choices=("json", "csv"), dest="out_format")
-        p.add_argument("--output", help="write results here (atomic)")
-        p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
-        if name == "chain":
-            p.add_argument("--n", type=int, dest="chain_n", help="chain length")
-        if name == "compare":
-            p.add_argument("--eom-method", choices=("eigen", "cnm", "det-interp"),
-                           help="EoM route to compare against (default eigen)")
-            p.add_argument("--theta-sweep", metavar="START:STOP:COUNT",
-                           help="validate over a sweep of theta/pi values")
-        if name == "scaling":
-            p.add_argument("--d", type=int, dest="scaling_d", help="lattice dimension")
-            p.add_argument("--m-min", type=int)
-            p.add_argument("--m-max", type=int)
-            p.add_argument("--m-step", type=int)
-            p.add_argument("--zero-floor", type=float)
-        if name == "bic":
-            p.add_argument("--m", type=int, dest="bic_m", help="resonance order")
+        if invoked in (None, name):
+            _add_arguments(p, name)
     return parser
 
 
@@ -543,7 +582,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -554,7 +593,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DropQedError as exc:
+    except (DropQedError, np.linalg.LinAlgError) as exc:
+        # LinAlgError (a failed numpy/scipy factorization) is a ValueError
         print(f"error: solver: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

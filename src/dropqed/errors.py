@@ -17,19 +17,22 @@ class SizeMismatchError(DropQedError):
 class MaxIterationsError(DropQedError):
     """A seeded pole search did not account for its poles.
 
-    Raised when a refined pole fails the full-matrix singularity check or
-    the found set breaks the trace rule; usually a bad seed.  Re-seed closer
-    to the poles or use the dense eigensolve path instead.
+    Raised by ``find_pole`` when the refined pole's certificate on the full
+    system exceeds its tolerance, and by ``all_poles_cnm`` when fewer than
+    N seeds reach a certified pole or, in ``_finish``, when the found poles
+    break the trace rule; usually a bad seed.  Re-seed closer to the poles
+    or use ``all_poles_eig``.
     """
 
 
 class ConditioningFailure(DropQedError):
-    """Determinant interpolation could not recover trustworthy poles.
+    """A pole route returned poles that could not be certified.
 
-    Raised when the polynomial fit on the sampling circle has a large
-    residual, or when recovered low-order coefficients sit below the
-    determinant-evaluation noise floor (radius rescale needed), or when
-    recovered poles fail the singularity check.
+    Raised in ``_finish``, the last step of every route, when a pole's
+    certificate ``||A x|| / ||x|| / ||A||_F`` on the full system is above
+    1e-9, or when the eigensolve's or the contour route's poles break the
+    trace rule; and by ``all_poles_det_interp`` when a contour node is
+    itself a pole (its sparse LU is singular).
     """
 
 

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dropqed import NetworkSpec, Spectrum, analysis, cli, drop
 from dropqed.cli import main
@@ -130,6 +132,62 @@ def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
 
 def test_unknown_method_is_usage_error():
     assert run_cli(["frobnicate"]) == 1
+
+
+def test_failed_eigensolve_is_solver_error(capsys, monkeypatch):
+    # LinAlgError subclasses ValueError, which the CLI otherwise reports as a config error
+    def fails(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    monkeypatch.setattr(np.linalg, "eigvals", fails)
+    assert run_cli(["chain", "--n", "5"]) == 3
+    err = capsys.readouterr().err
+    assert err == "error: solver: Eigenvalues did not converge\n"
+
+
+def _parse_outcome(parser, argv, capsys):
+    """(exit code, stdout, stderr) of parsing ``argv``; None if it parses."""
+    try:
+        parser.parse_args(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return exc.code, out, err
+    return None
+
+
+_USAGE_ARGV = [[], ["--help"], ["bogus"]] + [
+    argv for name in cli._METHODS for argv in (
+        [name, "--help"], [name, "--bogus"], [name, "--dims"], [name, "--format", "xml"])]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGV, ids=lambda argv: " ".join(argv) or "no-command")
+def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
+    full = cli._build_parser([])   # names no command: every command has its flags
+    for name in cli._METHODS:
+        assert full.parse_args([name, "--dims", "2"]).dims == "2"
+    want = _parse_outcome(full, argv, capsys)
+    assert want is not None and want[0] in (0, 2)
+    assert _parse_outcome(cli._build_parser(argv), argv, capsys) == want
+    # main prints the same and maps argparse's exit 2 to the usage code
+    code = run_cli(argv)
+    assert (code, *capsys.readouterr()) == (0 if want[0] == 0 else 1, *want[1:])
+
+
+def test_parser_flags_only_the_invoked_command(capsys):
+    parser = cli._build_parser(["chain", "--n", "3"])
+    assert parser.parse_args(["chain", "--n", "3"]).chain_n == 3
+    with pytest.raises(SystemExit):
+        parser.parse_args(["drop", "--dims", "2"])
+    assert "unrecognized arguments: --dims 2" in capsys.readouterr().err
+
+
+def test_module_entry_point_reads_sys_argv(capsys):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "dropqed.cli", "drop", "--dims", "2,3"],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert run_cli(["drop", "--dims", "2,3"]) == 0
+    assert proc.stdout == capsys.readouterr().out
 
 
 def test_json_schema_fields(tmp_path):
@@ -357,10 +415,23 @@ ODD_VALUES = Spectrum(
                     2.5e-300 + 1e-320j, 0.1 + 0.2j]),
     method="eigen")
 EMPTY = Spectrum(rates=np.array([], dtype=complex), method="cnm")
+# one value for each kind of %.12g text the emitter writes
+TEXT_BRANCHES = Spectrum(
+    rates=np.array([
+        0.1 + 2.5j,                      # fixed notation with a point: kept as is
+        3.0 - 7.0j,                      # integral: "3", written 3.0 in JSON
+        123456789012.0 + 1.234e13j,      # no point up to 1e12, exponent form above
+        -99999999999.96 + 4.5e16j,       # rounds up to an integral text
+        1e-5 + 1.5e17j,                  # exponent forms on either side
+        1e-320 - 5e-324j,                # subnormal: its text is not its repr
+        complex(-0.0, 0.0),              # signed zeros
+        complex(np.nan, np.inf), complex(-np.inf, 0.0001),
+    ]),
+    method="eigen", index_tuples=tuple((i, 9 - i) for i in range(9)))
 
 
 def _handler_output(argv):
-    config = cli._config_from_args(cli._build_parser().parse_args(argv))
+    config = cli._config_from_args(cli._build_parser(argv).parse_args(argv))
     spectra, report, *_ = cli._COMMANDS[config.method](config)
     return spectra, report
 
@@ -377,6 +448,7 @@ EMIT_CASES = {
          "--epsilon-max", "0.05", "--noise-seed", "7"]),
     "compare-two-spectra": lambda: _handler_output(
         ["compare", "--dims", "2,3", "--gammas", "1,0.4", "--theta-over-pi", "0.3"]),
+    "each-text-branch": lambda: ([(TEXT_BRANCHES, list(range(9)))], None),
     "empty-spectrum": lambda: ([(EMPTY, None), (ODD_VALUES, None)], {"x": float("nan")}),
     "no-spectra": lambda: ([], {"sweep": [], "passed": True}),
     "no-spectra-no-report": lambda: ([], None),
@@ -387,9 +459,48 @@ EMIT_CASES = {
 @pytest.mark.parametrize("case", sorted(EMIT_CASES))
 def test_emitter_matches_reference_bytes(case, out_format):
     spectra, report = EMIT_CASES[case]()
-    config = cli.RunConfig(method="compare", dims=(2, 3), gammas=(1.0, 0.4),
-                           epsilon_max=0.05, noise_seed=7, out_format=out_format,
-                           output="out.json", svg_path=None)
+    config = _emit_config(out_format)
+    assert cli._emit(config, spectra, report) == reference_emit(config, spectra, report)
+
+
+def _emit_config(out_format):
+    return cli.RunConfig(method="compare", dims=(2, 3), gammas=(1.0, 0.4),
+                         epsilon_max=0.05, noise_seed=7, out_format=out_format,
+                         output="out.json", svg_path=None)
+
+
+_FLOAT64 = st.one_of(
+    st.floats(width=64),                                          # NaN and +-inf too
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals, +-0
+    st.integers(-2**60, 2**60).map(float),                         # integral values
+    st.builds(lambda x, sign: sign * x, st.floats(1e11, 1e17, exclude_max=True),
+              st.sampled_from([1.0, -1.0])),
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-320]),
+)
+
+
+@st.composite
+def _emitted_spectrum(draw):
+    axes = draw(st.sampled_from([None, 0, 2, 3]))
+    # distinct index tuples: only one rate can have an empty tuple
+    n = draw(st.integers(0, 1 if axes == 0 else 6))
+    values = draw(st.lists(st.tuples(_FLOAT64, _FLOAT64), min_size=n, max_size=n))
+    tuples = None
+    if axes is not None:
+        tuples = tuple(draw(st.lists(st.tuples(*[st.integers(0, 10**6)] * axes),
+                                     min_size=n, max_size=n, unique=True)))
+    ks = draw(st.one_of(st.none(), st.lists(st.integers(-3, 10**6), min_size=n, max_size=n)))
+    method = draw(st.sampled_from(["drop", "eigen", "cnm", "det-interp", "chain"]))
+    rates = np.array([complex(re, im) for re, im in values], dtype=complex)
+    return Spectrum(rates=rates, method=method, index_tuples=tuples), ks
+
+
+@settings(max_examples=150, deadline=None)
+@given(spectra=st.lists(_emitted_spectrum(), max_size=3),
+       report=st.sampled_from([None, {"passed": True}]),
+       out_format=st.sampled_from(["json", "csv"]))
+def test_emitter_matches_reference_on_arbitrary_floats(spectra, report, out_format):
+    config = _emit_config(out_format)
     assert cli._emit(config, spectra, report) == reference_emit(config, spectra, report)
 
 

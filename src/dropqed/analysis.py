@@ -94,7 +94,7 @@ class NoiseStudyResult:
     max_displacement: float
     median_displacement: float
     recovered_count: int
-    unconverged: tuple[int, ...]
+    unconverged: tuple[int, ...]     # seeds whose pole failed its certificate
 
 
 def expected_cluster_counts(dims: Sequence[int]) -> dict[int, int]:
@@ -266,12 +266,12 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     """Perturb the per-qubit rates, then refine Cartesian-sum estimates.
 
     Samples one noise field, forms estimates from the qubit-averaged rates,
-    and refines every estimate into a pole of the disordered system by local
-    shift-invert and Rayleigh-quotient iteration (see
-    :func:`~dropqed.eom.all_poles_cnm`); seeds that reach an eigenvector
-    another seed already claimed search again among the unclaimed poles.
+    and gives every estimate a pole of the disordered system, an eigenvalue
+    of its H: the nearest one, or the nearest unclaimed one when an estimate
+    closer to it claimed it first (see :func:`~dropqed.eom.all_poles_cnm`).
     Reports per-seed displacements, the number of poles recovered (a pole of
-    multiplicity m counts m times), and which seeds (if any) found no pole.
+    multiplicity m counts m times), and which seeds (if any) have a pole
+    that failed its certificate.
     """
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)

@@ -26,9 +26,9 @@ in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 (2012)).  H is built directly from the chain kernel, one block per line;
 for a symmetric network it is the Kronecker sum of the per-axis chain
 matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
-H (the bulk method) and :func:`all_poles_cnm` refines one pole per seed on
-it; :func:`all_poles_det_interp` never uses H, and takes the poles from a
-contour integral of the resolvent of the sparse full system.
+H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
+eigenvalues; :func:`all_poles_det_interp` never uses H, and takes the
+poles from a contour integral of the resolvent of the sparse full system.
 
 Every route ends with the same step: the trace rule (the poles sum to the
 total per-qubit rate within 1e-9 max(1, N S), S = sum_n N_n gamma_n), the
@@ -42,10 +42,8 @@ sparse (2d+1)N matrix, so a wrong H fails it.  The Lanczos
 :func:`sigma_min` is for users and tests; no solve path calls it.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
-study) uses fixed-shift inverse iteration from the seed to identify the
-eigenvector of the pole nearest it, and Rayleigh-quotient iteration to
-polish the pair (Saad, Numerical Methods for Large Eigenvalue Problems,
-SIAM 2011, ch. 4).  Each step is one N x N LU solve.
+study) takes one dense eigensolve of H and gives each seed its nearest
+eigenvalue not yet claimed by a seed closer to its own (see :func:`_refine`).
 
 scipy is imported inside the functions that use it, so importing this
 module loads none of it: the Cartesian-sum commands never need it.
@@ -53,7 +51,6 @@ module loads none of it: the Cartesian-sum commands never need it.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -114,12 +111,11 @@ class NullSpaceResult:
 
 
 # Dense memory a route may hold, in bytes: up to four complex N x N arrays
-# (H, the eigensolver's copy and eigenvectors, or the refinement's LU and
-# projections), four (2d+1)N x (N + 4) blocks for the contour route (the
-# probes, one node's solve and the two moments), or copies of the dense
-# (2d+1)N system of :func:`assemble`.  Past it a run would fail only at the
-# allocation itself, or swap first.  2 GiB admits N <= 5792 for H
-# (17 x 17 x 17).
+# (H, the eigensolver's copy and eigenvectors), four (2d+1)N x (N + 4)
+# blocks for the contour route (the probes, one node's solve and the two
+# moments), or copies of the dense (2d+1)N system of :func:`assemble`.
+# Past it a run would fail only at the allocation itself, or swap first.
+# 2 GiB admits N <= 5792 for H (17 x 17 x 17).
 _MEMORY_BUDGET = 2 * 2 ** 30
 
 
@@ -305,175 +301,80 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     return _EomSystem(spec).sigma_min(delta)
 
 
-_SHIFT_STEPS = 30        # fixed-shift inverse-iteration steps, at most
-_RQI_STEPS = 30          # Rayleigh-quotient steps, at most; a few are typical
-# fixed-shift residual (times ||H||_F) that identifies the eigenvector of the
-# eigenvalue nearest the shift; RQI before that point can jump to another pole
-_IDENTIFY_TOL = 1e-8
-_CONVERGED_TOL = 1e-14   # residual (times ||H||_F) of a converged eigenpair
-# new-direction norm that separates a distinct eigenvector from a re-found
-# one; on noisy and near-resonant networks the former are >= 1e-3 and the
-# latter <= 1e-8
-_SPAN_TOL = 1e-6
-# a seed this close to its refined pole (times ||H||_F) is kept as given;
+# a seed this close to its pole (times ||H||_F) is kept as given;
 # Cartesian-sum seeds of symmetric networks lie within a few eps
 _KEEP_SEED_TOL = 1e-12
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
 _CERT_BLOCK = 64         # eigenvectors certified per sparse solve
 
 
-def _shifted_lu(h: np.ndarray, shift: complex, norm_h: float):
-    """LU factors of H - shift I.
-
-    A shift that is an eigenvalue to working precision (an exactly zero
-    pivot) is nudged by eps ||H||_F, as LAPACK's inverse iteration does.
-    """
-    import scipy.linalg as sla
-
-    eye = np.eye(len(h))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu = sla.lu_factor(h - shift * eye)
-        if not np.all(np.diagonal(lu[0])):
-            lu = sla.lu_factor(h - (shift + np.finfo(float).eps * norm_h) * eye)
-    return lu
-
-
-def _rayleigh(h: np.ndarray, v: np.ndarray) -> tuple[complex, float]:
-    """Rayleigh quotient of unit v and the residual ||H v - mu v||."""
-    hv = h @ v
-    mu = complex(np.vdot(v, hv))
-    return mu, float(np.linalg.norm(hv - mu * v))
-
-
-def _eigenpair(h: np.ndarray, shift: complex,
-               v: np.ndarray) -> tuple[complex, np.ndarray, bool]:
-    """Eigenpair of H nearest ``shift``, iterated from ``v``.
-
-    Fixed-shift inverse iteration on one LU of H - shift I runs until the
-    residual reaches 1e-8 ||H||_F, which identifies the eigenvector of the
-    eigenvalue nearest the shift; Rayleigh-quotient iteration then polishes
-    the pair to 1e-14 ||H||_F.  When the fixed shift identifies nothing
-    (a seed exactly between degenerate poles, say) RQI runs anyway.
-    Returns (mu, unit v, converged).
-    """
-    from scipy.linalg import lu_solve
-
-    norm_h = float(np.linalg.norm(h))
-    lu = _shifted_lu(h, shift, norm_h)
-    for _ in range(_SHIFT_STEPS):
-        v = lu_solve(lu, v)
-        v = v / np.linalg.norm(v)
-        mu, resid = _rayleigh(h, v)
-        if resid <= _IDENTIFY_TOL * norm_h:
-            break
-    for _ in range(_RQI_STEPS):
-        if resid <= _CONVERGED_TOL * norm_h:
-            return mu, v, True
-        v = lu_solve(_shifted_lu(h, mu, norm_h), v)
-        v = v / np.linalg.norm(v)
-        mu, resid = _rayleigh(h, v)
-    return mu, v, resid <= _CONVERGED_TOL * norm_h
-
-
-def _start_vector(n: int) -> np.ndarray:
-    # fixed and pseudo-random: all-ones is orthogonal to the antisymmetric
-    # modes of symmetric lattices, so inverse iteration could never reach them
-    rng = np.random.default_rng(0)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
-
-
-def _extend(basis: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Append v's component orthogonal to span(basis) if it is a new direction."""
-    for _ in range(2):          # Gram-Schmidt twice is enough
-        v = v - basis @ (basis.conj().T @ v)
-    norm = np.linalg.norm(v)
-    if norm <= _SPAN_TOL:
-        return basis, False
-    return np.column_stack([basis, v / norm]), True
-
-
 def _settle(system: _EomSystem, seeds: np.ndarray, poles: np.ndarray,
             vecs: np.ndarray, tol: float) -> np.ndarray:
     """The reported poles: seed k itself when it lies within 1e-12 ||H||_F
-    of refined pole k and passes the certificate with eigenvector k, else
-    the refined pole if it passes, else NaN.
+    of pole k and passes the certificate with eigenvector k, else the pole
+    if it passes, else NaN.
 
     Passing the certificate alone is not enough to keep a seed: with noise
     at theta = m*pi a seed on the dark poles at Delta = 0 passes it even
     when its own pole was lifted to about 1e-9 by the noise.
     """
     keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * np.linalg.norm(system.h)
-    keep &= system.certificates(seeds, vecs) <= tol
+    keep[keep] = system.certificates(seeds[keep], vecs[:, keep]) <= tol
     passed = keep | (system.certificates(poles, vecs) <= tol)
     return np.where(passed, np.where(keep, seeds, poles), complex(np.nan, np.nan))
 
 
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
-    """Refine one pole of A(Delta) from a seed.
+    """The pole of A(Delta) nearest a seed.
 
-    Runs shift-invert inverse iteration from the seed, then Rayleigh-quotient
-    iteration, on H, and requires the pole's certificate on the full system
-    (see the module docstring) to be at most ``tol``.  A seed within
-    1e-12 ||H||_F of its refined pole that passes it is returned unchanged.
+    Takes the eigenvalue of H nearest the seed, and requires its
+    certificate on the full system (see the module docstring) to be at most
+    ``tol``.  A seed within 1e-12 ||H||_F of that pole that passes it is
+    returned unchanged.
 
-    Raises MaxIterationsError when the refined value fails the certificate.
+    Raises MaxIterationsError when the pole fails the certificate.
     """
     seed = complex(seed)
-    if not (np.isfinite(seed.real) and np.isfinite(seed.imag)):
-        raise ValueError("seed must be finite")
-    system = _EomSystem(spec)
-    mu, v, _ = _eigenpair(system.h, seed, _start_vector(system.n_poles))
-    pole = complex(_settle(system, np.array([seed]), np.array([mu]), v[:, None], tol)[0])
+    poles, _ = _refine(_EomSystem(spec), [seed], tol)
+    pole = complex(poles[0])
     if np.isnan(pole):
         raise MaxIterationsError(
-            f"pole refinement from seed {seed} did not reach a certificate <= "
-            f"{tol:g}; nearest eigenvalue estimate {mu}"
-        )
+            f"the pole nearest seed {seed} fails the certificate <= {tol:g}")
     return pole
 
 
 def _refine(system: _EomSystem, seeds: Sequence[complex],
             tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Refine every seed into its own pole; NaN where a seed found none.
+    """Give each of at most N seeds its own pole; NaN where it fails the
+    certificate.
 
-    Each seed gets an eigenpair of H by :func:`_eigenpair`.  Converged pairs
-    are accepted closest seed first, each only while its eigenvector adds a
-    new direction to the span Q already accepted, so a pole of multiplicity
-    m is claimed by exactly m seeds.  A rejected seed searches again on
-    Q_perp^H H Q_perp: span Q is invariant, so that matrix holds exactly the
-    unclaimed poles; the result is polished on H.  Every pole is then
-    settled by :func:`_settle`.  Returns the poles and their eigenvectors.
+    The poles are the eigenvalues of H, one slot per eigenvalue as often as
+    its algebraic multiplicity, so a pole of multiplicity m goes to exactly
+    m seeds.  Seeds go closest to their nearest eigenvalue first (a stable
+    sort); each claims its nearest slot while it is free.  The seeds that
+    find it taken then go in the same order, each to the nearest slot still
+    unclaimed.  Every pole is then settled by :func:`_settle`.  Returns the
+    poles and their eigenvectors.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
-    h = system.h
-    n = len(h)
-    start = _start_vector(n)
-    pairs = [_eigenpair(h, s, start) for s in seeds]
-    order = np.argsort([abs(mu - s) for (mu, _, _), s in zip(pairs, seeds)], kind="stable")
-    basis = np.zeros((n, 0), dtype=complex)
-    poles = np.full(len(seeds), np.nan, dtype=complex)
-    vecs = np.zeros((n, len(seeds)), dtype=complex)
-
-    def claim(i: int, mu: complex, v: np.ndarray, converged: bool) -> bool:
-        nonlocal basis
-        new = False
-        if converged:
-            basis, new = _extend(basis, v)
-        if new:
-            poles[i], vecs[:, i] = mu, v
-        return new
-
-    rejected = [i for i in order if not claim(i, *pairs[i])]
-    for i in rejected:
-        perp = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
-        mu, y, _ = _eigenpair(perp.conj().T @ h @ perp, seeds[i], perp.conj().T @ start)
-        claim(i, *_eigenpair(h, mu, perp @ y))
-    found = ~np.isnan(poles)
-    poles[found] = _settle(system, seeds[found], poles[found], vecs[:, found], tol)
-    return poles, vecs
+    values, vectors = np.linalg.eig(system.h)
+    dist = np.abs(seeds[:, None] - values)
+    slot = dist.argmin(axis=1)        # each seed's nearest eigenvalue
+    order = np.argsort(dist[np.arange(len(seeds)), slot], kind="stable")
+    free = np.ones(len(values), dtype=bool)
+    taken = []
+    for i in order:
+        if free[slot[i]]:
+            free[slot[i]] = False
+        else:
+            taken.append(i)
+    for i in taken:
+        slot[i] = np.flatnonzero(free)[dist[i, free].argmin()]
+        free[slot[i]] = False
+    vecs = vectors[:, slot]
+    return _settle(system, seeds, values[slot], vecs, tol), vecs
 
 
 def _finish(system: _EomSystem, gammas: np.ndarray, vecs: Optional[np.ndarray],
@@ -527,17 +428,15 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
                   tol: float = 1e-10) -> PoleSearchResult:
-    """All N poles by seeded local refinement, one pole per seed.
+    """All N poles, one per seed.
 
     Seeds default to the Cartesian-sum estimates (qubit-averaged rates when
     a noise field is present), expressed in the Delta plane; exactly N seeds
-    are required.  Each seed is refined by shift-invert and Rayleigh-quotient
-    iteration on H.  Two seeds that reach the same eigenvector are told
-    apart by the span of the eigenvectors already claimed: the one farther
-    from its pole searches again among the unclaimed poles only, so exact
-    multiplicities carry over.  Every pole's certificate must be at most
-    ``tol``; a run that cannot account for all N poles, or whose poles break
-    the trace rule, raises MaxIterationsError.
+    are required.  Each seed gets an eigenvalue of H: its nearest, unless a
+    seed closer to that eigenvalue claimed it first, in which case its
+    nearest unclaimed one (see :func:`_refine`), so exact multiplicities
+    carry over.  Every pole's certificate must be at most ``tol``; a run
+    whose poles fail it, or break the trace rule, raises MaxIterationsError.
     """
     system = _EomSystem(spec)
     n = system.n_poles
@@ -551,8 +450,8 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     found = int(np.count_nonzero(~np.isnan(poles)))
     if found < n:
         raise MaxIterationsError(
-            f"seeded refinement located {found} of {n} poles; "
-            "re-seed or use all_poles_eig"
+            f"{n - found} of {n} seeded poles fail the certificate <= {tol:g}; "
+            "raise tol or use all_poles_eig"
         )
     return _finish(system, 2j * poles, vecs, "cnm", seeds, MaxIterationsError)
 

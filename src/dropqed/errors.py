@@ -17,11 +17,11 @@ class SizeMismatchError(DropQedError):
 class MaxIterationsError(DropQedError):
     """A seeded pole search did not account for its poles.
 
-    Raised by ``find_pole`` when the refined pole's certificate on the full
-    system exceeds its tolerance, and by ``all_poles_cnm`` when fewer than
-    N seeds reach a certified pole or, in ``_finish``, when the found poles
-    break the trace rule; usually a bad seed.  Re-seed closer to the poles
-    or use ``all_poles_eig``.
+    Raised by ``find_pole`` when the pole nearest the seed fails its
+    certificate on the full system at the given tolerance, and by
+    ``all_poles_cnm`` when a seed's pole fails it or, in ``_finish``, when
+    the poles break the trace rule.  A larger tolerance or
+    ``all_poles_eig`` (which certifies at 1e-9) may pass.
     """
 
 

@@ -235,6 +235,16 @@ def test_noise_study_equal_rate_3x3x3(epsilon, seed):
     assert multiset_max_err(result.refined_poles.rates, want) <= 1e-10 * noisy.rate_sum
 
 
+def test_noise_study_claim_order_is_pinned():
+    # seeds claim poles closest first, and a seed that finds its nearest
+    # pole taken gets the nearest unclaimed one; an optimal assignment
+    # (least total displacement) moves max_displacement to 0.12998
+    spec = spec_of([3, 3, 3], (1.0, 1.0, 1.0), frac=0.65)
+    result = noise_study(spec, 0.05, seed=0)
+    assert result.max_displacement == pytest.approx(0.128703567377, rel=1e-9)
+    assert result.median_displacement == pytest.approx(0.0302363818156, rel=1e-9)
+
+
 def test_noise_study_seed_dependence():
     spec = spec_of([2, 2], (1.0, 2.0), frac=0.65)
     a = noise_study(spec, 0.05, seed=1)

@@ -292,16 +292,19 @@ def test_find_pole_far_seed_reaches_a_pole():
         find_pole(spec, seed, tol=0.0)
 
 
-@pytest.mark.parametrize("case", ["4x4-clustered", "3x2x6-noisy"])
-def test_find_pole_returns_the_nearest_pole(case):
-    # a seed a third of the way to its pole's nearest neighbour must come
-    # back to that pole, also inside the near-dark cluster at 0.9999 pi
+@pytest.mark.parametrize("case, frac", [
+    pytest.param(case, frac, id=case if frac == 0.3 else f"{case}-{frac}")
+    for frac in (0.3, 0.49) for case in ("4x4-clustered", "3x2x6-noisy")])
+def test_find_pole_returns_the_nearest_pole(case, frac):
+    # a seed a fraction frac < 1/2 of the way to its pole's nearest
+    # neighbour must come back to that pole, also inside the near-dark
+    # cluster at 0.9999 pi
     spec = SIGMA_MIN_CASES[case]()
     poles = all_poles_eig(spec, validate="none").poles.rates / 2j
     for k, pole in enumerate(poles):
         gaps = np.abs(poles - pole)
         gaps[k] = np.inf
-        seed = pole + 0.3 * gaps.min() * np.exp(1.9j)
+        seed = pole + frac * gaps.min() * np.exp(1.9j)
         assert abs(find_pole(spec, seed) - pole) <= 1e-3 * gaps.min(), k
 
 

@@ -16,7 +16,6 @@ from .analysis import (
     bic_condition_check,
     classify_superradiance,
     expected_cluster_counts,
-    label_chain_rates,
     noise_study,
     subradiance_scaling,
 )
@@ -47,10 +46,8 @@ from .lattice import (
     NetworkSpec,
     NoiseField,
     QubitIndex,
-    delinearize,
     enumerate_lines,
     enumerate_qubits,
-    linearize,
     sample_noise,
 )
 from .render import render_scatter
@@ -86,14 +83,11 @@ __all__ = [
     "chain_rates",
     "classify_superradiance",
     "coupling_matrix",
-    "delinearize",
     "drop_spectrum",
     "enumerate_lines",
     "enumerate_qubits",
     "expected_cluster_counts",
     "find_pole",
-    "label_chain_rates",
-    "linearize",
     "match_spectra",
     "noise_study",
     "nullity_at",

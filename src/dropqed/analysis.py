@@ -18,10 +18,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import eom
-from .chain1d import ChainSpectrum
 from .drop import Spectrum, _cartesian_rates, drop_spectrum
 from .errors import ThetaOutOfRange
-from .lattice import LineId, NetworkSpec, enumerate_lines, linearize, sample_noise
+from .lattice import LineId, NetworkSpec, _lines, enumerate_lines, sample_noise
 
 
 @dataclass(frozen=True)
@@ -70,14 +69,13 @@ class BicReport:
       the computed null spaces actually satisfy).
 
     ``max_violation[rule]`` is the largest |sum| observed; ``violations``
-    lists every (rule, line, vector) whose sum exceeded ``report_tol``.
+    lists every (rule, line, vector) whose sum exceeded 1e-8.
     """
 
     m: int
     nullity: int
     expected_nullity: int
     rank_tol: float
-    report_tol: float
     max_violation: dict[str, float]
     violations: tuple[BicViolation, ...]
 
@@ -114,27 +112,23 @@ def _distance_to_resonance(theta: float) -> float:
     return abs(theta / math.pi - round(theta / math.pi)) * math.pi
 
 
-def label_chain_rates(chain: ChainSpectrum) -> ChainSpectrum:
-    """Tag the maximal-real-part rate superradiant, the rest subradiant."""
-    top = int(np.argmax(chain.z.real))
-    labels = tuple("superradiant" if i == top else "subradiant" for i in range(chain.n))
-    return ChainSpectrum(n=chain.n, theta=chain.theta, z=chain.z, labels=labels)
+_RESONANCE_WINDOW = 0.05 * math.pi   # classification needs theta this near m*pi
+_REPORT_TOL = 1e-8                   # bound-state line sums above this are violations
 
 
-def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum,
-                           window: float = 0.05 * math.pi) -> SuperradianceReport:
+def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> SuperradianceReport:
     """Assign each Cartesian-sum rate its superradiance dimension k.
 
-    Valid near resonance (theta within ``window`` of a multiple of pi),
+    Valid near resonance (theta within 0.05 pi of a multiple of pi),
     where each axis has one well-separated maximal-real-part rate; k counts
     the axes whose index tuple entry selects that rate.  The partition needs
     the index tuples: it is not readable off the rate values alone.
     """
-    if _distance_to_resonance(spec.theta) > window:
+    if _distance_to_resonance(spec.theta) > _RESONANCE_WINDOW:
         raise ThetaOutOfRange(
             f"theta = {spec.theta:.6g} is {_distance_to_resonance(spec.theta):.3g} rad "
             f"from the nearest multiple of pi; clusters are ill-defined beyond "
-            f"{window:.3g}"
+            f"{_RESONANCE_WINDOW:.3g}"
         )
     if drop_spec.index_tuples is None:
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
@@ -213,8 +207,7 @@ def _line_weights(count: int, rule: str, m: int) -> np.ndarray:
     raise ValueError(f"unknown sign rule {rule!r}")
 
 
-def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8,
-                        report_tol: float = 1e-8) -> BicReport:
+def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8) -> BicReport:
     """Evaluate the bound-state sign-sum condition on the computed null space.
 
     Requires theta = m*pi.  Extracts the null space of A(0), then for every
@@ -233,9 +226,8 @@ def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8,
     rules = ("plain", "alternating", "qubit-parity", "phase-parity")
     max_violation = {rule: 0.0 for rule in rules}
     violations: list[BicViolation] = []
-    for axis in range(spec.ndim):
-        for line in enumerate_lines(spec, axis):
-            idx = [linearize(spec.dims, q) for q in line.qubits(spec.dims)]
+    for axis, lines in enumerate(_lines(spec)):
+        for line, idx in zip(enumerate_lines(spec, axis), lines):
             for vec in range(null.nullity):
                 e = null.e_basis[:, vec]
                 norm = np.linalg.norm(e)
@@ -247,7 +239,7 @@ def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8,
                     s = abs(np.dot(weights, e[idx]))
                     if s > max_violation[rule]:
                         max_violation[rule] = float(s)
-                    if s > report_tol:
+                    if s > _REPORT_TOL:
                         violations.append(BicViolation(rule=rule, line=line,
                                                        vector=vec, value=float(s)))
     return BicReport(
@@ -255,7 +247,6 @@ def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8,
         nullity=null.nullity,
         expected_nullity=expected,
         rank_tol=rank_tol,
-        report_tol=report_tol,
         max_violation=max_violation,
         violations=tuple(violations),
     )
@@ -276,7 +267,8 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)
     estimates = drop_spectrum(noisy)
-    poles, _ = eom._refine(eom._EomSystem(noisy), estimates.rates / 2j, tol)
+    poles, _ = eom._refine(eom._EomSystem(noisy), eom._hamiltonian(noisy),
+                           estimates.rates / 2j, tol)
     refined = 2j * poles
     displacements = np.abs(refined - estimates.rates)
     ok = ~np.isnan(displacements)

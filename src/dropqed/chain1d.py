@@ -27,23 +27,17 @@ this route.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class ChainSpectrum:
-    """Dimensionless collective rates of one chain, sorted by (Re, Im).
-
-    ``labels`` is filled by the analysis layer (subradiant/superradiant);
-    it is None until classified.
-    """
+    """Dimensionless collective rates of one chain, sorted by (Re, Im)."""
 
     n: int
     theta: float
     z: np.ndarray
-    labels: Optional[tuple[str, ...]] = None
 
     def __post_init__(self) -> None:
         z = np.asarray(self.z, dtype=complex)

@@ -27,19 +27,21 @@ in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 for a symmetric network it is the Kronecker sum of the per-axis chain
 matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
 H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
-eigenvalues; :func:`all_poles_det_interp` never uses H, and takes the
-poles from a contour integral of the resolvent of the sparse full system.
+eigenvalues; :func:`all_poles_det_interp` never builds H, and takes the
+poles from a contour integral of the resolvent of the sparse full system,
+which ``_EomSystem`` holds with the certificate below and without H.
 
-Every route ends with the same step: the trace rule (the poles sum to the
-total per-qubit rate within 1e-9 max(1, N S), S = sum_n N_n gamma_n), the
-(Re, Im) sort, and a certificate for every pole on the full system.  For
-the pole's eigenvector e of H, x = (e, -B_w^{-1} B_e e) solves the bulk
-(field) rows, whose field block B_w does not depend on Delta and is
-factored once by a sparse LU; ||A x|| / ||x|| / ||A||_F at the pole must be
-at most 1e-9.  That bounds sigma_min(A)/||A||_F from above, so no pole
-passes that an exact SVD would fail, and it is evaluated on the assembled
-sparse (2d+1)N matrix, so a wrong H fails it.  The Lanczos
-:func:`sigma_min` is for users and tests; no solve path calls it.
+Every route certifies each pole it reports once, and ends with the same
+step: the trace rule (the poles sum to the total per-qubit rate within
+1e-9 max(1, N S), S = sum_n N_n gamma_n), the (Re, Im) sort, and the
+certificate bound.  For the pole's eigenvector e of H,
+x = (e, -B_w^{-1} B_e e) solves the bulk (field) rows, whose field block
+B_w does not depend on Delta and is factored once by a sparse LU;
+||A x|| / ||x|| / ||A||_F at the pole must be at most 1e-9.  That bounds
+sigma_min(A)/||A||_F from above, so no pole passes that an exact SVD would
+fail, and it is evaluated on the assembled sparse (2d+1)N matrix, so a
+wrong H fails it.  The Lanczos :func:`sigma_min` and :func:`assemble` are
+for users and tests; no solve path calls them.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
 study) takes one dense eigensolve of H and gives each seed its nearest
@@ -59,7 +61,7 @@ import numpy as np
 from .chain1d import _re_im_order, coupling_matrix
 from .drop import Spectrum, drop_spectrum
 from .errors import ConditioningFailure, ConfigError, MaxIterationsError
-from .lattice import NetworkSpec, enumerate_lines, enumerate_qubits
+from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
 
 @dataclass(frozen=True)
@@ -127,13 +129,6 @@ def _check_dense(rows: int, cols: int, what: str) -> None:
                           f"{need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
-def _lines(spec: NetworkSpec) -> list[np.ndarray]:
-    """Per axis, the qubits' linear indices with row l listing line l (in
-    :func:`~dropqed.lattice.enumerate_lines` order) along the axis."""
-    grid = np.arange(spec.n_qubits).reshape(spec.dims)
-    return [np.moveaxis(grid, axis, -1).reshape(-1, m) for axis, m in enumerate(spec.dims)]
-
-
 def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
     """The N x N effective Hamiltonian H, whose eigenvalues are the poles.
 
@@ -153,11 +148,12 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
 
 
 class _EomSystem:
-    """A(Delta) = A0 - Delta * E assembled once, sparse; E selects excitation
-    rows.  ``h`` is the network's effective Hamiltonian."""
+    """The sparse pencil A(Delta) = A0 - Delta * E, assembled once (E selects
+    the excitation rows), and the pole certificate on it."""
 
     def __init__(self, spec: NetworkSpec):
-        self.h = _hamiltonian(spec)      # first: its size check precedes any assembly
+        # first: the routes' dense budget, checked before any assembly
+        _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
         import scipy.sparse as sp
 
         n_qubits, d = spec.n_qubits, spec.ndim
@@ -207,42 +203,12 @@ class _EomSystem:
         self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
         self._e_sparse = sp.csc_matrix(
             (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
-        # fixed pseudo-random Lanczos start: on symmetric lattices structured
-        # vectors (all ones, say) can be orthogonal to the wanted one
-        self._v0 = np.random.default_rng(0).standard_normal(size).astype(complex)
         self.spec = spec
         self.n_poles = n_qubits
         self.index_map = index_map
         self.rates = rates
         self._n_bulk = size - n_qubits
         self._bulk = None
-
-    def sigma_min(self, delta: complex) -> float:
-        """Certified upper bound on the smallest singular value of A(Delta).
-
-        Lanczos finds the dominant eigenvector v of (A^H A)^{-1}, applied as
-        two triangular solves with one sparse LU of A, and the return value
-        is ||A v|| / ||v||, which no vector can push below the true sigma_min.
-        """
-        from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
-
-        a = self._a0 - delta * self._e_sparse
-        try:
-            lu = splu(a)
-        except RuntimeError as exc:
-            if "singular" not in str(exc):
-                raise
-            return 0.0
-        op = LinearOperator(a.shape, dtype=complex,
-                            matvec=lambda y: lu.solve(lu.solve(y, trans="H")))
-        try:
-            _, vecs = eigsh(op, k=1, which="LM", v0=self._v0)
-        except ArpackNoConvergence as exc:
-            # any vector still gives an upper bound; a poor one only fails
-            # the singularity check
-            vecs = exc.eigenvectors
-        v = vecs[:, 0] if vecs.shape[1] else op.matvec(self._v0)
-        return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
     def frobenius(self, delta):
         """||A(Delta)||_F, elementwise over an array of detunings."""
@@ -298,7 +264,29 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     It is the singularity check for users and tests; the solvers certify
     their poles with eigenvectors of H instead and never call it.
     """
-    return _EomSystem(spec).sigma_min(delta)
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
+
+    system = _EomSystem(spec)
+    a = system._a0 - delta * system._e_sparse
+    try:
+        lu = splu(a)
+    except RuntimeError as exc:
+        if "singular" not in str(exc):
+            raise
+        return 0.0
+    # structured start vectors (all ones, say) can be orthogonal to the
+    # wanted one on symmetric lattices
+    v0 = np.random.default_rng(0).standard_normal(a.shape[0]).astype(complex)
+    op = LinearOperator(a.shape, dtype=complex,
+                        matvec=lambda y: lu.solve(lu.solve(y, trans="H")))
+    try:
+        _, vecs = eigsh(op, k=1, which="LM", v0=v0)
+    except ArpackNoConvergence as exc:
+        # any vector still gives an upper bound; a poor one only fails
+        # the singularity check
+        vecs = exc.eigenvectors
+    v = vecs[:, 0] if vecs.shape[1] else op.matvec(v0)
+    return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
 
 # a seed this close to its pole (times ||H||_F) is kept as given;
@@ -309,19 +297,23 @@ _CERT_BLOCK = 64         # eigenvectors certified per sparse solve
 
 
 def _settle(system: _EomSystem, seeds: np.ndarray, poles: np.ndarray,
-            vecs: np.ndarray, tol: float) -> np.ndarray:
-    """The reported poles: seed k itself when it lies within 1e-12 ||H||_F
-    of pole k and passes the certificate with eigenvector k, else the pole
-    if it passes, else NaN.
+            vecs: np.ndarray, near: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The reported poles and their certificates: seed k itself when it
+    lies within ``near`` (1e-12 ||H||_F) of pole k and passes the
+    certificate with eigenvector k, else the pole if it passes, else NaN.
+    Only a kept seed that fails is certified twice.
 
     Passing the certificate alone is not enough to keep a seed: with noise
     at theta = m*pi a seed on the dark poles at Delta = 0 passes it even
     when its own pole was lifted to about 1e-9 by the noise.
     """
-    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * np.linalg.norm(system.h)
-    keep[keep] = system.certificates(seeds[keep], vecs[:, keep]) <= tol
-    passed = keep | (system.certificates(poles, vecs) <= tol)
-    return np.where(passed, np.where(keep, seeds, poles), complex(np.nan, np.nan))
+    keep = np.abs(seeds - poles) <= near
+    values = np.where(keep, seeds, poles)
+    residuals = system.certificates(values, vecs)
+    back = keep & ~(residuals <= tol)            # kept seeds that fail
+    values[back] = poles[back]
+    residuals[back] = system.certificates(poles[back], vecs[:, back])
+    return np.where(residuals <= tol, values, complex(np.nan, np.nan)), residuals
 
 
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
@@ -335,7 +327,7 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     Raises MaxIterationsError when the pole fails the certificate.
     """
     seed = complex(seed)
-    poles, _ = _refine(_EomSystem(spec), [seed], tol)
+    poles, _ = _refine(_EomSystem(spec), _hamiltonian(spec), [seed], tol)
     pole = complex(poles[0])
     if np.isnan(pole):
         raise MaxIterationsError(
@@ -343,7 +335,7 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     return pole
 
 
-def _refine(system: _EomSystem, seeds: Sequence[complex],
+def _refine(system: _EomSystem, h: np.ndarray, seeds: Sequence[complex],
             tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Give each of at most N seeds its own pole; NaN where it fails the
     certificate.
@@ -354,12 +346,12 @@ def _refine(system: _EomSystem, seeds: Sequence[complex],
     sort); each claims its nearest slot while it is free.  The seeds that
     find it taken then go in the same order, each to the nearest slot still
     unclaimed.  Every pole is then settled by :func:`_settle`.  Returns the
-    poles and their eigenvectors.
+    poles and their certificates.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
-    values, vectors = np.linalg.eig(system.h)
+    values, vectors = np.linalg.eig(h)
     dist = np.abs(seeds[:, None] - values)
     slot = dist.argmin(axis=1)        # each seed's nearest eigenvalue
     order = np.argsort(dist[np.arange(len(seeds)), slot], kind="stable")
@@ -373,38 +365,35 @@ def _refine(system: _EomSystem, seeds: Sequence[complex],
     for i in taken:
         slot[i] = np.flatnonzero(free)[dist[i, free].argmin()]
         free[slot[i]] = False
-    vecs = vectors[:, slot]
-    return _settle(system, seeds, values[slot], vecs, tol), vecs
+    return _settle(system, seeds, values[slot], vectors[:, slot],
+                   _KEEP_SEED_TOL * np.linalg.norm(h), tol)
 
 
-def _finish(system: _EomSystem, gammas: np.ndarray, vecs: Optional[np.ndarray],
+def _finish(system: _EomSystem, gammas: np.ndarray, residuals: np.ndarray,
             method: str, seeds: Sequence[complex],
             error: type[Exception]) -> PoleSearchResult:
     """The last step of every route: trace rule, (Re, Im) order, certificate.
 
     The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
-    S = sum_n N_n gamma_n, else ``error`` is raised.  Every pole is then
-    certified with its eigenvector, column k of ``vecs`` (None only for
-    ``validate="none"``); a certificate above 1e-9 raises ConditioningFailure.
+    S = sum_n N_n gamma_n, else ``error`` is raised.  ``residuals[k]`` is
+    the certificate of pole k (NaN, uncertified, only for
+    ``validate="none"``); one above 1e-9 raises ConditioningFailure.
     """
     n = system.n_poles
     expected = float(system.rates.sum())     # exact: the total per-qubit rate
-    if abs(gammas.sum() - expected) > 1e-9 * max(1.0, n * system.spec.rate_sum):
+    if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, n * system.spec.rate_sum):
         raise error(
             f"{method} pole multiset violates the trace rule: sum {gammas.sum():.6g} "
             f"vs expected {expected:.6g}; duplicates or missed poles likely"
         )
     order = _re_im_order(gammas)
-    gammas = gammas[order]
-    residuals = np.full(n, np.nan)
-    if vecs is not None:
-        residuals = system.certificates(gammas / 2j, vecs[:, order])
-        worst = int(np.argmax(residuals))
-        if not residuals[worst] <= _CHECK_TOL:
-            raise ConditioningFailure(
-                f"reported pole {gammas[worst]} fails the singularity check: "
-                f"certificate {residuals[worst]:.3e} > {_CHECK_TOL:g}"
-            )
+    gammas, residuals = gammas[order], residuals[order]
+    worst = int(np.argmax(np.nan_to_num(residuals)))     # NaN: uncertified
+    if residuals[worst] > _CHECK_TOL:
+        raise ConditioningFailure(
+            f"reported pole {gammas[worst]} fails the singularity check: "
+            f"certificate {residuals[worst]:.3e} > {_CHECK_TOL:g}"
+        )
     return PoleSearchResult(poles=Spectrum(rates=gammas, method=method),
                             seeds_used=tuple(seeds), residuals=residuals, method=method)
 
@@ -421,9 +410,10 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
     system = _EomSystem(spec)
-    values, vecs = np.linalg.eig(system.h)
-    return _finish(system, 2j * values, None if validate == "none" else vecs,
-                   "eigen", (), ConditioningFailure)
+    values, vecs = np.linalg.eig(_hamiltonian(spec))
+    residuals = (np.full(len(values), np.nan) if validate == "none"
+                 else system.certificates(values, vecs))
+    return _finish(system, 2j * values, residuals, "eigen", (), ConditioningFailure)
 
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
@@ -446,14 +436,14 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
         seeds = tuple(complex(s) for s in seeds)
         if len(seeds) != n:
             raise ValueError(f"all_poles_cnm needs exactly {n} seeds, got {len(seeds)}")
-    poles, vecs = _refine(system, seeds, tol)
+    poles, residuals = _refine(system, _hamiltonian(spec), seeds, tol)
     found = int(np.count_nonzero(~np.isnan(poles)))
     if found < n:
         raise MaxIterationsError(
             f"{n - found} of {n} seeded poles fail the certificate <= {tol:g}; "
             "raise tol or use all_poles_eig"
         )
-    return _finish(system, 2j * poles, vecs, "cnm", seeds, MaxIterationsError)
+    return _finish(system, 2j * poles, residuals, "cnm", seeds, MaxIterationsError)
 
 
 _RADIUS_FACTOR = 1.5     # contour radius, times S: encloses every pole
@@ -506,7 +496,8 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
     vecs = u[:n] @ y                     # the excitation rows come first
     vecs /= np.linalg.norm(vecs, axis=0)
-    return _finish(system, 2j * deltas, vecs, "det-interp", (), ConditioningFailure)
+    return _finish(system, 2j * deltas, system.certificates(deltas, vecs),
+                   "det-interp", (), ConditioningFailure)
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

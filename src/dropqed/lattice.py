@@ -10,8 +10,9 @@ Conventions used throughout the package:
 
 * axes (directions) are 0-based in code,
 * qubit coordinates are 1-based lattice coordinates,
-* linearization is row-major with axis 0 slowest; every matrix row/column
-  index downstream depends on this ordering.
+* qubits are numbered row-major with axis 0 slowest (:func:`enumerate_qubits`),
+  and :func:`_lines` maps each line onto those numbers; every matrix
+  row/column index downstream depends on this ordering.
 """
 
 from __future__ import annotations
@@ -19,28 +20,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 QubitIndex = tuple[int, ...]
-
-
-def linearize(dims: Sequence[int], coords: QubitIndex) -> int:
-    """Row-major linear index (axis 0 slowest) of a 1-based coordinate."""
-    i = 0
-    for n, c in zip(dims, coords):
-        i = i * n + (c - 1)
-    return i
-
-
-def delinearize(dims: Sequence[int], index: int) -> QubitIndex:
-    """Inverse of :func:`linearize`."""
-    coords = []
-    for n in reversed(dims):
-        coords.append(index % n + 1)
-        index //= n
-    return tuple(reversed(coords))
 
 
 @dataclass(frozen=True)
@@ -70,12 +54,9 @@ class NoiseField:
             raise ValueError("all per-qubit rates must be > 0")
         rates.setflags(write=False)
 
-    def mean_rate(self, axis: int) -> float:
-        """Rate averaged over every qubit, for one axis."""
-        return float(self.rates[:, axis].mean())
-
     def mean_rates(self) -> tuple[float, ...]:
-        return tuple(self.mean_rate(n) for n in range(len(self.dims)))
+        """Per axis, the rate averaged over every qubit."""
+        return tuple(float(self.rates[:, n].mean()) for n in range(len(self.dims)))
 
 
 @dataclass(frozen=True)
@@ -152,15 +133,6 @@ class LineId:
     direction: int
     transverse: tuple[int, ...] = field(default=())
 
-    def qubits(self, dims: Sequence[int]) -> list[QubitIndex]:
-        """Qubits on this line, ordered by position along the axis."""
-        out = []
-        for j in range(1, dims[self.direction] + 1):
-            c = list(self.transverse)
-            c.insert(self.direction, j)
-            out.append(tuple(c))
-        return out
-
 
 def enumerate_qubits(spec: NetworkSpec) -> list[QubitIndex]:
     """All qubit coordinates in row-major order (axis 0 slowest)."""
@@ -173,6 +145,14 @@ def enumerate_lines(spec: NetworkSpec, axis: int) -> list[LineId]:
         raise ValueError(f"axis {axis} out of range for {spec.ndim} axes")
     ranges = [range(1, n + 1) for j, n in enumerate(spec.dims) if j != axis]
     return [LineId(direction=axis, transverse=tv) for tv in itertools.product(*ranges)]
+
+
+def _lines(spec: NetworkSpec) -> list[np.ndarray]:
+    """The one table of line and qubit order: per axis, row l lists the
+    linear indices of the qubits on line l of :func:`enumerate_lines`, by
+    position along the axis."""
+    grid = np.arange(spec.n_qubits).reshape(spec.dims)
+    return [np.moveaxis(grid, axis, -1).reshape(-1, m) for axis, m in enumerate(spec.dims)]
 
 
 def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField:

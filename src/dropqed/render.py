@@ -14,6 +14,7 @@ from .drop import Spectrum
 _K_PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",
               "#8c564b", "#e377c2", "#17becf")
 _SERIES_PALETTE = ("#1f77b4", "#000000", "#2ca02c", "#9467bd", "#ff7f0e")
+_WIDTH, _HEIGHT = 640, 480     # canvas, in px
 
 
 def _fmt(x: float) -> str:
@@ -33,8 +34,7 @@ def _bounds(spectra: Sequence[Spectrum]) -> tuple[float, float, float, float]:
 
 
 def render_scatter(spectra: Sequence[Spectrum],
-                   report: Optional[SuperradianceReport] = None,
-                   width: int = 640, height: int = 480) -> str:
+                   report: Optional[SuperradianceReport] = None) -> str:
     """Render one or more spectra in the complex plane as SVG 1.1 text.
 
     Each spectrum gets a per-provenance glyph (circles for Cartesian-sum
@@ -44,7 +44,7 @@ def render_scatter(spectra: Sequence[Spectrum],
     """
     if len(spectra) == 0:
         raise ValueError("need at least one spectrum")
-    left, right, top, bottom = 64.0, width - 24.0, 28.0, height - 52.0
+    left, right, top, bottom = 64.0, _WIDTH - 24.0, 28.0, _HEIGHT - 52.0
     x0, x1, y0, y1 = _bounds(spectra)
 
     def sx(x: float) -> float:
@@ -56,9 +56,9 @@ def render_scatter(spectra: Sequence[Spectrum],
     out = []
     out.append(
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'width="{width}" height="{height}" viewBox="0 0 {width} {height}">'
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
     )
-    out.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>')
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
     out.append(
         f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
         f'height="{_fmt(bottom - top)}" fill="none" stroke="#444444" stroke-width="1"/>'
@@ -86,7 +86,7 @@ def render_scatter(spectra: Sequence[Spectrum],
             f'text-anchor="end" font-family="sans-serif">{_fmt(fy)}</text>'
         )
     out.append(
-        f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(height - 12.0)}" font-size="13" '
+        f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(_HEIGHT - 12.0)}" font-size="13" '
         f'text-anchor="middle" font-family="sans-serif">Re &#915;</text>'
     )
     out.append(

@@ -13,7 +13,6 @@ from dropqed import (
     drop,
     drop_spectrum,
     expected_cluster_counts,
-    label_chain_rates,
     noise_study,
     sample_noise,
     subradiance_scaling,
@@ -126,14 +125,6 @@ def test_classify_solves_each_axis_length_once(monkeypatch):
         assert report.k_labels == tuple(
             sum(t == best for t, best in zip(tup, top)) for tup in s.index_tuples)
         assert report.cluster_counts == expected_cluster_counts(dims)
-
-
-def test_label_chain_rates():
-    labelled = label_chain_rates(chain_rates(4, 0.9999 * np.pi))
-    assert labelled.labels.count("superradiant") == 1
-    assert labelled.labels.count("subradiant") == 3
-    top = labelled.labels.index("superradiant")
-    assert labelled.z.real[top] == labelled.z.real.max()
 
 
 # ----------------------------------------------------------- scaling fits

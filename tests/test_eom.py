@@ -171,7 +171,7 @@ def test_sigma_min_vanishes_at_every_eig_pole(case):
     system = eom._EomSystem(spec)
     for gamma in all_poles_eig(spec, validate="none").poles.rates:
         delta = gamma / 2j
-        assert system.sigma_min(delta) <= 1e-9 * system.frobenius(delta), gamma
+        assert sigma_min(spec, delta) <= 1e-9 * system.frobenius(delta), gamma
 
 
 def test_sigma_min_is_bit_identical_on_repeat():
@@ -213,9 +213,9 @@ H_CASES = {
 
 @pytest.mark.parametrize("case", sorted(H_CASES))
 def test_direct_h_matches_schur_complement(case):
-    system = eom._EomSystem(H_CASES[case]())
-    want = reduced(system)
-    assert np.linalg.norm(system.h - want) <= 1e-14 * np.linalg.norm(want)
+    spec = H_CASES[case]()
+    want = reduced(eom._EomSystem(spec))
+    assert np.linalg.norm(eom._hamiltonian(spec) - want) <= 1e-14 * np.linalg.norm(want)
 
 
 @pytest.mark.parametrize("dims, gammas, frac", [
@@ -234,7 +234,7 @@ def test_symmetric_h_is_kronecker_sum_of_chain_kernels(dims, gammas, frac):
         for other, size in enumerate(dims):
             term = np.kron(term, kernel if other == axis else np.eye(size))
         want += term
-    h = eom._EomSystem(spec_of(dims, gammas, theta)).h
+    h = eom._hamiltonian(spec_of(dims, gammas, theta))
     assert np.linalg.norm(h - want) <= 1e-15 * np.linalg.norm(want)
 
 
@@ -255,7 +255,8 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
     monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
     huge = spec_of([100, 100, 100])
     for route in (all_poles_eig, all_poles_cnm, all_poles_det_interp,
-                  lambda spec: nullity_at(spec, 0.0)):
+                  lambda spec: nullity_at(spec, 0.0), lambda spec: sigma_min(spec, 0.3),
+                  lambda spec: assemble(spec, 0.3)):
         with pytest.raises(ConfigError, match="budget"):
             route(huge)
     # H of 15x15x15 fits the budget; the contour route's four probe blocks,
@@ -264,7 +265,17 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
     with pytest.raises(ConfigError, match="budget"):
         all_poles_det_interp(spec_of([15, 15, 15]))
     monkeypatch.undo()
-    assert eom._EomSystem(spec_of([10, 10, 10])).h.shape == (1000, 1000)
+    assert eom._hamiltonian(spec_of([10, 10, 10])).shape == (1000, 1000)
+
+
+def test_sparse_routes_never_build_h(monkeypatch):
+    def builds_h(spec):
+        raise AssertionError("H built")
+    monkeypatch.setattr(eom, "_hamiltonian", builds_h)
+    spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
+    assert len(all_poles_det_interp(spec).poles.rates) == 6
+    assert sigma_min(spec, 0.123 + 0.456j) > 0.0
+    assert assemble(spec, 0.1).a.shape == (30, 30)
 
 
 # --------------------------------------------------------------- find_pole
@@ -401,8 +412,8 @@ def test_solve_paths_certify_every_pole_without_lanczos(monkeypatch):
     # every route certifies its poles with eigenvectors of H; the Lanczos
     # sigma_min is for users and tests only
     calls = []
-    monkeypatch.setattr(eom._EomSystem, "sigma_min",
-                        lambda self, delta: calls.append(delta) or 0.0)
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh",
+                        lambda *args, **kwargs: calls.append(args) or (None, None))
     noisy = _noisy_acceptance_7()
     results = [
         all_poles_eig(noisy),
@@ -416,6 +427,32 @@ def test_solve_paths_certify_every_pole_without_lanczos(monkeypatch):
     noise_study(spec_of([3, 2, 6], (1.0, 3.0, 2.0), theta=0.65 * np.pi), 0.05, seed=0)
     nullity_at(spec_of([2, 3], theta=np.pi), 0.0)
     assert calls == []
+
+
+@pytest.mark.parametrize("case", ["5x3x4", "3x2x6-noisy"])
+def test_all_poles_cnm_certifies_each_pole_once(monkeypatch, case):
+    columns = []
+    certify = eom._EomSystem.certificates
+
+    def counted(self, deltas, vecs):
+        columns.append(len(deltas))
+        return certify(self, deltas, vecs)
+    monkeypatch.setattr(eom._EomSystem, "certificates", counted)
+    spec = H_CASES[case]()
+    all_poles_cnm(spec)
+    assert sum(columns) == spec.n_qubits
+
+
+def test_finish_rejects_failed_certificates_and_nan_poles(monkeypatch):
+    # NaN marks an uncertified pole; it must not hide a failed one
+    spec = spec_of([2, 2])
+    monkeypatch.setattr(eom._EomSystem, "certificates", lambda self, deltas, vecs: np.where(
+        np.arange(len(deltas)) == 1, 1e-6, np.nan))
+    with pytest.raises(ConditioningFailure, match="singularity check"):
+        all_poles_eig(spec)
+    with pytest.raises(ConditioningFailure, match="trace rule"):
+        eom._finish(eom._EomSystem(spec), np.full(4, complex(np.nan, 0.0)), np.zeros(4),
+                    "eigen", (), ConditioningFailure)
 
 
 @pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])

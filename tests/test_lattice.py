@@ -5,12 +5,11 @@ from hypothesis import strategies as st
 
 from dropqed import (
     NetworkSpec,
-    delinearize,
     enumerate_lines,
     enumerate_qubits,
-    linearize,
     sample_noise,
 )
+from dropqed.lattice import _lines
 
 dims_strategy = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
 
@@ -42,23 +41,20 @@ def test_enumerate_lines_count(dims, axis, expected):
 
 
 @given(dims_strategy)
-def test_linearize_round_trip(dims):
-    n = int(np.prod(dims))
-    for i in range(n):
-        assert linearize(dims, delinearize(dims, i)) == i
-
-
-@given(dims_strategy)
 @settings(max_examples=40)
 def test_lines_partition_qubits(dims):
+    # row l of an axis's table is line l of enumerate_lines, its qubits in
+    # position order, and the rows hold every qubit exactly once
     spec = make_spec(dims)
     qubits = enumerate_qubits(spec)
-    for axis in range(spec.ndim):
-        seen = []
-        for line in enumerate_lines(spec, axis):
-            seen.extend(line.qubits(spec.dims))
-        assert sorted(seen) == sorted(qubits)
-        assert len(seen) == len(set(seen))
+    for axis, table in enumerate(_lines(spec)):
+        lines = enumerate_lines(spec, axis)
+        assert table.shape == (len(lines), dims[axis])
+        for line, row in zip(lines, table):
+            coords = [qubits[i] for i in row]
+            assert [c[axis] for c in coords] == list(range(1, dims[axis] + 1))
+            assert all(c[:axis] + c[axis + 1:] == line.transverse for c in coords)
+        assert sorted(table.ravel().tolist()) == list(range(spec.n_qubits))
 
 
 def test_spec_validation():

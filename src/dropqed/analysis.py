@@ -262,13 +262,15 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     closer to it claimed it first (see :func:`~dropqed.eom.all_poles_cnm`).
     Reports per-seed displacements, the number of poles recovered (a pole of
     multiplicity m counts m times), and which seeds (if any) have a pole
-    that failed its certificate.
+    that failed its certificate at min(tol, 1e-9), the bound of
+    :func:`~dropqed.eom.all_poles_cnm`.  A network too large for the memory
+    budget raises ConfigError before the noise is drawn.
     """
+    eom._check_h(spec)
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)
     estimates = drop_spectrum(noisy)
-    poles, _ = eom._refine(eom._EomSystem(noisy), eom._hamiltonian(noisy),
-                           estimates.rates / 2j, tol)
+    poles, _ = eom._refine(noisy, estimates.rates / 2j, tol)
     refined = 2j * poles
     displacements = np.abs(refined - estimates.rates)
     ok = ~np.isnan(displacements)

@@ -62,7 +62,7 @@ import numpy as np
 
 from . import analysis, eom
 from .chain1d import _re_im_order, chain_rates
-from .drop import MatchReport, Spectrum, drop_spectrum, match_spectra
+from .drop import MatchReport, Spectrum, _check_rates, drop_spectrum, match_spectra
 from .errors import ConfigError, DropQedError
 from .lattice import NetworkSpec, sample_noise
 from .render import render_scatter
@@ -130,10 +130,23 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.epsilon_max:
+            # drawing the field takes about 28 us per qubit and axis, so an
+            # oversized network is refused first
+            self._check_budget(spec)
             spec = spec.with_noise(
                 sample_noise(spec, self.epsilon_max, self.noise_seed or 0)
             )
         return spec
+
+    def _check_budget(self, spec: NetworkSpec) -> None:
+        """The memory budget check of the command's route on ``spec``."""
+        if self.method in ("drop", "classify"):
+            _check_rates(spec)
+        elif self.method == "eom-det" or (self.method == "compare"
+                                          and self.eom_method == "det-interp"):
+            eom._check_contour(spec)
+        else:     # the other EoM commands and bic hold H
+            eom._check_h(spec)
 
     def as_dict(self) -> dict:
         return {

@@ -26,7 +26,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain1d import chain_rates
-from .errors import SizeMismatchError
+from .errors import SizeMismatchError, _check_budget, _check_dense
 from .lattice import NetworkSpec
 
 
@@ -68,9 +68,25 @@ class MatchReport:
     passed: bool
 
 
+# Memory per Cartesian-sum rate: the heaviest command on these rates,
+# ``classify`` with JSON and ``--svg``, peaked at 650 bytes per rate over the
+# bare interpreter at 70x70x70 (2-core Xeon VM, Python 3.11, numpy 2.4);
+# rounded up, so the budget admits about 2.1 million rates.
+_RATE_BYTES = 1024
+
+
+def _check_rates(spec: NetworkSpec) -> None:
+    """Raise ConfigError when the network's Cartesian sum, its index
+    tuples and their output, or the chain eigensolve of its longest axis,
+    would exceed the memory budget."""
+    _check_budget(spec.n_qubits * _RATE_BYTES, f"the Cartesian sum's {spec.n_qubits} rates")
+    _check_dense(max(spec.dims), max(spec.dims), "the longest axis's chain kernel")
+
+
 def _cartesian_rates(spec: NetworkSpec) -> np.ndarray:
     """The ``prod N_n`` Cartesian-sum rates of the network, last axis
     fastest (the order of :func:`itertools.product` over the axes)."""
+    _check_rates(spec)
     gammas = spec.effective_gammas()
     # axes of equal length share one chain eigensolve
     per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
@@ -85,10 +101,12 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
 
     For a symmetric network this uses the given per-axis rates.  With a noise
     field present the construction is an approximation seeded by the
-    qubit-averaged rate of each axis.
+    qubit-averaged rate of each axis.  A network too large for the memory
+    budget raises ConfigError before any rate or tuple is built.
     """
+    rates = _cartesian_rates(spec)
     tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
-    return Spectrum(rates=_cartesian_rates(spec), method="drop", index_tuples=tuples)
+    return Spectrum(rates=rates, method="drop", index_tuples=tuples)
 
 
 def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[complex],

@@ -30,6 +30,10 @@ H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
 eigenvalues; :func:`all_poles_det_interp` never builds H, and takes the
 poles from a contour integral of the resolvent of the sparse full system,
 which ``_EomSystem`` holds with the certificate below and without H.
+Every route checks the memory budget of :mod:`dropqed.errors`, before
+anything that scales with N, against the dense arrays it holds: H for the
+routes that need it, the probe block for the contour route, the full
+matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
@@ -44,8 +48,9 @@ wrong H fails it.  The Lanczos :func:`sigma_min` and :func:`assemble` are
 for users and tests; no solve path calls them.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
-study) takes one dense eigensolve of H and gives each seed its nearest
-eigenvalue not yet claimed by a seed closer to its own (see :func:`_refine`).
+study) is one call of :func:`_refine` on the network: one dense eigensolve
+of H, which gives each seed its nearest eigenvalue not yet claimed by a
+seed closer to its own, and one certificate per pole at min(tol, 1e-9).
 
 scipy is imported inside the functions that use it, so importing this
 module loads none of it: the Cartesian-sum commands never need it.
@@ -60,7 +65,7 @@ import numpy as np
 
 from .chain1d import _re_im_order, coupling_matrix
 from .drop import Spectrum, drop_spectrum
-from .errors import ConditioningFailure, ConfigError, MaxIterationsError
+from .errors import ConditioningFailure, MaxIterationsError, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
 
@@ -112,21 +117,19 @@ class NullSpaceResult:
     rank_tol: float
 
 
-# Dense memory a route may hold, in bytes: up to four complex N x N arrays
-# (H, the eigensolver's copy and eigenvectors), four (2d+1)N x (N + 4)
-# blocks for the contour route (the probes, one node's solve and the two
-# moments), or copies of the dense (2d+1)N system of :func:`assemble`.
-# Past it a run would fail only at the allocation itself, or swap first.
-# 2 GiB admits N <= 5792 for H (17 x 17 x 17).
-_MEMORY_BUDGET = 2 * 2 ** 30
+# The four complex arrays each check counts: H, the eigensolver's copy and
+# the eigenvectors on the H routes; on the contour route the probes, one
+# node's solve and the two moments, (2d+1)N x (N + 4) each.  2 GiB admits
+# N <= 5792 for H (17 x 17 x 17).
+def _check_h(spec: NetworkSpec) -> None:
+    """Raise ConfigError when H and its eigensolve would exceed the budget."""
+    _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
 
 
-def _check_dense(rows: int, cols: int, what: str) -> None:
-    """Raise ConfigError when four complex rows x cols arrays exceed the budget."""
-    need = 4 * 16 * rows * cols
-    if need > _MEMORY_BUDGET:
-        raise ConfigError(f"{what} is {rows} x {cols}: its dense work arrays need "
-                          f"{need / 2 ** 30:.3g} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+def _check_contour(spec: NetworkSpec) -> None:
+    """Raise ConfigError when the contour route's blocks would exceed the budget."""
+    _check_dense((2 * spec.ndim + 1) * spec.n_qubits, spec.n_qubits + _EXTRA_PROBES,
+                 "the contour route's probe block")
 
 
 def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
@@ -134,9 +137,9 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
 
     Each line adds -(i/2) sqrt(g_j g_k) K[j, k] over its own qubits, with K
     the chain kernel of :func:`~dropqed.chain1d.coupling_matrix` and g the
-    per-qubit rates along the line.
+    per-qubit rates along the line.  The budget is checked first.
     """
-    _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
+    _check_h(spec)
     rates = spec.resolved_rates()
     h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
     for axis, lines in enumerate(_lines(spec)):
@@ -149,18 +152,16 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
 
 class _EomSystem:
     """The sparse pencil A(Delta) = A0 - Delta * E, assembled once (E selects
-    the excitation rows), and the pole certificate on it."""
+    the excitation rows), and the pole certificate on it; no dense array, so
+    no budget check of its own (each route checks the arrays it holds)."""
 
     def __init__(self, spec: NetworkSpec):
-        # first: the routes' dense budget, checked before any assembly
-        _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
         import scipy.sparse as sp
 
         n_qubits, d = spec.n_qubits, spec.ndim
         size = (2 * d + 1) * n_qubits
         rates = spec.resolved_rates()
         em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
-        index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
         rows, cols, vals = [], [], []
 
         def put(row, col, value):
@@ -192,9 +193,6 @@ class _EomSystem:
             # excitation: sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
             put(excite[:, 1:], t_next[:, :-1], coup[:, 1:])
             put(excite, r_here, coup)
-            for line, start in zip(enumerate_lines(spec, axis), first[:, 0].tolist()):
-                index_map.update({("t", axis, line.transverse, j + 2): start + j for j in range(m)})
-                index_map.update({("r", axis, line.transverse, j + 1): start + m + j for j in range(m)})
 
         self._a0 = sp.csc_matrix(
             (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -203,10 +201,7 @@ class _EomSystem:
         self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
         self._e_sparse = sp.csc_matrix(
             (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
-        self.spec = spec
         self.n_poles = n_qubits
-        self.index_map = index_map
-        self.rates = rates
         self._n_bulk = size - n_qubits
         self._bulk = None
 
@@ -248,8 +243,16 @@ def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     system = _EomSystem(spec)
     a = system._a0.toarray()
     a[system._e_rows, np.arange(system.n_poles)] -= delta
-    return EomMatrix(a=a, index_map=system.index_map, delta=complex(delta),
-                     rates=system.rates)
+    # names for the columns of the sparse assembly, in the same order
+    index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
+    start = system.n_poles
+    for axis, m in enumerate(spec.dims):
+        for line in enumerate_lines(spec, axis):
+            index_map.update({("t", axis, line.transverse, j + 2): start + j for j in range(m)})
+            index_map.update({("r", axis, line.transverse, j + 1): start + m + j for j in range(m)})
+            start += 2 * m
+    return EomMatrix(a=a, index_map=index_map, delta=complex(delta),
+                     rates=spec.resolved_rates())
 
 
 def sigma_min(spec: NetworkSpec, delta: complex) -> float:
@@ -264,6 +267,8 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     It is the singularity check for users and tests; the solvers certify
     their poles with eigenvectors of H instead and never call it.
     """
+    # the H routes' N x N limit: the sparse LU's fill has no rule of its own
+    _check_dense(spec.n_qubits, spec.n_qubits, "the excitation block")
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
     system = _EomSystem(spec)
@@ -296,61 +301,49 @@ _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
 _CERT_BLOCK = 64         # eigenvectors certified per sparse solve
 
 
-def _settle(system: _EomSystem, seeds: np.ndarray, poles: np.ndarray,
-            vecs: np.ndarray, near: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """The reported poles and their certificates: seed k itself when it
-    lies within ``near`` (1e-12 ||H||_F) of pole k and passes the
-    certificate with eigenvector k, else the pole if it passes, else NaN.
-    Only a kept seed that fails is certified twice.
-
-    Passing the certificate alone is not enough to keep a seed: with noise
-    at theta = m*pi a seed on the dark poles at Delta = 0 passes it even
-    when its own pole was lifted to about 1e-9 by the noise.
-    """
-    keep = np.abs(seeds - poles) <= near
-    values = np.where(keep, seeds, poles)
-    residuals = system.certificates(values, vecs)
-    back = keep & ~(residuals <= tol)            # kept seeds that fail
-    values[back] = poles[back]
-    residuals[back] = system.certificates(poles[back], vecs[:, back])
-    return np.where(residuals <= tol, values, complex(np.nan, np.nan)), residuals
-
-
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     """The pole of A(Delta) nearest a seed.
 
     Takes the eigenvalue of H nearest the seed, and requires its
     certificate on the full system (see the module docstring) to be at most
-    ``tol``.  A seed within 1e-12 ||H||_F of that pole that passes it is
-    returned unchanged.
+    min(tol, 1e-9).  A seed within 1e-12 ||H||_F of that pole that passes
+    it is returned unchanged.
 
     Raises MaxIterationsError when the pole fails the certificate.
     """
     seed = complex(seed)
-    poles, _ = _refine(_EomSystem(spec), _hamiltonian(spec), [seed], tol)
+    poles, _ = _refine(spec, [seed], tol)
     pole = complex(poles[0])
     if np.isnan(pole):
-        raise MaxIterationsError(
-            f"the pole nearest seed {seed} fails the certificate <= {tol:g}")
+        raise MaxIterationsError(f"the pole nearest seed {seed} fails the certificate "
+                                 f"<= {min(tol, _CHECK_TOL):g}")
     return pole
 
 
-def _refine(system: _EomSystem, h: np.ndarray, seeds: Sequence[complex],
+def _refine(spec: NetworkSpec, seeds: Sequence[complex],
             tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Give each of at most N seeds its own pole; NaN where it fails the
-    certificate.
+    """Give each of at most N seeds its own pole of the network; NaN where
+    it fails the certificate at min(tol, 1e-9).  The one seeded entry:
+    it builds H, which checks the budget first.
 
     The poles are the eigenvalues of H, one slot per eigenvalue as often as
     its algebraic multiplicity, so a pole of multiplicity m goes to exactly
     m seeds.  Seeds go closest to their nearest eigenvalue first (a stable
     sort); each claims its nearest slot while it is free.  The seeds that
     find it taken then go in the same order, each to the nearest slot still
-    unclaimed.  Every pole is then settled by :func:`_settle`.  Returns the
+    unclaimed.
+
+    Seed k itself is reported when it lies within 1e-12 ||H||_F of its pole
+    and passes the certificate, else the pole if it passes, else NaN; only
+    a kept seed that fails is certified twice.  Passing alone keeps no seed:
+    with noise at theta = m*pi a seed on the dark poles at Delta = 0 passes
+    even when its own pole was lifted to about 1e-9.  Returns the reported
     poles and their certificates.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
+    h = _hamiltonian(spec)
     values, vectors = np.linalg.eig(h)
     dist = np.abs(seeds[:, None] - values)
     slot = dist.argmin(axis=1)        # each seed's nearest eigenvalue
@@ -365,11 +358,19 @@ def _refine(system: _EomSystem, h: np.ndarray, seeds: Sequence[complex],
     for i in taken:
         slot[i] = np.flatnonzero(free)[dist[i, free].argmin()]
         free[slot[i]] = False
-    return _settle(system, seeds, values[slot], vectors[:, slot],
-                   _KEEP_SEED_TOL * np.linalg.norm(h), tol)
+    poles, vecs = values[slot], vectors[:, slot]
+    bound = min(tol, _CHECK_TOL)
+    system = _EomSystem(spec)
+    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * np.linalg.norm(h)
+    reported = np.where(keep, seeds, poles)
+    residuals = system.certificates(reported, vecs)
+    back = keep & ~(residuals <= bound)            # kept seeds that fail
+    reported[back] = poles[back]
+    residuals[back] = system.certificates(poles[back], vecs[:, back])
+    return np.where(residuals <= bound, reported, complex(np.nan, np.nan)), residuals
 
 
-def _finish(system: _EomSystem, gammas: np.ndarray, residuals: np.ndarray,
+def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
             method: str, seeds: Sequence[complex],
             error: type[Exception]) -> PoleSearchResult:
     """The last step of every route: trace rule, (Re, Im) order, certificate.
@@ -379,9 +380,8 @@ def _finish(system: _EomSystem, gammas: np.ndarray, residuals: np.ndarray,
     the certificate of pole k (NaN, uncertified, only for
     ``validate="none"``); one above 1e-9 raises ConditioningFailure.
     """
-    n = system.n_poles
-    expected = float(system.rates.sum())     # exact: the total per-qubit rate
-    if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, n * system.spec.rate_sum):
+    expected = float(spec.resolved_rates().sum())     # exact: the total per-qubit rate
+    if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, spec.n_qubits * spec.rate_sum):
         raise error(
             f"{method} pole multiset violates the trace rule: sum {gammas.sum():.6g} "
             f"vs expected {expected:.6g}; duplicates or missed poles likely"
@@ -409,11 +409,10 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
     if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
-    system = _EomSystem(spec)
     values, vecs = np.linalg.eig(_hamiltonian(spec))
     residuals = (np.full(len(values), np.nan) if validate == "none"
-                 else system.certificates(values, vecs))
-    return _finish(system, 2j * values, residuals, "eigen", (), ConditioningFailure)
+                 else _EomSystem(spec).certificates(values, vecs))
+    return _finish(spec, 2j * values, residuals, "eigen", (), ConditioningFailure)
 
 
 def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
@@ -425,25 +424,27 @@ def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
     are required.  Each seed gets an eigenvalue of H: its nearest, unless a
     seed closer to that eigenvalue claimed it first, in which case its
     nearest unclaimed one (see :func:`_refine`), so exact multiplicities
-    carry over.  Every pole's certificate must be at most ``tol``; a run
-    whose poles fail it, or break the trace rule, raises MaxIterationsError.
+    carry over.  Every pole's certificate must be at most min(tol, 1e-9); a
+    run whose poles fail it, or break the trace rule, raises
+    MaxIterationsError.  The budget is checked before the default seeds are
+    built.
     """
-    system = _EomSystem(spec)
-    n = system.n_poles
+    _check_h(spec)
+    n = spec.n_qubits
     if seeds is None:
         seeds = tuple(drop_spectrum(spec).rates / 2j)
     else:
         seeds = tuple(complex(s) for s in seeds)
         if len(seeds) != n:
             raise ValueError(f"all_poles_cnm needs exactly {n} seeds, got {len(seeds)}")
-    poles, residuals = _refine(system, _hamiltonian(spec), seeds, tol)
+    poles, residuals = _refine(spec, seeds, tol)
     found = int(np.count_nonzero(~np.isnan(poles)))
     if found < n:
         raise MaxIterationsError(
-            f"{n - found} of {n} seeded poles fail the certificate <= {tol:g}; "
-            "raise tol or use all_poles_eig"
+            f"{n - found} of {n} seeded poles fail the certificate "
+            f"<= {min(tol, _CHECK_TOL):g}, min(tol, {_CHECK_TOL:g})"
         )
-    return _finish(system, 2j * poles, residuals, "cnm", seeds, MaxIterationsError)
+    return _finish(spec, 2j * poles, residuals, "cnm", seeds, MaxIterationsError)
 
 
 _RADIUS_FACTOR = 1.5     # contour radius, times S: encloses every pole
@@ -469,10 +470,11 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     ``--eom-method det-interp`` select the route.  A node on a pole, a
     broken trace rule or a failed certificate raises ConditioningFailure.
     """
+    _check_contour(spec)
+    from scipy.sparse.linalg import splu
+
     n = spec.n_qubits
     size = (2 * spec.ndim + 1) * n
-    _check_dense(size, n + _EXTRA_PROBES, "the contour route's probe block")
-    from scipy.sparse.linalg import splu
 
     system = _EomSystem(spec)
     probes = np.random.default_rng(0).standard_normal((size, n + _EXTRA_PROBES)).astype(complex)
@@ -496,7 +498,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
     vecs = u[:n] @ y                     # the excitation rows come first
     vecs /= np.linalg.norm(vecs, axis=0)
-    return _finish(system, 2j * deltas, system.certificates(deltas, vecs),
+    return _finish(spec, 2j * deltas, system.certificates(deltas, vecs),
                    "det-interp", (), ConditioningFailure)
 
 

@@ -1,4 +1,5 @@
-"""Exception types raised by dropqed solvers and the CLI."""
+"""Exception types raised by dropqed solvers and the CLI, and the memory
+budget that every size check raises ConfigError against."""
 
 
 class DropQedError(Exception):
@@ -7,7 +8,7 @@ class DropQedError(Exception):
 
 class ConfigError(DropQedError):
     """A run configuration (file or flags) could not be validated, or asks
-    for a network too large for the dense-memory budget of the EoM routes."""
+    for a network or chain too large for the memory budget."""
 
 
 class SizeMismatchError(DropQedError):
@@ -18,10 +19,10 @@ class MaxIterationsError(DropQedError):
     """A seeded pole search did not account for its poles.
 
     Raised by ``find_pole`` when the pole nearest the seed fails its
-    certificate on the full system at the given tolerance, and by
-    ``all_poles_cnm`` when a seed's pole fails it or, in ``_finish``, when
-    the poles break the trace rule.  A larger tolerance or
-    ``all_poles_eig`` (which certifies at 1e-9) may pass.
+    certificate on the full system, and by ``all_poles_cnm`` when a seed's
+    pole fails it or, in ``_finish``, when the poles break the trace rule.
+    Seeded poles are certified at min(tol, 1e-9), the bound every route
+    reports under, so a tolerance above 1e-9 passes no further pole.
     """
 
 
@@ -38,3 +39,21 @@ class ConditioningFailure(DropQedError):
 
 class ThetaOutOfRange(DropQedError):
     """The propagation phase is outside the validity window of an analysis."""
+
+
+# Memory a computation may hold, in bytes.  Every route checks its own need
+# against it before it allocates anything that scales with the network;
+# past it a run would fail only at the allocation itself, or swap first.
+_MEMORY_BUDGET = 2 * 2 ** 30
+
+
+def _check_budget(need: int, what: str) -> None:
+    """Raise ConfigError when ``what`` needs more than the budget (``need`` bytes)."""
+    if need > _MEMORY_BUDGET:
+        raise ConfigError(f"{what} need {need / 2 ** 30:.3g} GiB, over the "
+                          f"{_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+
+
+def _check_dense(rows: int, cols: int, what: str) -> None:
+    """Raise ConfigError when four complex rows x cols arrays exceed the budget."""
+    _check_budget(4 * 16 * rows * cols, f"{what} is {rows} x {cols}: its dense work arrays")

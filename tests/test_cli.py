@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import NetworkSpec, Spectrum, analysis, cli, drop
+from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, errors
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -126,6 +126,41 @@ def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
         raise AssertionError("rates resolved before the size check")
     monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
     assert run_cli(["eom-eig", "--dims", "100,100,100"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "budget" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["eom-eig"], ["eom-cnm"], ["eom-det"], ["compare"],
+    ["compare", "--eom-method", "det-interp"], ["bic", "--theta-over-pi", "1"], ["noise"],
+], ids=["eom-eig", "eom-cnm", "eom-det", "compare", "compare-det", "bic", "noise"])
+def test_oversized_noisy_network_is_refused_before_drawing_noise(capsys, monkeypatch, args):
+    # drawing the noise of 100x100x100 would take over a minute
+    def draws(*args):
+        raise AssertionError("noise drawn before the size check")
+    monkeypatch.setattr(cli, "sample_noise", draws)
+    monkeypatch.setattr(analysis, "sample_noise", draws)
+    assert run_cli([*args, "--dims", "100,100,100", "--epsilon-max", "0.05"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "budget" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["drop", "--dims", "10,10"],
+    ["drop", "--dims", "10,10", "--epsilon-max", "0.05"],
+    ["drop", "--dims", "40", "--epsilon-max", "0.05"],
+    ["classify", "--dims", "10,10", "--theta-over-pi", "1", "--epsilon-max", "0.05"],
+    ["chain", "--n", "40"],
+    ["scaling", "--d", "2", "--m-min", "8", "--m-max", "12"],
+], ids=["drop", "drop-noisy", "drop-noisy-1d", "classify-noisy", "chain", "scaling"])
+def test_cartesian_commands_are_refused_past_the_budget(capsys, monkeypatch, args):
+    # a 50 kB budget stands in for an oversized network: 100 rates or a
+    # 40 x 40 chain kernel exceed it, 40 rates do not
+    def draws(*args):
+        raise AssertionError("noise drawn before the size check")
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 50_000)
+    monkeypatch.setattr(cli, "sample_noise", draws)
+    assert run_cli(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and "budget" in err
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import drop
+from dropqed import drop, errors
 from dropqed import (
+    ConfigError,
     NetworkSpec,
     SizeMismatchError,
     Spectrum,
@@ -184,3 +185,28 @@ def test_drop_spectrum_solves_each_axis_length_once(monkeypatch):
     calls.clear()
     drop_spectrum(spec_of([4, 2, 4, 2], (1.0, 2.0, 3.0, 4.0), 0.3))
     assert calls == [4, 2]
+
+
+def test_cartesian_sum_and_chain_refuse_past_the_budget(monkeypatch):
+    # a 50 kB budget stands in for an oversized network: 100 rates or a
+    # 40 x 40 chain kernel exceed it
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 50_000)
+    with pytest.raises(ConfigError, match="budget"):
+        drop_spectrum(spec_of([10, 10], (1.0, 1.0), 0.5))
+    with pytest.raises(ConfigError, match="budget"):
+        chain_rates(40, 0.5 * np.pi)
+
+
+def test_memory_budget_admits_the_benchmark_sizes():
+    # drop 30^3, classify 40x40, chains and scaling sweeps up to 400 qubits
+    for dims in ([30, 30, 30], [40, 40], [400]):
+        drop._check_rates(spec_of(dims, (1.0,) * len(dims), 0.5))
+    errors._check_dense(400, 400, "the chain kernel")
+    # 2 GiB at 1 KiB per rate: 128^3 rates fit, one more row does not
+    drop._check_rates(spec_of([128, 128, 128], (1.0,) * 3, 0.5))
+    with pytest.raises(ConfigError, match="budget"):
+        drop._check_rates(spec_of([128, 128, 129], (1.0,) * 3, 0.5))
+    # the longest axis's chain kernel: 5792 qubits fit, 5793 do not
+    drop._check_rates(spec_of([5792, 2], (1.0, 1.0), 0.5))
+    with pytest.raises(ConfigError, match="chain kernel"):
+        drop._check_rates(spec_of([5793, 2], (1.0, 1.0), 0.5))

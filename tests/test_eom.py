@@ -19,7 +19,7 @@ from dropqed import (
     sample_noise,
     sigma_min,
 )
-from dropqed import eom
+from dropqed import analysis, eom, lattice
 from oracles import dense_sigma_min, det_at, logdet_at, multiset_max_err, reduced
 
 
@@ -67,6 +67,21 @@ def test_delta_enters_linearly_on_excitation_rows():
     diff = a1 - a0
     assert np.count_nonzero(diff) == spec.n_qubits
     assert np.allclose(diff[diff != 0], -1.0)
+
+
+@pytest.mark.parametrize("dims", [[2, 3], [2, 2, 3]])
+def test_index_map_puts_each_line_in_consecutive_columns(dims):
+    # the N excitation columns in qubit order, then per axis and line, in
+    # enumerate_lines order, t_2..t_{M+1} and r_1..r_M
+    spec = spec_of(dims)
+    index_map = assemble(spec, 0.1).index_map
+    want = {("e", q): i for i, q in enumerate(lattice.enumerate_qubits(spec))}
+    for axis, m in enumerate(dims):
+        for line in lattice.enumerate_lines(spec, axis):
+            for name, first in (("t", 2), ("r", 1)):
+                for j in range(first, first + m):
+                    want[(name, axis, line.transverse, j)] = len(want)
+    assert index_map == want
 
 
 def test_noise_aware_assembly():
@@ -451,8 +466,45 @@ def test_finish_rejects_failed_certificates_and_nan_poles(monkeypatch):
     with pytest.raises(ConditioningFailure, match="singularity check"):
         all_poles_eig(spec)
     with pytest.raises(ConditioningFailure, match="trace rule"):
-        eom._finish(eom._EomSystem(spec), np.full(4, complex(np.nan, 0.0)), np.zeros(4),
+        eom._finish(spec, np.full(4, complex(np.nan, 0.0)), np.zeros(4),
                     "eigen", (), ConditioningFailure)
+
+
+def test_seeded_routes_certify_at_the_routes_bound(monkeypatch):
+    # a pole whose certificate lies between 1e-9 and tol fails every seeded
+    # route alike: it is no recovered pole, and no ConditioningFailure
+    certify = eom._EomSystem.certificates
+
+    def first_column_at_5e9(self, deltas, vecs):
+        out = certify(self, deltas, vecs)
+        out[:1] = 5e-9
+        return out
+    monkeypatch.setattr(eom._EomSystem, "certificates", first_column_at_5e9)
+    spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
+    assert noise_study(spec, 0.05, seed=1, tol=1e-6).unconverged == (0,)
+    with pytest.raises(MaxIterationsError, match="1e-09"):
+        all_poles_cnm(spec.with_noise(sample_noise(spec, 0.05, seed=1)), tol=1e-6)
+
+
+def test_solve_routes_never_enumerate_qubits_or_lines(monkeypatch):
+    # the named column map is built by assemble alone
+    def enumerates(*args):
+        raise AssertionError("qubits or lines enumerated")
+    monkeypatch.setattr(eom, "enumerate_qubits", enumerates)
+    monkeypatch.setattr(eom, "enumerate_lines", enumerates)
+    spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
+    for route in (all_poles_eig, all_poles_cnm, all_poles_det_interp):
+        assert np.all(route(spec).residuals <= 1e-9)
+    find_pole(spec, drop_spectrum(spec).rates[0] / 2j)
+    assert noise_study(spec, 0.05, seed=1).recovered_count == 6
+
+
+def test_noise_study_checks_the_budget_before_drawing_noise(monkeypatch):
+    def draws(*args):
+        raise AssertionError("noise drawn before the size check")
+    monkeypatch.setattr(analysis, "sample_noise", draws)
+    with pytest.raises(ConfigError, match="budget"):
+        noise_study(spec_of([100, 100, 100]), 0.05, seed=0)
 
 
 @pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])

@@ -34,8 +34,9 @@ formatted once, as its ``%.12g`` text t:
 indented one level.  The tests compare both formats byte for byte with
 that reference writer, on named cases and on arbitrary float64 values.
 
-The parser registers all ten commands, so ``--help``, usage and errors are
-those of the full tree, but adds flags only to the command being invoked.
+The parser registers only the command being invoked (all ten when none
+is named), and names all ten in its usage, so ``--help``, usage and errors
+are those of the full tree.
 
 Each command is one handler in ``_COMMANDS`` returning its spectra and
 report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
@@ -54,7 +55,7 @@ import os
 import sys
 import tempfile
 import typing
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -130,7 +131,7 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         if self.epsilon_max:
-            # drawing the field takes about 28 us per qubit and axis, so an
+            # drawing the field takes about 4.5 us per qubit and axis, so an
             # oversized network is refused first
             self._check_budget(spec)
             spec = spec.with_noise(
@@ -330,11 +331,12 @@ def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
             "tol": _sig(match.tol),
             "passed": match.passed,
         }
+    fracs = _parse_sweep(config.theta_sweep)
+    # the noise field does not depend on theta: one draw serves every point
+    spec = config.network()
     rows = []
-    for frac in _parse_sweep(config.theta_sweep):
-        swept = RunConfig(**{**config.__dict__, "theta_sweep": None,
-                             "theta_over_pi": float(frac)})
-        match = _match(config, swept.network())[2]
+    for frac in fracs:
+        match = _match(config, replace(spec, theta=float(frac) * math.pi))[2]
         rows.append({
             "theta_over_pi": _sig(float(frac)),
             "max_abs_error": _sig(match.max_abs_error),
@@ -552,10 +554,11 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
 def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
     """The parser for ``argv`` (``sys.argv[1:]`` when None).
 
-    Every command is registered, so usage, choices and errors are those of
-    the full tree, but only the command named by ``argv[0]`` gets its flags:
-    argparse hands all later arguments to that command alone.  When
-    ``argv[0]`` names no command, every command gets them.
+    When ``argv[0]`` names a command, only that command is registered:
+    argparse hands all later arguments to it alone, and the metavar lists
+    every command, so usage and errors are those of the full tree.  When
+    ``argv[0]`` names no command, every command is registered with its
+    flags.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -564,11 +567,12 @@ def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentPars
         prog="dropqed",
         description="Collective decay rates of d-dimensional qubit networks.",
     )
-    sub = parser.add_subparsers(dest="method", required=True)
-    for name in _METHODS:
-        p = sub.add_parser(name)
-        if invoked in (None, name):
-            _add_arguments(p, name)
+    # None keeps argparse's own metavar, and with it the full tree's
+    # "required: method" error
+    metavar = None if invoked is None else "{" + ",".join(_METHODS) + "}"
+    sub = parser.add_subparsers(dest="method", required=True, metavar=metavar)
+    for name in _METHODS if invoked is None else (invoked,):
+        _add_arguments(sub.add_parser(name), name)
     return parser
 
 

@@ -20,7 +20,7 @@ the EoM routes refine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -36,21 +36,24 @@ class Spectrum:
 
     ``index_tuples`` is present only for Cartesian-sum spectra: entry k holds
     the 1-based per-axis choices ``(s_1, ..., s_d)`` selecting which 1-D rate
-    each axis contributed to ``rates[k]``.
+    each axis contributed to ``rates[k]``.  They must be distinct; only
+    :func:`drop_spectrum`, whose tuples are distinct by construction, skips
+    that check (``_distinct=True``).
     """
 
     rates: np.ndarray
     method: str
     index_tuples: Optional[tuple[tuple[int, ...], ...]] = None
+    _distinct: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _distinct: bool) -> None:
         rates = np.asarray(self.rates, dtype=complex)
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
         if self.index_tuples is not None:
             if len(self.index_tuples) != len(rates):
                 raise ValueError("one index tuple per rate required")
-            if len(set(self.index_tuples)) != len(self.index_tuples):
+            if not _distinct and len(set(self.index_tuples)) != len(self.index_tuples):
                 raise ValueError("index tuples must be distinct")
 
     def __len__(self) -> int:
@@ -106,7 +109,7 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     """
     rates = _cartesian_rates(spec)
     tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
-    return Spectrum(rates=rates, method="drop", index_tuples=tuples)
+    return Spectrum(rates=rates, method="drop", index_tuples=tuples, _distinct=True)
 
 
 def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[complex],

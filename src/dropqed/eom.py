@@ -28,8 +28,9 @@ for a symmetric network it is the Kronecker sum of the per-axis chain
 matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
 H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
 eigenvalues; :func:`all_poles_det_interp` never builds H, and takes the
-poles from a contour integral of the resolvent of the sparse full system,
-which ``_EomSystem`` holds with the certificate below and without H.
+poles from a contour integral of the resolvent of the sparse full system.
+``_EomSystem`` holds that system's nonzeros, without H, and the
+certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: H for the
 routes that need it, the probe block for the contour route, the full
@@ -38,22 +39,24 @@ matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
 1e-9 max(1, N S), S = sum_n N_n gamma_n), the (Re, Im) sort, and the
-certificate bound.  For the pole's eigenvector e of H,
-x = (e, -B_w^{-1} B_e e) solves the bulk (field) rows, whose field block
-B_w does not depend on Delta and is factored once by a sparse LU;
+certificate bound.  For the pole's eigenvector e of H, x = (e, w) with
+the field amplitudes w that solve the bulk (field) rows, which the line
+recurrences give in closed form as two prefix sums per axis;
 ||A x|| / ||x|| / ||A||_F at the pole must be at most 1e-9.  That bounds
-sigma_min(A)/||A||_F from above, so no pole passes that an exact SVD would
-fail, and it is evaluated on the assembled sparse (2d+1)N matrix, so a
-wrong H fails it.  The Lanczos :func:`sigma_min` and :func:`assemble` are
-for users and tests; no solve path calls them.
+sigma_min(A)/||A||_F from above for any x, so no pole passes that an exact
+SVD would fail (a wrong w can only fail a pole), and A x is formed from
+the stored nonzeros of the (2d+1)N system, so a wrong H fails it.  The
+Lanczos :func:`sigma_min` and :func:`assemble` are for users and tests; no
+solve path calls them.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
 study) is one call of :func:`_refine` on the network: one dense eigensolve
 of H, which gives each seed its nearest eigenvalue not yet claimed by a
 seed closer to its own, and one certificate per pole at min(tol, 1e-9).
 
-scipy is imported inside the functions that use it, so importing this
-module loads none of it: the Cartesian-sum commands never need it.
+Only the routes that factor the sparse pencil, :func:`all_poles_det_interp`
+and :func:`sigma_min`, import scipy, inside the function: the H routes,
+the seeded ones and :func:`nullity_at` run on numpy alone.
 """
 
 from __future__ import annotations
@@ -151,28 +154,39 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
 
 
 class _EomSystem:
-    """The sparse pencil A(Delta) = A0 - Delta * E, assembled once (E selects
-    the excitation rows), and the pole certificate on it; no dense array, so
-    no budget check of its own (each route checks the arrays it holds)."""
+    """The pencil A(Delta) = A0 - Delta * E (E selects the excitation rows)
+    and the pole certificate on it, in numpy alone.
+
+    A0's nonzeros are kept as the (rows, cols, values) groups its relations
+    make, one per kind of entry and axis, sorted by row; the rows within a
+    group are distinct, so A0 x is one gather and one scatter-add per group,
+    and a group whose rows form one run is added through a slice.  The
+    routes that factor the pencil build it in scipy's CSC format from the
+    same groups (:meth:`pencil`).  No dense array, so no budget check of its
+    own (each route checks the arrays it holds).
+    """
 
     def __init__(self, spec: NetworkSpec):
-        import scipy.sparse as sp
-
         n_qubits, d = spec.n_qubits, spec.ndim
-        size = (2 * d + 1) * n_qubits
         rates = spec.resolved_rates()
         em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
-        rows, cols, vals = [], [], []
+        groups = []
 
         def put(row, col, value):
-            rows.append(row.ravel())
-            cols.append(col.ravel())
-            vals.append(np.broadcast_to(value, row.shape).ravel())
+            if not row.size:         # lines of one qubit have no neighbour
+                return
+            order = np.argsort(row, axis=None)
+            row = row.ravel()[order]
+            if row[-1] - row[0] + 1 == len(row):
+                row = slice(int(row[0]), int(row[-1]) + 1)
+            value = np.broadcast_to(value, col.shape).ravel()[order]
+            groups.append((row, col.ravel()[order], value))
 
         # rows: all right-mover relations, all left-mover ones, then one
         # excitation relation per qubit; columns: e, then per axis and line
         # t_2..t_{M+1} and r_1..r_M.  Entry [l, j] below is the qubit at
         # position j + 1 on line l of the axis.
+        self._axes = []
         for axis, lines in enumerate(_lines(spec)):
             n_lines, m = lines.shape
             first = n_qubits * (1 + 2 * axis) + 2 * m * np.arange(n_lines)[:, None]
@@ -193,44 +207,74 @@ class _EomSystem:
             # excitation: sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
             put(excite[:, 1:], t_next[:, :-1], coup[:, 1:])
             put(excite, r_here, coup)
+            # the weights of _fields' prefix sums, and their outer phases
+            phase = np.exp(1j * spec.theta * np.arange(m + 1))
+            self._axes.append((lines, -1j * coup * phase[:m].conj(), -1j * coup * phase[:m],
+                                phase[1:, None], phase[:m, None].conj()))
 
-        self._a0 = sp.csc_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size))
-        self._a0_sq = float(np.linalg.norm(self._a0.data) ** 2)
+        self._groups = groups
+        self._a0_sq = float(sum(np.vdot(vals, vals).real for _, _, vals in groups))
         self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
-        self._e_sparse = sp.csc_matrix(
-            (np.ones(n_qubits), (self._e_rows, np.arange(n_qubits))), shape=(size, size))
         self.n_poles = n_qubits
-        self._n_bulk = size - n_qubits
-        self._bulk = None
+        self.size = (2 * d + 1) * n_qubits
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A0's nonzeros as one (rows, cols, values) triple of arrays."""
+        index = np.arange(self.size)
+        return tuple(np.concatenate(part) for part in zip(
+            *((index[rows], cols, vals) for rows, cols, vals in self._groups)))
+
+    def pencil(self):
+        """(A0, E) as scipy CSC matrices, for the routes that factor A(Delta)."""
+        import scipy.sparse as sp
+
+        rows, cols, vals = self.entries()
+        shape = (self.size, self.size)
+        e = sp.csc_matrix((np.ones(self.n_poles), (self._e_rows, np.arange(self.n_poles))),
+                          shape=shape)
+        return sp.csc_matrix((vals, (rows, cols)), shape=shape), e
 
     def frobenius(self, delta):
         """||A(Delta)||_F, elementwise over an array of detunings."""
         # the Delta-bearing slots hold exactly -Delta (A0 is zero there)
         return np.sqrt(self._a0_sq + self.n_poles * np.abs(delta) ** 2)
 
+    def _fields(self, e: np.ndarray) -> np.ndarray:
+        """x = (e, w) for a block of excitation vectors, with w the field
+        amplitudes that solve every bulk (field) row of A.
+
+        With c = sqrt(g/2) and positions j along a line, the relations with
+        no incoming field give t_{j+1} = -i e^{i theta (j+1)} sum_{k<=j}
+        e^{-i theta k} c_k e_k and r_j = -i e^{-i theta j} sum_{k>=j}
+        e^{i theta k} c_k e_k: two prefix sums per axis, O(N) per column.
+        """
+        x = np.empty((self.size, e.shape[1]), dtype=complex)
+        x[:self.n_poles] = e
+        for axis, (lines, to_t, to_r, t_phase, r_phase) in enumerate(self._axes):
+            n_lines, m = lines.shape
+            on_lines = e[lines]
+            field = x[self.n_poles * (1 + 2 * axis):self.n_poles * (3 + 2 * axis)].reshape(
+                n_lines, 2, m, -1)
+            np.cumsum(to_t[:, :, None] * on_lines, axis=1, out=field[:, 0])
+            field[:, 0] *= t_phase
+            np.cumsum((to_r[:, :, None] * on_lines)[:, ::-1], axis=1, out=field[:, 1, ::-1])
+            field[:, 1] *= r_phase
+        return x
+
     def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
-        e_k of ``vecs``, with x_k = (e_k, -B_w^{-1} B_e e_k): the pole
+        e_k of ``vecs``, with x_k = (e_k, w_k) from :meth:`_fields`: the pole
         certificate of the module docstring.  Columns go in blocks, so the
         full-system vectors never take (2d+1)N^2 entries at once."""
-        if self._bulk is None:
-            # bulk rows: B_e e + B_w w = 0; B_w is triangular up to row
-            # ordering and always invertible, so one sparse LU serves every Delta
-            from scipy.sparse.linalg import splu
-
-            nb, nq = self._n_bulk, self.n_poles
-            self._bulk = (self._a0[:nb, :nq], splu(self._a0[:nb, nq:]))
-        bulk_e, bulk_lu = self._bulk
         deltas = np.asarray(deltas, dtype=complex)
         out = np.empty(len(deltas))
         for k in range(0, len(deltas), _CERT_BLOCK):
             part = slice(k, k + _CERT_BLOCK)
-            e = vecs[:, part]
-            x = np.vstack([e, -bulk_lu.solve(bulk_e @ e)])
-            ax = self._a0 @ x
-            ax[self._e_rows] -= deltas[part] * e
+            x = self._fields(vecs[:, part])
+            ax = np.zeros_like(x)
+            for rows, cols, vals in self._groups:
+                ax[rows] += vals[:, None] * x[cols]
+            ax[self._e_rows] -= deltas[part] * x[:self.n_poles]
             out[part] = (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
                          / self.frobenius(deltas[part]))
         return out
@@ -241,9 +285,11 @@ def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     size = (2 * spec.ndim + 1) * spec.n_qubits
     _check_dense(size, size, "the dense full system")
     system = _EomSystem(spec)
-    a = system._a0.toarray()
+    a = np.zeros((size, size), dtype=complex)
+    rows, cols, vals = system.entries()
+    a[rows, cols] = vals
     a[system._e_rows, np.arange(system.n_poles)] -= delta
-    # names for the columns of the sparse assembly, in the same order
+    # names for the columns, in the order _EomSystem lays them out
     index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
     start = system.n_poles
     for axis, m in enumerate(spec.dims):
@@ -271,8 +317,8 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     _check_dense(spec.n_qubits, spec.n_qubits, "the excitation block")
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh, splu
 
-    system = _EomSystem(spec)
-    a = system._a0 - delta * system._e_sparse
+    a0, e = _EomSystem(spec).pencil()
+    a = a0 - delta * e
     try:
         lu = splu(a)
     except RuntimeError as exc:
@@ -298,7 +344,7 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
 # Cartesian-sum seeds of symmetric networks lie within a few eps
 _KEEP_SEED_TOL = 1e-12
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
-_CERT_BLOCK = 64         # eigenvectors certified per sparse solve
+_CERT_BLOCK = 64         # eigenvectors certified per block
 
 
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
@@ -474,15 +520,15 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     from scipy.sparse.linalg import splu
 
     n = spec.n_qubits
-    size = (2 * spec.ndim + 1) * n
-
     system = _EomSystem(spec)
-    probes = np.random.default_rng(0).standard_normal((size, n + _EXTRA_PROBES)).astype(complex)
+    a0, e = system.pencil()
+    probes = np.random.default_rng(0).standard_normal(
+        (system.size, n + _EXTRA_PROBES)).astype(complex)
     m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
     radius = _RADIUS_FACTOR * spec.rate_sum
     for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
         try:
-            lu = splu(system._a0 - z * system._e_sparse)
+            lu = splu(a0 - z * e)
         except RuntimeError as exc:
             if "singular" not in str(exc):
                 raise

@@ -155,6 +155,63 @@ def _lines(spec: NetworkSpec) -> list[np.ndarray]:
     return [np.moveaxis(grid, axis, -1).reshape(-1, m) for axis, m in enumerate(spec.dims)]
 
 
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its mixing
+# constants, its pool size and the shift of its avalanche steps
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_XSHIFT = 16
+
+
+def _hashmix(const: int, mult: int):
+    """numpy's SeedSequence hash step with its running multiplier, on
+    Python ints and uint64 arrays of 32-bit words alike."""
+    def step(value):
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> _XSHIFT
+    return step
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _stream_keys(seed: int, n_qubits: int, d: int) -> np.ndarray:
+    """The Philox keys of every noise stream, row ``i * d + n`` for qubit i
+    and axis n: ``SeedSequence(entropy=seed, spawn_key=(i, n))
+    .generate_state(2, np.uint64)``, for all streams in one vectorized pass
+    (qubit indices below 2^32).
+
+    The entropy words are those of the seed, little-endian and padded with
+    zeros to the pool size, then i and n.  They fill and mix a pool of four
+    32-bit words, which is then hashed into the four halves of the key.
+    The seed's part of the pool is the same for every stream, so it is
+    mixed once, in Python ints.
+    """
+    seed = int(seed)
+    words = [seed >> 32 * k & _MASK32 for k in range(max(1, -(-seed.bit_length() // 32)))]
+    words += [0] * (_POOL_SIZE - len(words))
+    qubit, axis = np.divmod(np.arange(n_qubits * d, dtype=np.uint64), d)
+    hashmix = _hashmix(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[_POOL_SIZE:] + [qubit, axis]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    final = _hashmix(_INIT_B, _MULT_B)
+    halves = [final(word) for word in pool]
+    return np.stack([halves[0] | halves[1] << 32, halves[2] | halves[3] << 32], axis=1)
+
+
 def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField:
     """Draw one Gaussian rate perturbation per (qubit, axis).
 
@@ -162,23 +219,35 @@ def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField
     make a rate non-positive are rejected and resampled (vanishingly rare for
     epsilon_max <= 0.2).  Streams are keyed by (seed, qubit linear index,
     axis) with a splittable counter-based generator, so the field is
-    reproducible and independent of sampling order.
+    reproducible and independent of sampling order: stream (i, n) is
+    ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(i, n))))``.
+    All keys are hashed in one vectorized pass and loaded into one Philox
+    in turn; the last key is checked against numpy's own SeedSequence on
+    every call, and a mismatch raises RuntimeError.
     """
     if epsilon_max < 0:
         raise ValueError("epsilon_max must be >= 0")
     n_qubits, d = spec.n_qubits, spec.ndim
-    rates = np.empty((n_qubits, d))
-    for i in range(n_qubits):
-        for n in range(d):
-            if epsilon_max == 0.0:
-                rates[i, n] = spec.gammas[n]
-                continue
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i, n)))
-            )
+    if epsilon_max == 0.0:
+        rates = spec.gammas * n_qubits
+    else:
+        # numpy's own hash of the last key; it also rejects a seed numpy
+        # does not take
+        last = np.random.SeedSequence(entropy=seed, spawn_key=(n_qubits - 1, d - 1))
+        keys = _stream_keys(seed, n_qubits, d)
+        if not np.array_equal(keys[-1], last.generate_state(2, np.uint64)):
+            raise RuntimeError("noise stream keys differ from numpy's SeedSequence")
+        bits = np.random.Philox(last)
+        rng = np.random.Generator(bits)
+        state = bits.state             # a fresh stream: zero counter, empty buffer
+        rates = []
+        for key, gamma in zip(keys, spec.gammas * n_qubits):
+            state["state"]["key"] = key
+            bits.state = state
             while True:
-                val = spec.gammas[n] * (1.0 + epsilon_max * rng.standard_normal())
+                val = gamma * (1.0 + epsilon_max * rng.standard_normal())
                 if val > 0.0:
-                    rates[i, n] = val
+                    rates.append(val)
                     break
-    return NoiseField(dims=spec.dims, rates=rates, epsilon_max=float(epsilon_max), rng_seed=int(seed))
+    return NoiseField(dims=spec.dims, rates=np.reshape(rates, (n_qubits, d)),
+                      epsilon_max=float(epsilon_max), rng_seed=int(seed))

@@ -7,6 +7,11 @@ any library code paths they are used to check.
 ``det_at`` and ``logdet_at`` take the determinant of the library's dense
 assembled system; the tests check its degree and its zeros.
 
+``splu_certificates`` and ``loop_noise`` are the library's earlier pole
+certificate (field amplitudes by a sparse LU of the field block) and noise
+draw (one SeedSequence, Philox and Generator per stream), the references
+for the prefix-sum certificate and the vectorized stream keys.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -49,11 +54,51 @@ def reduced(system) -> np.ndarray:
     """
     import scipy.linalg as sla
 
-    nb, nq = system._n_bulk, system.n_poles
-    cols_e, cols_w = system._a0[:, :nq], system._a0[:, nq:]
+    nq = system.n_poles
+    nb = system.size - nq
+    a0 = system.pencil()[0]
+    cols_e, cols_w = a0[:, :nq], a0[:, nq:]
     x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
                   overwrite_a=True, overwrite_b=True)
     return cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
+
+
+def loop_noise(spec, epsilon_max, seed) -> np.ndarray:
+    """(N, d) noisy rates with one SeedSequence, Philox and Generator per
+    (qubit, axis) stream: the reference for the library's vectorized keys."""
+    rates = np.empty((spec.n_qubits, spec.ndim))
+    for i in range(spec.n_qubits):
+        for n in range(spec.ndim):
+            if epsilon_max == 0.0:
+                rates[i, n] = spec.gammas[n]
+                continue
+            rng = np.random.Generator(
+                np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(i, n)))
+            )
+            while True:
+                val = spec.gammas[n] * (1.0 + epsilon_max * rng.standard_normal())
+                if val > 0.0:
+                    rates[i, n] = val
+                    break
+    return rates
+
+
+def splu_certificates(system, deltas, vecs) -> np.ndarray:
+    """The pole certificate of an ``eom._EomSystem`` with the field part
+    of x = (e, w) from one sparse LU of the field block:
+    w = -B_w^{-1} B_e e.  The reference for the library's prefix-sum fields.
+    """
+    from scipy.sparse.linalg import splu
+
+    nq = system.n_poles
+    nb = system.size - nq
+    a0, e_sparse = system.pencil()
+    lu = splu(a0[:nb, nq:])
+    deltas = np.asarray(deltas, dtype=complex)
+    x = np.vstack([vecs, -lu.solve(np.asarray(a0[:nb, :nq] @ vecs))])
+    ax = a0 @ x - e_sparse @ x * deltas
+    return (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
+            / system.frobenius(deltas))
 
 
 def logdet_at(spec, delta) -> tuple[complex, float]:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, errors
+from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, errors, sample_noise
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -92,6 +92,27 @@ def test_compare_theta_sweep_validation_failure(tmp_path):
     report = read_json(out)["report"]
     assert [r["passed"] for r in report["sweep"]] == [False] * 5
     assert report["passed"] is False
+
+
+def test_noisy_compare_sweep_draws_the_noise_once(monkeypatch, capsys):
+    # the field does not depend on theta; every point must see the same one
+    base = ["compare", "--dims", "2,3", "--gammas", "1,0.4", "--epsilon-max", "0.05",
+            "--noise-seed", "3", "--match-tol", "0.05"]
+    draws = []
+
+    def counted(*args):
+        draws.append(args)
+        return sample_noise(*args)
+    monkeypatch.setattr(cli, "sample_noise", counted)
+    assert run_cli([*base, "--theta-sweep", "0.1:0.9:5"]) == 0
+    rows = json.loads(capsys.readouterr().out)["report"]["sweep"]
+    assert len(draws) == 1
+    # each row is what a single compare at its theta reports
+    for row in rows:
+        assert run_cli([*base, "--theta-over-pi", repr(row["theta_over_pi"])]) == 0
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert (row["max_abs_error"], row["passed"]) == (report["max_abs_error"],
+                                                         report["passed"])
 
 
 def test_compare_bad_sweep_is_usage_error():
@@ -208,11 +229,12 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
 
 
 def test_parser_flags_only_the_invoked_command(capsys):
+    # the parser of one command registers no other
     parser = cli._build_parser(["chain", "--n", "3"])
     assert parser.parse_args(["chain", "--n", "3"]).chain_n == 3
     with pytest.raises(SystemExit):
         parser.parse_args(["drop", "--dims", "2"])
-    assert "unrecognized arguments: --dims 2" in capsys.readouterr().err
+    assert "invalid choice: 'drop'" in capsys.readouterr().err
 
 
 def test_module_entry_point_reads_sys_argv(capsys):
@@ -584,22 +606,38 @@ def test_written_files_get_umask_mode(tmp_path, umask):
 
 
 def test_cartesian_commands_load_no_scipy():
-    # a fresh interpreter: this test process has scipy loaded already
+    # a fresh interpreter: this test process has scipy loaded already.  The
+    # Cartesian-sum commands, and the EoM commands that need only H and its
+    # certificates, run in turn; each must leave scipy's solvers unloaded
+    commands = [
+        ["drop", "--dims", "3,4", "--format", "csv"],
+        ["eom-eig", "--dims", "5,3,4", "--gammas", "1,4,2"],
+        ["eom-cnm", "--dims", "3,2,6", "--gammas", "1,3,2", "--theta-over-pi", "0.65",
+         "--epsilon-max", "0.05", "--noise-seed", "7"],
+        ["noise", "--dims", "3,2,6", "--gammas", "1,3,2", "--theta-over-pi", "0.65",
+         "--epsilon-max", "0.05"],
+        ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--m", "1"],
+    ]
     script = (
         "import contextlib, io, json, sys\n"
         "import dropqed.cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    code = dropqed.cli.main(['drop', '--dims', '3,4', '--format', 'csv'])\n"
-        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+        "runs = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = dropqed.cli.main(argv)\n"
+        "    runs.append({'argv': argv, 'code': code, 'modules': sorted(sys.modules)})\n"
+        "print(json.dumps(runs))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
-    result = json.loads(proc.stdout)
-    assert result["code"] == 0
-    modules = set(result["modules"])
-    assert not {m for m in modules
-                if m.startswith(("scipy.linalg", "scipy.sparse", "scipy.optimize"))}
+    runs = json.loads(proc.stdout)
+    assert [run["argv"] for run in runs] == commands
+    for run in runs:
+        assert run["code"] == 0, run["argv"]
+        loaded = {m for m in run["modules"]
+                  if m.startswith(("scipy.linalg", "scipy.sparse", "scipy.optimize"))}
+        assert not loaded, run["argv"]
     layers = ("lattice", "chain1d", "drop", "eom", "analysis", "render", "cli")
-    assert {f"dropqed.{layer}" for layer in layers} <= modules
+    assert {f"dropqed.{layer}" for layer in layers} <= set(runs[0]["modules"])

@@ -210,3 +210,19 @@ def test_memory_budget_admits_the_benchmark_sizes():
     drop._check_rates(spec_of([5792, 2], (1.0, 1.0), 0.5))
     with pytest.raises(ConfigError, match="chain kernel"):
         drop._check_rates(spec_of([5793, 2], (1.0, 1.0), 0.5))
+
+
+def test_index_tuples_from_outside_must_be_distinct():
+    with pytest.raises(ValueError, match="distinct"):
+        Spectrum(rates=[1.0, 2.0], method="drop", index_tuples=((1,), (1,)))
+    with pytest.raises(ValueError, match="one index tuple"):
+        Spectrum(rates=[1.0, 2.0], method="drop", index_tuples=((1,),))
+
+
+def test_drop_spectrum_builds_no_set_of_its_tuples(monkeypatch):
+    # itertools.product yields distinct tuples; hashing them all proves nothing
+    def hashes(*args):
+        raise AssertionError("index tuples hashed into a set")
+    monkeypatch.setattr(drop, "set", hashes, raising=False)
+    spectrum = drop_spectrum(spec_of([3, 2, 4], (1.0, 4.0, 2.0), 0.65))
+    assert spectrum.index_tuples == tuple(itertools.product(range(1, 4), range(1, 3), range(1, 5)))

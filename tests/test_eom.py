@@ -20,7 +20,8 @@ from dropqed import (
     sigma_min,
 )
 from dropqed import analysis, eom, lattice
-from oracles import dense_sigma_min, det_at, logdet_at, multiset_max_err, reduced
+from oracles import (dense_sigma_min, det_at, logdet_at, multiset_max_err, reduced,
+                     splu_certificates)
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -262,6 +263,22 @@ def test_certificate_never_undercuts_dense_sigma_min(case):
         norm = np.linalg.norm(a)
         assert resid <= 1e-9
         assert resid * norm >= dense_sigma_min(a) - 1e-12 * norm, gamma
+
+
+CERT_CASES = {**H_CASES, "chain-1000-clustered": lambda: spec_of([1000], theta=0.9999 * np.pi)}
+
+
+@pytest.mark.parametrize("case", sorted(CERT_CASES))
+def test_prefix_sum_certificates_match_the_sparse_lu(case):
+    # fields from the line recurrences against w = -B_w^{-1} B_e e
+    spec = CERT_CASES[case]()
+    values, vecs = np.linalg.eig(eom._hamiltonian(spec))
+    system = eom._EomSystem(spec)
+    got = system.certificates(values, vecs)
+    assert np.max(np.abs(got - splu_certificates(system, values, vecs))) <= 1e-12
+    assert np.all(got <= 1e-9)
+    # off the pole the same vectors fail
+    assert np.all(system.certificates(values + 1e-3 * spec.rate_sum, vecs) > 1e-9)
 
 
 def test_oversized_network_fails_before_any_allocation(monkeypatch):

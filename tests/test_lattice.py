@@ -9,7 +9,9 @@ from dropqed import (
     enumerate_qubits,
     sample_noise,
 )
+from dropqed import lattice
 from dropqed.lattice import _lines
+from oracles import loop_noise
 
 dims_strategy = st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=4)
 
@@ -88,6 +90,54 @@ def test_noise_deterministic_and_seed_sensitive():
     c = sample_noise(spec, 0.05, seed=43)
     assert np.array_equal(a.rates, b.rates)
     assert not np.array_equal(a.rates, c.rates)
+
+
+# (dims, gammas, epsilon, seed): up to epsilon 1.5, where draws are
+# rejected, and seeds of one to three 32-bit words and more
+NOISE_CASES = [
+    ((3, 2, 6), (1.0, 3.0, 2.0), 0.05, 7),
+    ((3, 3, 3), (1.0, 1.0, 1.0), 0.02, 1),
+    ((3, 3, 3), (1.0, 1.0, 1.0), 0.05, 0),
+    ((2, 2), (1.0, 2.0), 0.05, 7),
+    ((4, 4), (1.0, 0.1), 0.9, 0),
+    ((2, 3), (1.0, 2.0), 0.9, 2 ** 32 - 1),
+    ((5,), (1.0,), 0.9, 2 ** 32),
+    ((4, 5), (0.5, 2.0), 0.7, 2 ** 64 - 1),
+    ((2, 2, 3), (1.0, 4.0, 2.0), 0.9, 2 ** 73),
+    ((1,), (2.0,), 0.3, 2 ** 73 + 12345),
+    ((1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), 0.5, 99),
+    ((6, 6), (1.0, 3.0), 0.05, 5),
+    ((2, 1, 3), (1.0, 1.0, 1.0), 0.2, 123456789),
+    ((7,), (0.3,), 0.8, 2 ** 128 + 5),
+    ((3, 4), (1.0, 1.0), 1.5, 3),
+    ((3, 2), (1.0, 2.5), 0.0, 11),
+]
+
+
+@pytest.mark.parametrize("dims, gammas, epsilon, seed", NOISE_CASES)
+def test_noise_matches_one_stream_per_qubit_and_axis(dims, gammas, epsilon, seed):
+    spec = NetworkSpec(dims=dims, gammas=gammas, theta=0.4)
+    field = sample_noise(spec, epsilon, seed)
+    assert np.array_equal(field.rates, loop_noise(spec, epsilon, seed))
+    assert field.rng_seed == seed
+
+
+def test_noise_keys_are_checked_against_numpy(monkeypatch):
+    spec = NetworkSpec(dims=(2, 3), gammas=(1.0, 2.0), theta=0.4)
+    keys = lattice._stream_keys(5, spec.n_qubits, spec.ndim)
+    want = [np.random.SeedSequence(entropy=5, spawn_key=(i, n)).generate_state(2, np.uint64)
+            for i in range(spec.n_qubits) for n in range(spec.ndim)]
+    assert np.array_equal(keys, want)
+    monkeypatch.setattr(lattice, "_MULT_B", lattice._MULT_B + 2)
+    with pytest.raises(RuntimeError, match="SeedSequence"):
+        sample_noise(spec, 0.05, seed=5)
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_noise_rejects_seeds_numpy_rejects(seed, error):
+    spec = NetworkSpec(dims=(2, 3), gammas=(1.0, 2.0), theta=0.4)
+    with pytest.raises(error):
+        sample_noise(spec, 0.05, seed)
 
 
 def test_noise_positive_even_at_large_epsilon():

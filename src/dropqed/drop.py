@@ -116,18 +116,24 @@ def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[comple
                   tol: float) -> MatchReport:
     """Optimally pair two spectra and report the worst pairwise distance.
 
-    Uses an exact assignment (Hungarian) on the |a_i - b_j| cost matrix;
-    greedy pairing can mispair near-degenerate clusters close to theta = m*pi.
+    Pairs each a_i with its nearest b_j when those are all distinct: the
+    sum of row minima bounds every pairing from below, so that one is
+    optimal.  Otherwise (exact degeneracies, as at theta = m*pi or with
+    equal rates) an exact assignment (scipy's Hungarian method) pairs them.
     """
-    # imported here: no Cartesian-sum-only caller should pay for scipy
-    from scipy.optimize import linear_sum_assignment
-
     ra = a.rates if isinstance(a, Spectrum) else np.asarray(a, dtype=complex)
     rb = b.rates if isinstance(b, Spectrum) else np.asarray(b, dtype=complex)
     if len(ra) != len(rb):
         raise SizeMismatchError(f"spectra have sizes {len(ra)} and {len(rb)}")
     cost = np.abs(ra[:, None] - rb[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows = np.arange(len(ra))
+    cols = cost.argmin(axis=1) if len(ra) else rows
+    if len(np.unique(cols)) < len(cols) or not np.isfinite(cost).all():
+        # imported here, so the nearest pairing never pays for scipy;
+        # scipy also rejects NaN and inf
+        from scipy.optimize import linear_sum_assignment
+
+        rows, cols = linear_sum_assignment(cost)
     errors = cost[rows, cols]
     max_err = float(errors.max()) if len(errors) else 0.0
     mean_err = float(errors.mean()) if len(errors) else 0.0

@@ -27,13 +27,14 @@ in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 for a symmetric network it is the Kronecker sum of the per-axis chain
 matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
 H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
-eigenvalues; :func:`all_poles_det_interp` never builds H, and takes the
-poles from a contour integral of the resolvent of the sparse full system.
-``_EomSystem`` holds that system's nonzeros, without H, and the
-certificate below.
+eigenvalues; :func:`all_poles_det_interp` never builds H from the line
+kernels, and takes the poles from a contour integral of the resolvent of
+the Schur complement of the sparse full system's field block, formed from
+that system's nonzeros alone.  ``_EomSystem`` holds those nonzeros,
+without H, and the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: H for the
-routes that need it, the probe block for the contour route, the full
+routes that need it, (2d+1)N x (N + 4) for the contour route, the full
 matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
@@ -54,9 +55,9 @@ study) is one call of :func:`_refine` on the network: one dense eigensolve
 of H, which gives each seed its nearest eigenvalue not yet claimed by a
 seed closer to its own, and one certificate per pole at min(tol, 1e-9).
 
-Only the routes that factor the sparse pencil, :func:`all_poles_det_interp`
-and :func:`sigma_min`, import scipy, inside the function: the H routes,
-the seeded ones and :func:`nullity_at` run on numpy alone.
+Only :func:`sigma_min`, which factors the sparse pencil, imports scipy,
+inside the function: every pole route and :func:`nullity_at` run on numpy
+alone.
 """
 
 from __future__ import annotations
@@ -121,9 +122,10 @@ class NullSpaceResult:
 
 
 # The four complex arrays each check counts: H, the eigensolver's copy and
-# the eigenvectors on the H routes; on the contour route the probes, one
-# node's solve and the two moments, (2d+1)N x (N + 4) each.  2 GiB admits
-# N <= 5792 for H (17 x 17 x 17).
+# the eigenvectors on the H routes; on the contour route x = (e, w) and
+# A0 x for the N unit vectors e of the Schur complement's build, and the
+# N x (N + 4) probes, solve and moments, each counted as (2d+1)N x (N + 4).
+# 2 GiB admits N <= 5792 for H (17 x 17 x 17).
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
     _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
@@ -160,8 +162,8 @@ class _EomSystem:
     A0's nonzeros are kept as the (rows, cols, values) groups its relations
     make, one per kind of entry and axis, sorted by row; the rows within a
     group are distinct, so A0 x is one gather and one scatter-add per group,
-    and a group whose rows form one run is added through a slice.  The
-    routes that factor the pencil build it in scipy's CSC format from the
+    and a group whose rows form one run is added through a slice.
+    :func:`sigma_min` and the tests build it in scipy's CSC format from the
     same groups (:meth:`pencil`).  No dense array, so no budget check of its
     own (each route checks the arrays it holds).
     """
@@ -225,7 +227,7 @@ class _EomSystem:
             *((index[rows], cols, vals) for rows, cols, vals in self._groups)))
 
     def pencil(self):
-        """(A0, E) as scipy CSC matrices, for the routes that factor A(Delta)."""
+        """(A0, E) as scipy CSC matrices, for the factorizations of A(Delta)."""
         import scipy.sparse as sp
 
         rows, cols, vals = self.entries()
@@ -261,6 +263,18 @@ class _EomSystem:
             field[:, 1] *= r_phase
         return x
 
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """A0 x for a block of full-system columns, from the stored groups."""
+        ax = np.zeros_like(x)
+        for rows, cols, vals in self._groups:
+            ax[rows] += vals[:, None] * x[cols]
+        return ax
+
+    def schur(self) -> np.ndarray:
+        """The N x N Schur complement of the field block, whose eigenvalues
+        are the poles: the excitation rows of A0 x with x = (e, w(e))."""
+        return self._apply(self._fields(np.eye(self.n_poles, dtype=complex)))[self._e_rows]
+
     def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
         e_k of ``vecs``, with x_k = (e_k, w_k) from :meth:`_fields`: the pole
@@ -271,9 +285,7 @@ class _EomSystem:
         for k in range(0, len(deltas), _CERT_BLOCK):
             part = slice(k, k + _CERT_BLOCK)
             x = self._fields(vecs[:, part])
-            ax = np.zeros_like(x)
-            for rows, cols, vals in self._groups:
-                ax[rows] += vals[:, None] * x[cols]
+            ax = self._apply(x)
             ax[self._e_rows] -= deltas[part] * x[:self.n_poles]
             out[part] = (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
                          / self.frobenius(deltas[part]))
@@ -501,40 +513,37 @@ _EXTRA_PROBES = 4        # probe columns beyond the N poles
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """All N poles by a contour integral of the resolvent (Beyn's method).
 
-    The trapezoid rule on 48 nodes of the circle |Delta| = 1.5 S, S =
-    sum_n N_n gamma_n (it encloses every pole), gives the moments
-    M_p = (1/2 pi i) oint Delta^p A(Delta)^{-1} V dDelta, p = 0, 1, of the
-    sparse pencil A0 - Delta E, one sparse LU per node, for a fixed
-    pseudo-random V of N + 4 columns.  With the top-N SVD M_0 = U Sigma W^H
-    the poles are the eigenvalues of U^H M_1 W Sigma^{-1}, and the
-    excitation rows of U y give their eigenvectors (W.-J. Beyn, Linear
-    Algebra Appl. 436, 3839 (2012)).  det A is never formed, so the
+    The matrix is the N x N Schur complement C of the full system's field
+    block (:meth:`_EomSystem.schur`), built from the pencil's nonzeros, not
+    from the line kernels of H.  The trapezoid rule on 48 nodes of the
+    circle |Delta| = 1.5 S, S = sum_n N_n gamma_n (it encloses every pole),
+    gives the moments M_p = (1/2 pi i) oint Delta^p (C - Delta)^{-1} V
+    dDelta, p = 0, 1, one dense solve per node, for a fixed pseudo-random
+    V of N + 4 columns.  With the top-N SVD M_0 = U Sigma W^H the poles are
+    the eigenvalues of U^H M_1 W Sigma^{-1}, and U y gives their
+    eigenvectors (W.-J. Beyn, Linear Algebra Appl. 436, 3839 (2012)), each
+    certified on the full sparse system.  det A is never formed, so the
     determinant's dynamic range does not limit the route.
 
     The name and the "det-interp" method string are those of the
     determinant fit this replaced, kept because the ``eom-det`` command and
-    ``--eom-method det-interp`` select the route.  A node on a pole, a
-    broken trace rule or a failed certificate raises ConditioningFailure.
+    ``--eom-method det-interp`` select the route.  A node on a pole (its
+    solve is singular), a broken trace rule or a failed certificate raises
+    ConditioningFailure.
     """
     _check_contour(spec)
-    from scipy.sparse.linalg import splu
-
     n = spec.n_qubits
     system = _EomSystem(spec)
-    a0, e = system.pencil()
-    probes = np.random.default_rng(0).standard_normal(
-        (system.size, n + _EXTRA_PROBES)).astype(complex)
+    schur = system.schur()
+    probes = np.random.default_rng(0).standard_normal((n, n + _EXTRA_PROBES)).astype(complex)
     m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
     radius = _RADIUS_FACTOR * spec.rate_sum
     for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
         try:
-            lu = splu(a0 - z * e)
-        except RuntimeError as exc:
-            if "singular" not in str(exc):
-                raise
+            x = np.linalg.solve(schur - z * np.eye(n), probes)
+        except np.linalg.LinAlgError as exc:
             raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
         # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
-        x = lu.solve(probes)
         x *= z / _NODES
         m0 += x
         x *= z
@@ -542,7 +551,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     u, s, wh = np.linalg.svd(m0, full_matrices=False)
     u, s, wh = u[:, :n], s[:n], wh[:n]
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
-    vecs = u[:n] @ y                     # the excitation rows come first
+    vecs = u @ y
     vecs /= np.linalg.norm(vecs, axis=0)
     return _finish(spec, 2j * deltas, system.certificates(deltas, vecs),
                    "det-interp", (), ConditioningFailure)

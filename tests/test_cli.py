@@ -8,8 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
-from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, errors, sample_noise
+from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, eom, errors, sample_noise
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -607,8 +608,9 @@ def test_written_files_get_umask_mode(tmp_path, umask):
 
 def test_cartesian_commands_load_no_scipy():
     # a fresh interpreter: this test process has scipy loaded already.  The
-    # Cartesian-sum commands, and the EoM commands that need only H and its
-    # certificates, run in turn; each must leave scipy's solvers unloaded
+    # Cartesian-sum commands, and the EoM commands (the contour route and
+    # compare's nearest pairing among them), run in turn; each must leave
+    # scipy's solvers unloaded
     commands = [
         ["drop", "--dims", "3,4", "--format", "csv"],
         ["eom-eig", "--dims", "5,3,4", "--gammas", "1,4,2"],
@@ -617,15 +619,22 @@ def test_cartesian_commands_load_no_scipy():
         ["noise", "--dims", "3,2,6", "--gammas", "1,3,2", "--theta-over-pi", "0.65",
          "--epsilon-max", "0.05"],
         ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--m", "1"],
+        ["compare", "--dims", "8,8", "--gammas", "1,0.4", "--theta-over-pi", "0.5"],
+        ["compare", "--dims", "3,3", "--gammas", "1,0.4", "--theta-sweep", "0.05:0.95:19"],
+        ["eom-det", "--dims", "3,4", "--gammas", "1,0.4"],
     ]
+    # equal rates at theta = pi: exact degeneracies send two Cartesian-sum
+    # rates to one nearest pole, so the pairing falls back to scipy
+    fallback = ["compare", "--dims", "3,3", "--gammas", "1,1", "--theta-over-pi", "1"]
     script = (
         "import contextlib, io, json, sys\n"
         "import dropqed.cli\n"
         "runs = []\n"
-        f"for argv in {commands!r}:\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"for argv in {commands + [fallback]!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
         "        code = dropqed.cli.main(argv)\n"
-        "    runs.append({'argv': argv, 'code': code, 'modules': sorted(sys.modules)})\n"
+        "    runs.append({'argv': argv, 'code': code, 'modules': sorted(sys.modules),\n"
+        "                 'stdout': out.getvalue()})\n"
         "print(json.dumps(runs))\n"
     )
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -633,11 +642,21 @@ def test_cartesian_commands_load_no_scipy():
     proc = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                           capture_output=True, text=True)
     runs = json.loads(proc.stdout)
-    assert [run["argv"] for run in runs] == commands
+    assert [run["argv"] for run in runs] == commands + [fallback]
     for run in runs:
         assert run["code"] == 0, run["argv"]
+    for run in runs[:-1]:
         loaded = {m for m in run["modules"]
                   if m.startswith(("scipy.linalg", "scipy.sparse", "scipy.optimize"))}
         assert not loaded, run["argv"]
+    assert "scipy.optimize" in runs[-1]["modules"]
+    # the fallback's report is that of the Hungarian assignment
+    spec = NetworkSpec(dims=(3, 3), gammas=(1.0, 1.0), theta=np.pi)
+    cost = np.abs(drop.drop_spectrum(spec).rates[:, None]
+                  - eom.all_poles_eig(spec).poles.rates[None, :])
+    dist = cost[linear_sum_assignment(cost)]
+    report = json.loads(runs[-1]["stdout"])["report"]
+    assert report["max_abs_error"] == cli._sig(dist.max())
+    assert report["mean_abs_error"] == cli._sig(dist.mean())
     layers = ("lattice", "chain1d", "drop", "eom", "analysis", "render", "cli")
     assert {f"dropqed.{layer}" for layer in layers} <= set(runs[0]["modules"])

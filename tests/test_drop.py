@@ -2,8 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from dropqed import drop, errors
 from dropqed import (
@@ -157,6 +158,40 @@ def test_match_any_permutation_is_exact(values, rnd):
     rnd.shuffle(perm)
     report = match_spectra(np.array(values), np.array(perm), tol=0.0)
     assert report.max_abs_error <= 1e-9 * max(1.0, max(abs(v) for v in values))
+
+
+# complex rates on a few centres, offset by whole multiples of a tight
+# spacing: repeated values and clusters, where two rates can share a nearest
+# partner and the matching needs the assignment solver
+_CENTRES = (0.0, 1.0, 1.0 + 2.0j, -0.5j)
+_clustered = st.builds(
+    lambda centre, step, k, l: _CENTRES[centre] + step * (k + 1j * l),
+    st.integers(0, len(_CENTRES) - 1), st.sampled_from((0.0, 1e-15, 1e-9, 0.3)),
+    st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(*[st.lists(_clustered, min_size=n, max_size=n)] * 2)))
+@settings(max_examples=300)
+@example(([0.0, 1.0], [1.0, 1e-9]))          # distinct nearest partners
+@example(([0.0, 1e-15], [5e-16, 3.0]))       # both want the same partner
+def test_match_agrees_with_the_assignment_solver(pair):
+    a, b = (np.array(v, dtype=complex) for v in pair)
+    report = match_spectra(a, b, tol=0.0)
+    n = len(a)
+    assert sorted(i for i, _ in report.pairing) == list(range(n))
+    assert sorted(j for _, j in report.pairing) == list(range(n))
+    cost = np.abs(a[:, None] - b[None, :])
+    want = cost[linear_sum_assignment(cost)]
+    assert report.max_abs_error == float(want.max())
+    assert report.mean_abs_error == float(want.mean())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_match_rejects_non_finite_rates(bad):
+    # distinct nearest partners, yet no pairing is reported
+    with pytest.raises(ValueError):
+        match_spectra(np.array([bad, 1.0]), np.array([0.0, 1.0]), tol=1.0)
 
 
 def test_spectrum_validates_tuples():

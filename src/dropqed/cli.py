@@ -205,9 +205,13 @@ _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _json_numbers(texts: list[str]) -> list[str]:
     """The JSON number of each ``%.12g`` text, as json.dumps writes the
-    rounded value: a text with a point and no exponent is already
-    ``float.__repr__`` of that value, any other goes through float()."""
-    return [t if "." in t and "e" not in t else _JSON_NONFINITE.get(t) or float(t).__repr__()
+    rounded value.  A text with a point and no exponent, or with a
+    two-digit negative exponent, is already ``float.__repr__`` of that
+    value: repr also writes exponents below -4, and no shorter text rounds
+    to the same normal double.  Any other (three-digit exponents can be
+    subnormal) goes through float()."""
+    return [t if "." in t and "e" not in t or t[-4:-2] == "e-"
+            else _JSON_NONFINITE.get(t) or float(t).__repr__()
             for t in texts]
 
 

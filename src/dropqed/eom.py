@@ -27,15 +27,19 @@ in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 for a symmetric network it is the Kronecker sum of the per-axis chain
 matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
 H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
-eigenvalues; :func:`all_poles_det_interp` never builds H from the line
+eigenvalues, both through one eigensolve, :func:`_eig`.  Without noise H
+commutes with the reversal of every axis, so :func:`_eig` changes each
+axis to its even/odd reflection basis and diagonalizes the 2^d parity
+sectors apart, each about N / 2^d; a noisy H is one sector, one dense eig.
+:func:`all_poles_det_interp` never builds H from the line
 kernels, and takes the poles from a contour integral of the resolvent of
 the Schur complement of the sparse full system's field block, formed from
 that system's nonzeros alone.  ``_EomSystem`` holds those nonzeros,
 without H, and the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
-anything that scales with N, against the dense arrays it holds: H for the
-routes that need it, (2d+1)N x (N + 4) for the contour route, the full
-matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
+anything that scales with N, against the dense arrays it holds: four
+N x N for the routes that need H, ten N x (N + 4) for the contour route,
+the full matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
@@ -51,9 +55,10 @@ Lanczos :func:`sigma_min` and :func:`assemble` are for users and tests; no
 solve path calls them.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
-study) is one call of :func:`_refine` on the network: one dense eigensolve
-of H, which gives each seed its nearest eigenvalue not yet claimed by a
-seed closer to its own, and one certificate per pole at min(tol, 1e-9).
+study) is one call of :func:`_refine` on the network: one eigensolve of
+H by :func:`_eig`, which gives each seed its nearest eigenvalue not yet
+claimed by a seed closer to its own, and one certificate per pole at
+min(tol, 1e-9).
 
 Only :func:`sigma_min`, which factors the sparse pencil, imports scipy,
 inside the function: every pole route and :func:`nullity_at` run on numpy
@@ -62,6 +67,8 @@ alone.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -69,7 +76,7 @@ import numpy as np
 
 from .chain1d import _re_im_order, coupling_matrix
 from .drop import Spectrum, drop_spectrum
-from .errors import ConditioningFailure, MaxIterationsError, _check_dense
+from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
 
@@ -121,20 +128,35 @@ class NullSpaceResult:
     rank_tol: float
 
 
-# The four complex arrays each check counts: H, the eigensolver's copy and
-# the eigenvectors on the H routes; on the contour route x = (e, w) and
-# A0 x for the N unit vectors e of the Schur complement's build, and the
-# N x (N + 4) probes, solve and moments, each counted as (2d+1)N x (N + 4).
+# The H routes are counted as four complex N x N arrays.  They hold H, which
+# is folded in place, and the eigenvector buffer, plus per sector one eig's
+# copy and eigenvectors, and half an array while a fold runs; the seeded
+# routes add the claimed eigenvectors.  The single solve of a noisy spec
+# holds H, eig's copy and its eigenvectors, then H, the eigenvectors and the
+# buffer they are copied to.
 # 2 GiB admits N <= 5792 for H (17 x 17 x 17).
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
     _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
 
 
+# The contour route holds at most ten complex N x (N + 4) arrays at once.
+# During the node solves these are C and LAPACK's copy of it, the probes V and
+# their copy, the solutions at this node and the last, M_0 and M_1.  During
+# the SVD of M_0 they are M_0, M_1, the SVD's copy, U, W^H and about 3.5
+# arrays of LAPACK workspace.  The build of C adds one column block of x =
+# (e, w).  Peak RSS above the warm process measured 9.8 such arrays at
+# 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  2 GiB admits N <= 3639 in three
+# dimensions (15 x 15 x 15).
+_CONTOUR_ARRAYS = 10
+
+
 def _check_contour(spec: NetworkSpec) -> None:
-    """Raise ConfigError when the contour route's blocks would exceed the budget."""
-    _check_dense((2 * spec.ndim + 1) * spec.n_qubits, spec.n_qubits + _EXTRA_PROBES,
-                 "the contour route's probe block")
+    """Raise ConfigError when the contour route's arrays would exceed the budget."""
+    n = spec.n_qubits
+    _check_budget(16 * (_CONTOUR_ARRAYS * n * (n + _EXTRA_PROBES)
+                        + (2 * spec.ndim + 1) * n * _CERT_BLOCK),
+                  f"the contour route's {_CONTOUR_ARRAYS} blocks of {n} x {n + _EXTRA_PROBES}")
 
 
 def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
@@ -155,6 +177,63 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
     return h
 
 
+def _fold(a: np.ndarray, axis: int) -> None:
+    """Change one axis of ``a`` to the reflection basis, in place.
+
+    With m = n // 2 along the axis, position j < m takes the even
+    combination (a_j + a_{n-1-j}) / sqrt 2 and its mirror n-1-j the odd one
+    (a_j - a_{n-1-j}) / sqrt 2; a middle entry (odd n) stays.  The even
+    modes then fill positions [0, n - m) and the odd ones [n - m, n).  The
+    map is orthogonal and symmetric, so it is its own inverse.
+    """
+    v = np.moveaxis(a, axis, 0)
+    m = len(v) // 2
+    low, high = v[:m], v[::-1][:m]
+    odd = low - high
+    low += high
+    low *= np.sqrt(0.5)
+    np.multiply(odd, np.sqrt(0.5), out=high)
+
+
+def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit eigenvectors of H, one dense eig per
+    reflection-parity sector; ``h`` is overwritten.
+
+    Without noise H commutes with the reversal of every axis, so
+    :func:`_fold` on both index sides of every axis makes it block-diagonal:
+    a mode is even or odd along each axis, which gives 2^d sectors of about
+    N / 2^d (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976), per
+    axis).  Each sector's eigenvectors go into one N x N buffer at its rows
+    and columns, which is then folded back.  A spec with a noise field folds
+    no axis: its one sector is H, and the call is np.linalg.eig(h) itself.
+    """
+    dims, n = spec.dims, spec.n_qubits
+    grid = h.reshape(dims + dims)
+    if spec.noise is None:
+        halves = [(slice(0, m - m // 2), slice(m - m // 2, m)) for m in dims]
+        for axis in range(2 * len(dims)):
+            _fold(grid, axis)
+    else:
+        halves = [(slice(0, m),) for m in dims]
+    values = np.empty(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    rows = vectors.reshape(dims + (n,))
+    start = 0
+    for sector in itertools.product(*halves):
+        shape = tuple(s.stop - s.start for s in sector)
+        size = math.prod(shape)
+        if not size:             # odd along an axis of one qubit
+            continue
+        cols = slice(start, start + size)
+        values[cols], block = np.linalg.eig(grid[sector + sector].reshape(size, size))
+        rows[sector + (cols,)] = block.reshape(shape + (size,))
+        start += size
+    if spec.noise is None:
+        for axis in range(len(dims)):
+            _fold(rows, axis)
+    return values, vectors
+
+
 class _EomSystem:
     """The pencil A(Delta) = A0 - Delta * E (E selects the excitation rows)
     and the pole certificate on it, in numpy alone.
@@ -162,7 +241,9 @@ class _EomSystem:
     A0's nonzeros are kept as the (rows, cols, values) groups its relations
     make, one per kind of entry and axis, sorted by row; the rows within a
     group are distinct, so A0 x is one gather and one scatter-add per group,
-    and a group whose rows form one run is added through a slice.
+    and a group whose rows form one run is added through a slice.  The
+    groups of the excitation rows are kept apart, their rows numbered from
+    the first excitation row, so the Schur complement applies them alone.
     :func:`sigma_min` and the tests build it in scipy's CSC format from the
     same groups (:meth:`pencil`).  No dense array, so no budget check of its
     own (each route checks the arrays it holds).
@@ -172,9 +253,9 @@ class _EomSystem:
         n_qubits, d = spec.n_qubits, spec.ndim
         rates = spec.resolved_rates()
         em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
-        groups = []
+        groups, excite_groups = [], []
 
-        def put(row, col, value):
+        def put(row, col, value, into=groups):
             if not row.size:         # lines of one qubit have no neighbour
                 return
             order = np.argsort(row, axis=None)
@@ -182,7 +263,7 @@ class _EomSystem:
             if row[-1] - row[0] + 1 == len(row):
                 row = slice(int(row[0]), int(row[-1]) + 1)
             value = np.broadcast_to(value, col.shape).ravel()[order]
-            groups.append((row, col.ravel()[order], value))
+            into.append((row, col.ravel()[order], value))
 
         # rows: all right-mover relations, all left-mover ones, then one
         # excitation relation per qubit; columns: e, then per axis and line
@@ -196,7 +277,6 @@ class _EomSystem:
             r_here = t_next + m                  # column of r_j
             right = axis * n_qubits + np.arange(n_qubits).reshape(n_lines, m)
             left = right + d * n_qubits
-            excite = 2 * d * n_qubits + lines
             coup = np.sqrt(rates[lines, axis] / 2)
             # right movers: t_{j+1} e^{-i theta} - t_j + i sqrt(g/2) e = 0
             put(right, t_next, em)
@@ -206,16 +286,17 @@ class _EomSystem:
             put(left[:, :-1], r_here[:, 1:], ep)
             put(left, r_here, -1.0)
             put(left, lines, -1j * coup)
-            # excitation: sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
-            put(excite[:, 1:], t_next[:, :-1], coup[:, 1:])
-            put(excite, r_here, coup)
+            # excitation (row per qubit): sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
+            put(lines[:, 1:], t_next[:, :-1], coup[:, 1:], excite_groups)
+            put(lines, r_here, coup, excite_groups)
             # the weights of _fields' prefix sums, and their outer phases
             phase = np.exp(1j * spec.theta * np.arange(m + 1))
             self._axes.append((lines, -1j * coup * phase[:m].conj(), -1j * coup * phase[:m],
                                 phase[1:, None], phase[:m, None].conj()))
 
-        self._groups = groups
-        self._a0_sq = float(sum(np.vdot(vals, vals).real for _, _, vals in groups))
+        self._groups, self._excite_groups = groups, excite_groups
+        self._a0_sq = float(sum(np.vdot(vals, vals).real
+                                for _, _, vals in groups + excite_groups))
         self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
         self.n_poles = n_qubits
         self.size = (2 * d + 1) * n_qubits
@@ -224,7 +305,8 @@ class _EomSystem:
         """A0's nonzeros as one (rows, cols, values) triple of arrays."""
         index = np.arange(self.size)
         return tuple(np.concatenate(part) for part in zip(
-            *((index[rows], cols, vals) for rows, cols, vals in self._groups)))
+            *((index[rows], cols, vals) for rows, cols, vals in self._groups),
+            *((self._e_rows[rows], cols, vals) for rows, cols, vals in self._excite_groups)))
 
     def pencil(self):
         """(A0, E) as scipy CSC matrices, for the factorizations of A(Delta)."""
@@ -268,12 +350,24 @@ class _EomSystem:
         ax = np.zeros_like(x)
         for rows, cols, vals in self._groups:
             ax[rows] += vals[:, None] * x[cols]
+        self._add_excitation_rows(x, ax[self.size - self.n_poles:])
         return ax
+
+    def _add_excitation_rows(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Add the excitation rows of A0 x to the N rows of ``out``."""
+        for rows, cols, vals in self._excite_groups:
+            out[rows] += vals[:, None] * x[cols]
 
     def schur(self) -> np.ndarray:
         """The N x N Schur complement of the field block, whose eigenvalues
-        are the poles: the excitation rows of A0 x with x = (e, w(e))."""
-        return self._apply(self._fields(np.eye(self.n_poles, dtype=complex)))[self._e_rows]
+        are the poles: the excitation rows of A0 x with x = (e, w(e)), over
+        the N unit vectors e, a block of columns at a time."""
+        n = self.n_poles
+        out = np.zeros((n, n), dtype=complex)
+        for k in range(0, n, _CERT_BLOCK):
+            unit = np.eye(n, min(_CERT_BLOCK, n - k), -k, dtype=complex)
+            self._add_excitation_rows(self._fields(unit), out[:, k:k + _CERT_BLOCK])
+        return out
 
     def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
@@ -402,7 +496,9 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
     h = _hamiltonian(spec)
-    values, vectors = np.linalg.eig(h)
+    scale = np.linalg.norm(h)
+    values, vectors = _eig(spec, h)
+    del h            # folded by _eig: freed before the claimed vectors are copied
     dist = np.abs(seeds[:, None] - values)
     slot = dist.argmin(axis=1)        # each seed's nearest eigenvalue
     order = np.argsort(dist[np.arange(len(seeds)), slot], kind="stable")
@@ -419,7 +515,7 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
     poles, vecs = values[slot], vectors[:, slot]
     bound = min(tol, _CHECK_TOL)
     system = _EomSystem(spec)
-    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * np.linalg.norm(h)
+    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * scale
     reported = np.where(keep, seeds, poles)
     residuals = system.certificates(reported, vecs)
     back = keep & ~(residuals <= bound)            # kept seeds that fail
@@ -457,17 +553,22 @@ def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
 
 
 def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResult:
-    """All N poles as the eigenvalues of H, by a dense eigensolve.
+    """All N poles as the eigenvalues of H, by dense eigensolves.
 
-    Needs no seeds, resolves multiplicities exactly, and is robust in the
-    clustered near-resonant regime.  The poles must pass the trace rule.
+    Without noise H splits into 2^d reflection-parity sectors, one dense
+    eig each (:func:`_eig`): at 8 x 8 x 8 that takes about a quarter of the
+    time of one eig of all of H, and exact degeneracies that fall in
+    different sectors never meet in one non-normal eigensolve.  A noisy
+    network takes one eig of H.  Needs no seeds, resolves multiplicities
+    exactly, and is robust in the clustered near-resonant regime.  The
+    poles must pass the trace rule.
     "sample" (the default) and "all" both certify every pole with its
     eigenvector on the full system; "none" skips the certificate.
     """
     if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
-    values, vecs = np.linalg.eig(_hamiltonian(spec))
+    values, vecs = _eig(spec, _hamiltonian(spec))
     residuals = (np.full(len(values), np.nan) if validate == "none"
                  else _EomSystem(spec).certificates(values, vecs))
     return _finish(spec, 2j * values, residuals, "eigen", (), ConditioningFailure)
@@ -510,6 +611,32 @@ _NODES = 48              # trapezoid-rule nodes on the contour
 _EXTRA_PROBES = 4        # probe columns beyond the N poles
 
 
+def _moments(schur: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Beyn's moments M_0 and M_1 of the Schur complement C on the circle
+    |Delta| = radius, for the fixed probe block V; shifts ``schur`` in place.
+
+    One dense solve of C - z I per node z, with C's diagonal rewritten from
+    a saved copy, so no node's round-off reaches the next.  Only the moments
+    are returned, so C, V and the solutions are freed before the SVD.
+    """
+    n = len(schur)
+    diagonal = schur.diagonal().copy()
+    probes = np.random.default_rng(0).standard_normal((n, n + _EXTRA_PROBES)).astype(complex)
+    m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
+    for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
+        schur.flat[::n + 1] = diagonal - z
+        try:
+            x = np.linalg.solve(schur, probes)
+        except np.linalg.LinAlgError as exc:
+            raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
+        # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
+        x *= z / _NODES
+        m0 += x
+        x *= z
+        m1 += x
+    return m0, m1
+
+
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """All N poles by a contour integral of the resolvent (Beyn's method).
 
@@ -534,20 +661,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     _check_contour(spec)
     n = spec.n_qubits
     system = _EomSystem(spec)
-    schur = system.schur()
-    probes = np.random.default_rng(0).standard_normal((n, n + _EXTRA_PROBES)).astype(complex)
-    m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
-    radius = _RADIUS_FACTOR * spec.rate_sum
-    for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
-        try:
-            x = np.linalg.solve(schur - z * np.eye(n), probes)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
-        # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
-        x *= z / _NODES
-        m0 += x
-        x *= z
-        m1 += x
+    m0, m1 = _moments(system.schur(), _RADIUS_FACTOR * spec.rate_sum)
     u, s, wh = np.linalg.svd(m0, full_matrices=False)
     u, s, wh = u[:, :n], s[:n], wh[:n]
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)

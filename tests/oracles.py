@@ -4,6 +4,9 @@ The chain and small-lattice rate formulas here are transcribed directly
 from the closed-form results they validate against and are kept free of
 any library code paths they are used to check.
 
+``plain_eig`` is the library's earlier eigensolve of H, one dense eig of
+all of it, the reference for the reflection-parity sectors.
+
 ``det_at`` and ``logdet_at`` take the determinant of the library's dense
 assembled system; the tests check its degree and its zeros.
 
@@ -25,7 +28,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import assemble
+from dropqed import assemble, eom
 
 
 def multiset_max_err(a, b) -> float:
@@ -61,6 +64,11 @@ def reduced(system) -> np.ndarray:
     x = sla.solve(cols_w[:nb].toarray(), cols_e[:nb].toarray(),
                   overwrite_a=True, overwrite_b=True)
     return cols_e[nb:].toarray() - cols_w[nb:].toarray() @ x
+
+
+def plain_eig(spec) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit eigenvectors of H by one dense eig of all of it."""
+    return tuple(np.linalg.eig(eom._hamiltonian(spec)))
 
 
 def loop_noise(spec, epsilon_max, seed) -> np.ndarray:

@@ -562,6 +562,16 @@ def test_emitter_matches_reference_on_arbitrary_floats(spectra, report, out_form
     assert cli._emit(config, spectra, report) == reference_emit(config, spectra, report)
 
 
+@settings(max_examples=400, deadline=None)
+@given(x=st.one_of(_FLOAT64, st.floats(1e-99, 1e-5), st.floats(-1e-5, -1e-99),
+                   st.floats(1e-320, 1e-99)))
+def test_json_numbers_match_json_dumps(x):
+    # texts with two-digit negative exponents skip float(); every text must
+    # still read as json.dumps writes its value
+    text = "%.12g" % x
+    assert cli._json_numbers([text]) == [json.dumps(float(text))]
+
+
 @pytest.mark.parametrize("argv", [
     ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--m", "1"],
     ["scaling", "--d", "1", "--m-min", "4", "--m-max", "8"],

@@ -20,7 +20,8 @@ from dropqed import (
     sigma_min,
 )
 from dropqed import analysis, eom, lattice
-from oracles import (dense_sigma_min, det_at, logdet_at, multiset_max_err, reduced,
+from dropqed.chain1d import _re_im_order
+from oracles import (dense_sigma_min, det_at, logdet_at, multiset_max_err, plain_eig, reduced,
                      splu_certificates)
 
 
@@ -278,13 +279,67 @@ CERT_CASES = {**H_CASES, "chain-1000-clustered": lambda: spec_of([1000], theta=0
 def test_prefix_sum_certificates_match_the_sparse_lu(case):
     # fields from the line recurrences against w = -B_w^{-1} B_e e
     spec = CERT_CASES[case]()
-    values, vecs = np.linalg.eig(eom._hamiltonian(spec))
+    values, vecs = plain_eig(spec)
     system = eom._EomSystem(spec)
     got = system.certificates(values, vecs)
     assert np.max(np.abs(got - splu_certificates(system, values, vecs))) <= 1e-12
     assert np.all(got <= 1e-9)
     # off the pole the same vectors fail
     assert np.all(system.certificates(values + 1e-3 * spec.rate_sum, vecs) > 1e-9)
+
+
+# (dims, gammas or equal rates, theta / pi): odd and even axes in one, two
+# and three dimensions, an axis of one qubit, N = 1, equal rates and the
+# dark clusters at theta = m pi
+SECTOR_CASES = [
+    ([1], None, 0.3), ([5], None, 0.3), ([6], None, 0.65), ([7], None, 1.0),
+    ([1, 5], (1.0, 0.4), 0.5), ([4, 5], (1.0, 0.4), 0.65), ([3, 3], None, 0.5),
+    ([4, 4], (1.0, 0.4), 1.0), ([2, 3, 4], (1.0, 4.0, 2.0), 0.3), ([3, 3, 3], None, 1.0),
+    ([2, 2, 3], (1.0, 4.0, 2.0), 2.0), ([5, 3, 4], (1.0, 4.0, 2.0), 0.9999),
+]
+
+
+@pytest.mark.parametrize("dims, gammas, frac", SECTOR_CASES)
+def test_parity_sectors_match_one_eigensolve(dims, gammas, frac):
+    spec = spec_of(dims, gammas, theta=frac * np.pi)
+    values, vecs = eom._eig(spec, eom._hamiltonian(spec))
+    want = plain_eig(spec)[0]
+    scale = spec.rate_sum
+    assert multiset_max_err(2j * values, 2j * want) <= 1e-12 * scale
+    assert np.all(eom._EomSystem(spec).certificates(values, vecs) <= 1e-9)
+    if frac == int(frac):
+        # the dark cluster at Delta = 0 keeps its size, prod_n (N_n - 1)
+        dark = np.prod([n - 1 for n in dims])
+        assert np.count_nonzero(np.abs(values) <= 1e-12 * scale) == dark
+    result = all_poles_eig(spec)
+    assert multiset_max_err(result.poles.rates, 2j * want) <= 1e-12 * scale
+    assert np.all(result.residuals <= 1e-9)
+
+
+def test_noisy_networks_take_one_eigensolve():
+    # no axis folds under noise: the one sector is H itself, bit for bit
+    noisy = _noisy_acceptance_7()
+    want_values, want_vecs = plain_eig(noisy)
+    values, vecs = eom._eig(noisy, eom._hamiltonian(noisy))
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vecs, want_vecs)
+    want = 2j * want_values
+    assert np.array_equal(all_poles_eig(noisy).poles.rates, want[_re_im_order(want)])
+
+
+@pytest.mark.parametrize("dims, gammas, frac", [
+    ([3, 4], (1.0, 0.4), 0.3), ([2, 3, 4], (1.0, 4.0, 2.0), 0.65), ([3, 3, 3], None, 0.5),
+    ([6], None, 0.9999),
+])
+def test_symmetric_seeded_routes_keep_cartesian_seeds(dims, gammas, frac):
+    # the sectors' poles lie within 1e-12 ||H||_F of the Cartesian sums, so
+    # every seed is reported exactly as given
+    spec = spec_of(dims, gammas, theta=frac * np.pi)
+    seeds = drop_spectrum(spec).rates / 2j
+    got = all_poles_cnm(spec).poles.rates
+    assert np.array_equal(got, (2j * seeds)[_re_im_order(2j * seeds)])
+    for seed in seeds[:4]:
+        assert find_pole(spec, seed) == seed
 
 
 def test_oversized_network_fails_before_any_allocation(monkeypatch):
@@ -297,13 +352,25 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
                   lambda spec: assemble(spec, 0.3)):
         with pytest.raises(ConfigError, match="budget"):
             route(huge)
-    # H of 15x15x15 fits the budget; the contour route's four probe blocks,
-    # 23625 x 3379 complex each (about 5 GB), do not
-    eom._check_dense(15 ** 3, 15 ** 3, "H")
-    with pytest.raises(ConfigError, match="budget"):
-        all_poles_det_interp(spec_of([15, 15, 15]))
     monkeypatch.undo()
     assert eom._hamiltonian(spec_of([10, 10, 10])).shape == (1000, 1000)
+
+
+def test_contour_budget_counts_the_arrays_the_route_holds(monkeypatch):
+    # ten 2197 x 2201 complex arrays (0.72 GiB) and a column block admit
+    # 13x13x13; 16x16x16 needs 2.5 GiB.  H of 17x17x17 still fits its own
+    # count, so the contour route alone refuses 16x16x16.
+    def allocates(self):
+        raise AssertionError("rates resolved by the size check")
+    monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
+    eom._check_contour(spec_of([13, 13, 13]))
+    eom._check_contour(spec_of([60, 60]))
+    eom._check_h(spec_of([17, 17, 17]))
+    for dims in ([16, 16, 16], [61, 61], [3700]):
+        with pytest.raises(ConfigError, match="budget"):
+            eom._check_contour(spec_of(dims))
+    with pytest.raises(ConfigError, match="budget"):
+        all_poles_det_interp(spec_of([16, 16, 16]))
 
 
 def test_sparse_routes_never_build_h(monkeypatch):

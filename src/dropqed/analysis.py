@@ -164,9 +164,16 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     real part above ``zero_floor`` from the Cartesian-sum spectrum, and
     returns the log-log least-squares slope against N = M^d.  Near
     resonance the 1-D chain scales as N^-3, so the hyper-cubic slope is
-    -3/d.  The floor only guards against exact dark states (which appear at
-    theta = m*pi); at M = 60 and theta = 0.9999*pi the physical minimum is
-    already ~6e-13, so the floor must stay below that.
+    -3/d.  The floor is there for the dark states at theta = m*pi: chains
+    shorter than the secular route of :func:`~dropqed.chain1d.chain_rates`
+    (80 qubits) leave their real parts at round-off, up to about 1e-14;
+    longer ones put them below 1e-20 (exactly 0 at theta = 0).  It also
+    drops physical rates below it.  At theta = 0.9999*pi the chain minimum
+    is 5.6e-13 at M = 60, 1.2e-13 at M = 100 and 4.5e-15 at M = 300, good
+    to better than 1e-6 relative from M = 80 on; past about M = 105 the
+    default floor skips it, the fit takes the next mode up and the 1-D
+    slope of M = 10..300 reads -1.76.  With a floor below the minimum
+    (``zero_floor=0`` at that theta, where no rate is dark) it reads -3.01.
     """
     if m_range is None:
         if d not in _DEFAULT_SWEEPS:

@@ -203,9 +203,11 @@ def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_fold` on both index sides of every axis makes it block-diagonal:
     a mode is even or odd along each axis, which gives 2^d sectors of about
     N / 2^d (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976), per
-    axis).  Each sector's eigenvectors go into one N x N buffer at its rows
-    and columns, which is then folded back.  A spec with a noise field folds
-    no axis: its one sector is H, and the call is np.linalg.eig(h) itself.
+    axis).  The sectors of one shape go to one stacked np.linalg.eig call,
+    which gives each the values and vectors of its own call.  Each sector's
+    eigenvectors go into one N x N buffer at its rows and columns, which is
+    then folded back.  A spec with a noise field folds no axis: its one
+    sector is H, and the call is np.linalg.eig(h) itself.
     """
     dims, n = spec.dims, spec.n_qubits
     grid = h.reshape(dims + dims)
@@ -215,19 +217,32 @@ def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _fold(grid, axis)
     else:
         halves = [(slice(0, m),) for m in dims]
-    values = np.empty(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
-    rows = vectors.reshape(dims + (n,))
+    # the sectors' columns in product order, grouped by shape
+    by_shape: dict[tuple[int, ...], list[tuple[tuple[slice, ...], slice]]] = {}
     start = 0
     for sector in itertools.product(*halves):
         shape = tuple(s.stop - s.start for s in sector)
         size = math.prod(shape)
-        if not size:             # odd along an axis of one qubit
-            continue
-        cols = slice(start, start + size)
-        values[cols], block = np.linalg.eig(grid[sector + sector].reshape(size, size))
-        rows[sector + (cols,)] = block.reshape(shape + (size,))
-        start += size
+        if size:                 # an empty sector is odd along an axis of one qubit
+            by_shape.setdefault(shape, []).append((sector, slice(start, start + size)))
+            start += size
+    values = np.empty(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    rows = vectors.reshape(dims + (n,))
+    for shape, sectors in by_shape.items():
+        size = math.prod(shape)
+        if len(sectors) == 1:    # as its 2-D block; H itself under noise, a view
+            sector = sectors[0][0]
+            stack = grid[sector + sector].reshape(size, size)
+        else:
+            stack = np.empty((len(sectors), size, size), dtype=complex)
+            for block, (sector, _) in zip(stack, sectors):
+                block.reshape(shape + shape)[...] = grid[sector + sector]
+        stack_values, stack_vectors = np.linalg.eig(stack)
+        for (sector, cols), block_values, block in zip(
+                sectors, stack_values.reshape(-1, size), stack_vectors.reshape(-1, size, size)):
+            values[cols] = block_values
+            rows[sector + (cols,)] = block.reshape(shape + (size,))
     if spec.noise is None:
         for axis in range(len(dims)):
             _fold(rows, axis)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import chain_rates, coupling_matrix
+from dropqed import chain1d, chain_rates, coupling_matrix
 from oracles import (
     chain2_rates,
     chain3_rates,
@@ -223,3 +223,125 @@ def test_split_matches_full_kernel_eigensolve(n, frac):
     z = chain_rates(n, frac * np.pi).z
     assert multiset_max_err(z, dense_chain_rates(n, frac * np.pi)) <= 1e-12 * n
     assert abs(z.sum() - n) <= 1e-12 * n
+
+
+# both sides of the crossover to the secular route, odd and even
+CROSSOVER_NS = [2 * chain1d._SECULAR_MIN + k for k in (-2, -1, 0, 1)] + [7, 257]
+SECULAR_FRACS = (0.0, 1e-6, 0.3, 0.9999, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0, 3.3, -0.4)
+
+
+@pytest.mark.parametrize("frac", SECULAR_FRACS)
+@pytest.mark.parametrize("n", CROSSOVER_NS)
+def test_secular_route_matches_dense_oracle(n, frac):
+    z = chain_rates(n, frac * np.pi).z
+    assert multiset_max_err(z, dense_chain_rates(n, frac * np.pi)) <= 1e-12 * n
+    assert abs(z.sum() - n) <= 1e-12 * n
+
+
+def test_secular_route_is_taken_from_the_crossover_on(monkeypatch):
+    sizes = []
+    solve = chain1d._secular_rates
+    monkeypatch.setattr(chain1d, "_secular_rates", lambda s, u: sizes.append(len(u)) or solve(s, u))
+    for n in CROSSOVER_NS:
+        chain_rates(n, 0.3 * np.pi)
+    first = 2 * chain1d._SECULAR_MIN
+    want = [size for n in CROSSOVER_NS if n >= first for size in (n - n // 2, n // 2)]
+    assert sizes == want
+
+
+@pytest.mark.parametrize("n", [7, 100, 101])
+def test_sectors_are_the_split_blocks(n):
+    # i S + u u^T is the reversal-even block A + CJ (bordered for odd n)
+    # and the reversal-odd block A - CJ of the kernel
+    for frac in (0.0, 0.37, 0.9999, 2.6):
+        k = coupling_matrix(n, frac * np.pi)
+        m = n // 2
+        a, cj = k[:m, :m], k[:m, n - m:][:, ::-1]
+        even = a + cj
+        if n % 2:
+            edge = np.sqrt(2) * k[:m, m]
+            even = np.block([[even, edge[:, None]], [edge[None, :], k[m:m + 1, m:m + 1]]])
+        for block, (s, u) in zip((even, a - cj), chain1d._sectors(n, frac * np.pi)):
+            assert np.abs(block - (1j * s + np.outer(u, u))).max() <= 1e-14 * n
+
+
+@pytest.mark.parametrize("n", [100, 101, 160])
+def test_dark_rates_at_resonance_above_crossover(n):
+    # at theta = 0 the sine block is exactly zero and every dark rate is
+    # deflated to exactly 0; at the floating-point m * pi it is not quite
+    # zero, and the dark rates of that kernel are below 1e-20 (the dense
+    # eigensolve leaves them at round-off, about 1e-14)
+    for m in (0, 1, 2, 3):
+        z = chain_rates(n, m * np.pi).z
+        assert abs(z[-1] - n) <= 1e-12 * n
+        dark = z[:-1]
+        assert np.all(dark.real >= 0)
+        if m == 0:
+            assert np.all(dark == 0)
+        assert np.abs(dark.real).max() <= 1e-20
+        assert np.abs(dark).max() <= 1e-12 * n
+
+
+def test_secular_route_rates_are_passive():
+    for n in (100, 151, 300):
+        for frac in (0.05, 0.3, 0.5, 0.9, 0.9999, 1.0001, 1.7, 2.2):
+            assert chain_rates(n, frac * np.pi).z.real.min() >= 0
+
+
+@pytest.mark.parametrize("cap", [0, 1, 2])
+@pytest.mark.parametrize("n", [100, 151])
+def test_sweep_cap_falls_back_to_dense_eigensolve(monkeypatch, n, cap):
+    # a sector with roots still moving after the cap takes np.linalg.eigvals
+    # of its deflated matrix
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(chain1d, "_MAX_SWEEPS", cap)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    for frac in (0.0, 0.3, 0.9999, 1.0, 3.3):
+        z = chain_rates(n, frac * np.pi).z
+        assert multiset_max_err(z, dense_chain_rates(n, frac * np.pi)) <= 1e-12 * n
+        assert abs(z.sum() - n) <= 1e-12 * n
+    assert calls
+
+
+def test_secular_solver_resolves_subradiant_real_parts():
+    # every real part of both sectors at N = 40, 0.9999 pi to 1e-6 relative
+    # error against a 60-digit eigensolve of the same sector blocks; one
+    # dense eigvals of a block reaches only 1.6e-4
+    mp = pytest.importorskip("mpmath")
+    n, theta = 40, 0.9999 * np.pi
+    m = n // 2
+    with mp.workdps(60):
+        phase = [mp.expj(mp.mpf(theta) * s) for s in range(n)]
+        for sign, (s, u) in zip((1, -1), chain1d._sectors(n, theta)):
+            block = mp.matrix(m, m)
+            for j in range(m):
+                for k in range(m):
+                    block[j, k] = phase[abs(j - k)] + sign * phase[n - 1 - j - k]
+            want = np.array([complex(v) for v in mp.eig(block, left=False, right=False)])
+            got = chain1d._secular_rates(s, u)
+            assert len(got) == m
+            nearest = np.abs(got[:, None] - want[None, :]).argmin(1)
+            assert sorted(nearest) == list(range(m))
+            rel = np.abs(got.real - want[nearest].real) / want[nearest].real
+            assert rel.max() <= 1e-6
+
+
+def test_secular_solver_deflates_exact_roots():
+    # zero weights and repeated poles away from zero: the deflated roots
+    # i lam_k are exact, the rest match one dense eigensolve
+    rng = np.random.default_rng(3)
+    m = 60
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    lam = np.sort(rng.uniform(-3, 3, m))
+    lam[10:13] = lam[10]                 # a triple pole, merged by rotations
+    v = rng.standard_normal(m)
+    v[[5, 20, 40]] = 0.0                 # zero weights
+    s = (q * lam) @ q.T
+    s = (s + s.T) / 2
+    u = q @ v
+    got = chain1d._secular_rates(s, u)
+    want = np.linalg.eigvals(1j * s + np.outer(u, u))
+    assert multiset_max_err(got, want) <= 1e-12 * m
+    for k in (5, 10, 11, 20, 40):
+        assert np.abs(got - 1j * lam[k]).min() <= 1e-13 * m

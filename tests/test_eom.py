@@ -22,7 +22,7 @@ from dropqed import (
 from dropqed import analysis, eom, lattice
 from dropqed.chain1d import _re_im_order
 from oracles import (dense_sigma_min, det_at, logdet_at, multiset_max_err, plain_eig, reduced,
-                     splu_certificates)
+                     sector_loop_eig, splu_certificates)
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -314,6 +314,19 @@ def test_parity_sectors_match_one_eigensolve(dims, gammas, frac):
     result = all_poles_eig(spec)
     assert multiset_max_err(result.poles.rates, 2j * want) <= 1e-12 * scale
     assert np.all(result.residuals <= 1e-9)
+
+
+@pytest.mark.parametrize("dims, gammas, frac", SECTOR_CASES + [
+    ([2, 2, 2], (1.0, 4.0, 2.0), 0.5), ([4, 4, 4], None, 0.65), ([6, 6], (1.0, 0.4), 0.3),
+])
+def test_stacked_sector_eigensolves_match_one_call_per_sector(dims, gammas, frac):
+    # one stacked eig per sector shape (all 2^d sectors of an even cube
+    # share one) gives each sector the values and vectors of its own call
+    spec = spec_of(dims, gammas, theta=frac * np.pi)
+    values, vecs = eom._eig(spec, eom._hamiltonian(spec))
+    want_values, want_vecs = sector_loop_eig(spec)
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(vecs, want_vecs)
 
 
 def test_noisy_networks_take_one_eigensolve():

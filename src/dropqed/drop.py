@@ -112,6 +112,13 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     return Spectrum(rates=rates, method="drop", index_tuples=tuples, _distinct=True)
 
 
+def _distinct(values: np.ndarray) -> bool:
+    """Whether the entries of a 1-D array are pairwise distinct, by one sort
+    (np.unique loads numpy.ma, about 20 ms on a cold start)."""
+    ordered = np.sort(values)
+    return not (ordered[1:] == ordered[:-1]).any()
+
+
 def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[complex],
                   tol: float) -> MatchReport:
     """Optimally pair two spectra and report the worst pairwise distance.
@@ -128,7 +135,7 @@ def match_spectra(a: Spectrum | Sequence[complex], b: Spectrum | Sequence[comple
     cost = np.abs(ra[:, None] - rb[None, :])
     rows = np.arange(len(ra))
     cols = cost.argmin(axis=1) if len(ra) else rows
-    if len(np.unique(cols)) < len(cols) or not np.isfinite(cost).all():
+    if not _distinct(cols) or not np.isfinite(cost).all():
         # imported here, so the nearest pairing never pays for scipy;
         # scipy also rejects NaN and inf
         from scipy.optimize import linear_sum_assignment

@@ -33,9 +33,10 @@ axis to its even/odd reflection basis and diagonalizes the 2^d parity
 sectors apart, each about N / 2^d; a noisy H is one sector, one dense eig.
 :func:`all_poles_det_interp` never builds H from the line
 kernels, and takes the poles from a contour integral of the resolvent of
-the Schur complement of the sparse full system's field block, formed from
-that system's nonzeros alone.  ``_EomSystem`` holds those nonzeros,
-without H, and the certificate below.
+the Schur complement of the full system's field block, formed from that
+system's line relations alone.  ``_EomSystem`` applies those relations,
+without H and without storing the system's nonzeros, and holds the
+certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: four
 N x N for the routes that need H, ten N x (N + 4) for the contour route,
@@ -49,10 +50,14 @@ the field amplitudes w that solve the bulk (field) rows, which the line
 recurrences give in closed form as two prefix sums per axis;
 ||A x|| / ||x|| / ||A||_F at the pole must be at most 1e-9.  That bounds
 sigma_min(A)/||A||_F from above for any x, so no pole passes that an exact
-SVD would fail (a wrong w can only fail a pole), and A x is formed from
-the stored nonzeros of the (2d+1)N system, so a wrong H fails it.  The
-Lanczos :func:`sigma_min` and :func:`assemble` are for users and tests; no
-solve path calls them.
+SVD would fail (a wrong w can only fail a pole), and A x is applied
+straight from the relations above over all (2d+1)N rows, never from H, so
+a wrong H fails it.  One fused pass per axis and block of poles forms that
+axis's fields, adds their squares to ||x||^2 and those of its mover rows
+to ||A x||^2, and sums its terms of the excitation rows; no array of
+(2d+1)N rows is formed.  The Lanczos :func:`sigma_min` and
+:func:`assemble`, which take the explicit nonzeros, are for users and
+tests; no solve path calls them.
 
 Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
 study) is one call of :func:`_refine` on the network: one eigensolve of
@@ -70,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -144,18 +149,19 @@ def _check_h(spec: NetworkSpec) -> None:
 # During the node solves these are C and LAPACK's copy of it, the probes V and
 # their copy, the solutions at this node and the last, M_0 and M_1.  During
 # the SVD of M_0 they are M_0, M_1, the SVD's copy, U, W^H and about 3.5
-# arrays of LAPACK workspace.  The build of C adds one column block of x =
-# (e, w).  Peak RSS above the warm process measured 9.8 such arrays at
-# 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  2 GiB admits N <= 3639 in three
-# dimensions (15 x 15 x 15).
+# arrays of LAPACK workspace.  Peak RSS above the warm process measured 9.8
+# such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The column blocks of the
+# fused pass (see _CERT_BLOCK) add nothing to that peak: the build of C holds
+# C beside four blocks of N x min(64, N), and the certificates hold the
+# poles' vectors beside seven, both below ten N x (N + 4) arrays for every N.
+# 2 GiB admits N <= 3661 (60 x 60, 15 x 15 x 15).
 _CONTOUR_ARRAYS = 10
 
 
 def _check_contour(spec: NetworkSpec) -> None:
     """Raise ConfigError when the contour route's arrays would exceed the budget."""
     n = spec.n_qubits
-    _check_budget(16 * (_CONTOUR_ARRAYS * n * (n + _EXTRA_PROBES)
-                        + (2 * spec.ndim + 1) * n * _CERT_BLOCK),
+    _check_budget(16 * _CONTOUR_ARRAYS * n * (n + _EXTRA_PROBES),
                   f"the contour route's {_CONTOUR_ARRAYS} blocks of {n} x {n + _EXTRA_PROBES}")
 
 
@@ -249,87 +255,103 @@ def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
+class _Axis(NamedTuple):
+    """One axis's tables, in its (m, lines, columns) layout: entry [j, l]
+    belongs to position j on line l."""
+
+    sites: np.ndarray       # the qubit there
+    order: tuple            # the qubit grid's axes, then the columns', in this layout
+    coup: np.ndarray        # c = sqrt(g/2), as every table below of shape (m, lines, 1)
+    i_coup: np.ndarray      # i c
+    to_t: np.ndarray        # -i c e^{-i theta j}: weights of the t prefix sums
+    to_r: np.ndarray        # -i c e^{i theta j}: weights of the r prefix sums
+    t_phase: np.ndarray     # e^{i theta (j+1)}, shape (m, 1, 1)
+    r_phase: np.ndarray     # e^{-i theta j}, shape (m, 1, 1)
+
+
 class _EomSystem:
     """The pencil A(Delta) = A0 - Delta * E (E selects the excitation rows)
-    and the pole certificate on it, in numpy alone.
+    and the pole certificate on it, in numpy alone, without storing A0.
 
-    A0's nonzeros are kept as the (rows, cols, values) groups its relations
-    make, one per kind of entry and axis, sorted by row; the rows within a
-    group are distinct, so A0 x is one gather and one scatter-add per group,
-    and a group whose rows form one run is added through a slice.  The
-    groups of the excitation rows are kept apart, their rows numbered from
-    the first excitation row, so the Schur complement applies them alone.
-    :func:`sigma_min` and the tests build it in scipy's CSC format from the
-    same groups (:meth:`pencil`).  No dense array, so no budget check of its
-    own (each route checks the arrays it holds).
+    Each axis keeps the tables of :class:`_Axis`: its sites, c = sqrt(g/2)
+    on them and the phases of the field prefix sums.  A0 is applied
+    straight from the line relations, on each axis's (m, lines, columns)
+    layout by slicing along the positions: t_{j+1} e^{-i theta} - t_j +
+    i c_j e_j on the right-mover rows, r_{j+1} e^{i theta} - r_j - i c_j e_j
+    on the left-mover rows, and sum_n c_j (t_j + r_j) on the excitation
+    rows.  :meth:`entries` builds A0's nonzeros on request, for
+    :func:`assemble`, :func:`sigma_min` (:meth:`pencil`) and the tests,
+    which check the matrix-free product against them.  No dense array, so
+    no budget check of its own (each route checks the arrays it holds).
     """
 
     def __init__(self, spec: NetworkSpec):
         n_qubits, d = spec.n_qubits, spec.ndim
         rates = spec.resolved_rates()
-        em, ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
-        groups, excite_groups = [], []
+        self._dims = spec.dims
+        self._em, self._ep = np.exp(-1j * spec.theta), np.exp(1j * spec.theta)
+        self._axes = []
+        a0_sq = 0.0
+        for axis, lines in enumerate(_lines(spec)):
+            n_lines, m = lines.shape
+            sites = np.ascontiguousarray(lines.T)
+            coup_sq = rates[sites, axis] / 2
+            coup = np.sqrt(coup_sq)[:, :, None]
+            phase = np.exp(1j * spec.theta * np.arange(m + 1))[:, None, None]
+            back = phase[:m].conj()
+            self._axes.append(_Axis(
+                sites=sites, order=(axis, *(k for k in range(d) if k != axis), d),
+                coup=coup, i_coup=1j * coup, to_t=-1j * coup * back, to_r=-1j * coup * phase[:m],
+                t_phase=phase[1:], r_phase=back))
+            # unit moduli on 2(2N - L) slots of the mover rows; c on three
+            # slots per qubit and a fourth past each line's first qubit
+            a0_sq += 2 * (2 * n_qubits - n_lines) + 3 * coup_sq.sum() + coup_sq[1:].sum()
+        self._a0_sq = float(a0_sq)
+        self.n_poles = n_qubits
+        self.size = (2 * d + 1) * n_qubits
 
-        def put(row, col, value, into=groups):
-            if not row.size:         # lines of one qubit have no neighbour
-                return
-            order = np.argsort(row, axis=None)
-            row = row.ravel()[order]
-            if row[-1] - row[0] + 1 == len(row):
-                row = slice(int(row[0]), int(row[-1]) + 1)
-            value = np.broadcast_to(value, col.shape).ravel()[order]
-            into.append((row, col.ravel()[order], value))
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A0's nonzeros as one (rows, cols, values) triple of arrays, built
+        from the line relations on each call."""
+        n_qubits, d = self.n_poles, len(self._axes)
+        parts = []
+
+        def put(row, col, value):
+            parts.append((row.ravel(), col.ravel(), np.broadcast_to(value, col.shape).ravel()))
 
         # rows: all right-mover relations, all left-mover ones, then one
         # excitation relation per qubit; columns: e, then per axis and line
         # t_2..t_{M+1} and r_1..r_M.  Entry [l, j] below is the qubit at
         # position j + 1 on line l of the axis.
-        self._axes = []
-        for axis, lines in enumerate(_lines(spec)):
+        for axis, tables in enumerate(self._axes):
+            lines, coup = tables.sites.T, tables.coup[:, :, 0].T
             n_lines, m = lines.shape
             first = n_qubits * (1 + 2 * axis) + 2 * m * np.arange(n_lines)[:, None]
             t_next = first + np.arange(m)        # column of t_{j+1}
             r_here = t_next + m                  # column of r_j
             right = axis * n_qubits + np.arange(n_qubits).reshape(n_lines, m)
             left = right + d * n_qubits
-            coup = np.sqrt(rates[lines, axis] / 2)
+            excite = 2 * d * n_qubits + lines
             # right movers: t_{j+1} e^{-i theta} - t_j + i sqrt(g/2) e = 0
-            put(right, t_next, em)
+            put(right, t_next, self._em)
             put(right[:, 1:], t_next[:, :-1], -1.0)
             put(right, lines, 1j * coup)
             # left movers: r_{j+1} e^{+i theta} - r_j - i sqrt(g/2) e = 0
-            put(left[:, :-1], r_here[:, 1:], ep)
+            put(left[:, :-1], r_here[:, 1:], self._ep)
             put(left, r_here, -1.0)
             put(left, lines, -1j * coup)
             # excitation (row per qubit): sum_n sqrt(g/2) (t_j + r_j) - Delta e = 0
-            put(lines[:, 1:], t_next[:, :-1], coup[:, 1:], excite_groups)
-            put(lines, r_here, coup, excite_groups)
-            # the weights of _fields' prefix sums, and their outer phases
-            phase = np.exp(1j * spec.theta * np.arange(m + 1))
-            self._axes.append((lines, -1j * coup * phase[:m].conj(), -1j * coup * phase[:m],
-                                phase[1:, None], phase[:m, None].conj()))
-
-        self._groups, self._excite_groups = groups, excite_groups
-        self._a0_sq = float(sum(np.vdot(vals, vals).real
-                                for _, _, vals in groups + excite_groups))
-        self._e_rows = 2 * d * n_qubits + np.arange(n_qubits)
-        self.n_poles = n_qubits
-        self.size = (2 * d + 1) * n_qubits
-
-    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """A0's nonzeros as one (rows, cols, values) triple of arrays."""
-        index = np.arange(self.size)
-        return tuple(np.concatenate(part) for part in zip(
-            *((index[rows], cols, vals) for rows, cols, vals in self._groups),
-            *((self._e_rows[rows], cols, vals) for rows, cols, vals in self._excite_groups)))
+            put(excite[:, 1:], t_next[:, :-1], coup[:, 1:])
+            put(excite, r_here, coup)
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
     def pencil(self):
         """(A0, E) as scipy CSC matrices, for the factorizations of A(Delta)."""
         import scipy.sparse as sp
 
         rows, cols, vals = self.entries()
-        shape = (self.size, self.size)
-        e = sp.csc_matrix((np.ones(self.n_poles), (self._e_rows, np.arange(self.n_poles))),
+        n, shape = self.n_poles, (self.size, self.size)
+        e = sp.csc_matrix((np.ones(n), (np.arange(self.size - n, self.size), np.arange(n))),
                           shape=shape)
         return sp.csc_matrix((vals, (rows, cols)), shape=shape), e
 
@@ -338,40 +360,64 @@ class _EomSystem:
         # the Delta-bearing slots hold exactly -Delta (A0 is zero there)
         return np.sqrt(self._a0_sq + self.n_poles * np.abs(delta) ** 2)
 
-    def _fields(self, e: np.ndarray) -> np.ndarray:
-        """x = (e, w) for a block of excitation vectors, with w the field
-        amplitudes that solve every bulk (field) row of A.
+    def _fields(self, tables: _Axis, e: np.ndarray, on: np.ndarray, t: np.ndarray,
+                r: np.ndarray) -> None:
+        """Fill ``on`` with a block of excitation vectors e on one axis's
+        sites, and ``t`` and ``r`` with the field amplitudes that solve the
+        axis's bulk (field) rows, all in its (m, lines, columns) layout.
 
         With c = sqrt(g/2) and positions j along a line, the relations with
         no incoming field give t_{j+1} = -i e^{i theta (j+1)} sum_{k<=j}
         e^{-i theta k} c_k e_k and r_j = -i e^{-i theta j} sum_{k>=j}
-        e^{i theta k} c_k e_k: two prefix sums per axis, O(N) per column.
+        e^{i theta k} c_k e_k: two prefix sums, O(N) per column.
         """
-        x = np.empty((self.size, e.shape[1]), dtype=complex)
-        x[:self.n_poles] = e
-        for axis, (lines, to_t, to_r, t_phase, r_phase) in enumerate(self._axes):
-            n_lines, m = lines.shape
-            on_lines = e[lines]
-            field = x[self.n_poles * (1 + 2 * axis):self.n_poles * (3 + 2 * axis)].reshape(
-                n_lines, 2, m, -1)
-            np.cumsum(to_t[:, :, None] * on_lines, axis=1, out=field[:, 0])
-            field[:, 0] *= t_phase
-            np.cumsum((to_r[:, :, None] * on_lines)[:, ::-1], axis=1, out=field[:, 1, ::-1])
-            field[:, 1] *= r_phase
-        return x
+        np.take(e, tables.sites, axis=0, out=on, mode="clip")   # "clip" writes unbuffered
+        _prefix_sum(np.multiply(tables.to_t, on, out=t))
+        t *= tables.t_phase
+        _prefix_sum(np.multiply(tables.to_r, on, out=r)[::-1])
+        r *= tables.r_phase
+
+    def _mover_rows(self, t: np.ndarray, r: np.ndarray, i_on: np.ndarray,
+                    right: np.ndarray, left: np.ndarray) -> None:
+        """Write one axis's right- and left-mover rows of A0 x to ``right``
+        and ``left``, from x's fields t and r and i c e (``i_on``), all in
+        the axis's (m, lines, columns) layout."""
+        np.multiply(t, self._em, out=right)
+        right[1:] -= t[:-1]
+        right += i_on
+        np.multiply(r[1:], self._ep, out=left[:-1])
+        left[:-1] -= r[:-1]
+        np.multiply(r[-1], -1.0, out=left[-1])
+        left -= i_on
+
+    def _add_excitation_rows(self, tables: _Axis, t: np.ndarray, r: np.ndarray,
+                             out: np.ndarray, scratch: np.ndarray) -> None:
+        """Add one axis's part of the excitation rows of A0 x to the N rows
+        of ``out``: c_j t_j past each line's first qubit, then c_j r_j.
+        ``scratch`` (the layout's shape) is overwritten."""
+        grid = out.reshape(self._dims + out.shape[1:]).transpose(tables.order)
+        np.multiply(tables.coup[1:], t[:-1], out=scratch[1:])
+        grid[1:] += scratch[1:].reshape(grid[1:].shape)
+        np.multiply(tables.coup, r, out=scratch)
+        grid += scratch.reshape(grid.shape)
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
-        """A0 x for a block of full-system columns, from the stored groups."""
-        ax = np.zeros_like(x)
-        for rows, cols, vals in self._groups:
-            ax[rows] += vals[:, None] * x[cols]
-        self._add_excitation_rows(x, ax[self.size - self.n_poles:])
-        return ax
+        """A0 x for a block of full-system columns, from the line relations."""
+        n, d = self.n_poles, len(self._axes)
+        ax = np.zeros(x.shape, dtype=complex)
+        for axis, tables in enumerate(self._axes):
+            m, n_lines = tables.sites.shape
 
-    def _add_excitation_rows(self, x: np.ndarray, out: np.ndarray) -> None:
-        """Add the excitation rows of A0 x to the N rows of ``out``."""
-        for rows, cols, vals in self._excite_groups:
-            out[rows] += vals[:, None] * x[cols]
+            def layout(rows):   # blocks of N rows, each in the (m, lines, columns) layout
+                return rows.reshape(n_lines, -1, m, x.shape[1]).transpose(1, 2, 0, 3)
+
+            t, r = layout(x[n * (1 + 2 * axis):n * (3 + 2 * axis)])
+            (right,) = layout(ax[n * axis:n * (axis + 1)])
+            (left,) = layout(ax[n * (d + axis):n * (d + axis + 1)])
+            self._mover_rows(t, r, tables.i_coup * x[tables.sites], right, left)
+            self._add_excitation_rows(tables, t, r, ax[self.size - n:],
+                                      np.empty(t.shape, dtype=complex))
+        return ax
 
     def schur(self) -> np.ndarray:
         """The N x N Schur complement of the field block, whose eigenvalues
@@ -380,25 +426,77 @@ class _EomSystem:
         n = self.n_poles
         out = np.zeros((n, n), dtype=complex)
         for k in range(0, n, _CERT_BLOCK):
-            unit = np.eye(n, min(_CERT_BLOCK, n - k), -k, dtype=complex)
-            self._add_excitation_rows(self._fields(unit), out[:, k:k + _CERT_BLOCK])
+            self._add_field_terms(np.eye(n, min(_CERT_BLOCK, n - k), -k, dtype=complex),
+                                  out[:, k:k + _CERT_BLOCK])
         return out
+
+    def _add_field_terms(self, e: np.ndarray, out: np.ndarray) -> None:
+        """Add the field terms of the excitation rows of A0 x, x = (e, w(e)),
+        to ``out``, one axis at a time."""
+        work = np.empty((3,) + e.shape, dtype=complex)
+        for tables in self._axes:
+            on, t, r = work.reshape((3,) + tables.sites.shape + (-1,))
+            self._fields(tables, e, on, t, r)
+            self._add_excitation_rows(tables, t, r, out, on)
 
     def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
         e_k of ``vecs``, with x_k = (e_k, w_k) from :meth:`_fields`: the pole
-        certificate of the module docstring.  Columns go in blocks, so the
-        full-system vectors never take (2d+1)N^2 entries at once."""
+        certificate of the module docstring, a block of columns at a time."""
         deltas = np.asarray(deltas, dtype=complex)
         out = np.empty(len(deltas))
         for k in range(0, len(deltas), _CERT_BLOCK):
             part = slice(k, k + _CERT_BLOCK)
-            x = self._fields(vecs[:, part])
-            ax = self._apply(x)
-            ax[self._e_rows] -= deltas[part] * x[:self.n_poles]
-            out[part] = (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
-                         / self.frobenius(deltas[part]))
+            out[part] = self._certify_block(deltas[part], vecs[:, part])
         return out
+
+    def _certify_block(self, deltas: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """The certificates of one block of columns, by one fused pass per
+        axis: the axis's fields add their squares to ||x||^2 and its mover
+        rows theirs to ||A x||^2, and its terms of the excitation rows are
+        summed in an N-row block, whose squares are added last.  It holds
+        six arrays of the block's shape and never one of (2d+1)N rows."""
+        work = np.empty((5,) + e.shape, dtype=complex)
+        excite = np.zeros(e.shape, dtype=complex)
+        x_sq = ax_sq = 0.0
+        for axis, tables in enumerate(self._axes):
+            on, t, r, right, left = work.reshape((5,) + tables.sites.shape + (-1,))
+            self._fields(tables, e, on, t, r)
+            if not axis:            # every qubit sits on one line of an axis
+                x_sq += _square_sums(on)
+            x_sq += _square_sums(work[1:3])
+            self._mover_rows(t, r, np.multiply(tables.i_coup, on, out=on), right, left)
+            ax_sq += _square_sums(work[3:5])
+            self._add_excitation_rows(tables, t, r, excite, on)
+        excite -= np.multiply(e, deltas, out=work[0])
+        ax_sq += _square_sums(excite)
+        # the real and imaginary parts of each column are adjacent
+        return (np.sqrt(ax_sq.reshape(-1, 2).sum(axis=1) / x_sq.reshape(-1, 2).sum(axis=1))
+                / self.frobenius(deltas))
+
+
+# prefix sums over slices of at least this many entries take one slice add
+# per position; np.cumsum along an outer axis costs about 6 ns an entry, a
+# slice add about 1.5 us plus under 1 ns an entry (2-core Xeon VM)
+_SLICE_ADDS = 256
+
+
+def _prefix_sum(a: np.ndarray) -> None:
+    """Running sums along the first axis of ``a``, in place and in order,
+    so bit for bit those of np.cumsum."""
+    if a[0].size >= _SLICE_ADDS:
+        for j in range(1, len(a)):
+            a[j] += a[j - 1]
+    else:
+        np.cumsum(a, axis=0, out=a)
+
+
+def _square_sums(a: np.ndarray) -> np.ndarray:
+    """Sums of squares of the real and imaginary parts of each column (last
+    axis) of a complex array over all its other axes, in (re, im) pairs; its
+    last axis must be contiguous."""
+    parts = a.reshape(-1, a.shape[-1]).view(float)
+    return np.einsum("ij,ij->j", parts, parts)
 
 
 def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
@@ -409,7 +507,7 @@ def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     a = np.zeros((size, size), dtype=complex)
     rows, cols, vals = system.entries()
     a[rows, cols] = vals
-    a[system._e_rows, np.arange(system.n_poles)] -= delta
+    a[np.arange(size - system.n_poles, size), np.arange(system.n_poles)] -= delta
     # names for the columns, in the order _EomSystem lays them out
     index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
     start = system.n_poles
@@ -465,7 +563,10 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
 # Cartesian-sum seeds of symmetric networks lie within a few eps
 _KEEP_SEED_TOL = 1e-12
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
-_CERT_BLOCK = 64         # eigenvectors certified per block
+# columns per block of the fused pass of the certificates and of the Schur
+# complement's build: the pass holds about seven arrays of N x 64 (its
+# fields, mover rows and excitation rows), never one of (2d+1)N rows
+_CERT_BLOCK = 64
 
 
 def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
@@ -656,8 +757,8 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """All N poles by a contour integral of the resolvent (Beyn's method).
 
     The matrix is the N x N Schur complement C of the full system's field
-    block (:meth:`_EomSystem.schur`), built from the pencil's nonzeros, not
-    from the line kernels of H.  The trapezoid rule on 48 nodes of the
+    block (:meth:`_EomSystem.schur`), built from the pencil's line
+    relations, not from the line kernels of H.  The trapezoid rule on 48 nodes of the
     circle |Delta| = 1.5 S, S = sum_n N_n gamma_n (it encloses every pole),
     gives the moments M_p = (1/2 pi i) oint Delta^p (C - Delta)^{-1} V
     dDelta, p = 0, 1, one dense solve per node, for a fixed pseudo-random
@@ -681,6 +782,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     u, s, wh = u[:, :n], s[:n], wh[:n]
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
     vecs = u @ y
+    del m0, m1, u, wh, y     # only the poles' vectors stay for the certificates
     vecs /= np.linalg.norm(vecs, axis=0)
     return _finish(spec, 2j * deltas, system.certificates(deltas, vecs),
                    "det-interp", (), ConditioningFailure)

@@ -152,7 +152,10 @@ def _lines(spec: NetworkSpec) -> list[np.ndarray]:
     linear indices of the qubits on line l of :func:`enumerate_lines`, by
     position along the axis."""
     grid = np.arange(spec.n_qubits).reshape(spec.dims)
-    return [np.moveaxis(grid, axis, -1).reshape(-1, m) for axis, m in enumerate(spec.dims)]
+    axes = range(spec.ndim)
+    # each axis moved last, the others in order (np.moveaxis, without its checks)
+    return [grid.transpose([k for k in axes if k != axis] + [axis]).reshape(-1, m)
+            for axis, m in enumerate(spec.dims)]
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx): its mixing

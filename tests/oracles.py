@@ -15,6 +15,11 @@ certificate (field amplitudes by a sparse LU of the field block) and noise
 draw (one SeedSequence, Philox and Generator per stream), the references
 for the prefix-sum certificate and the vectorized stream keys.
 
+``loop_bic_report`` is the library's earlier bound-state check, which
+normalized every null vector and built every rule's weights once per line,
+the byte-for-byte reference for the hoisted loop of
+``analysis.bic_condition_check``.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -29,7 +34,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import assemble, eom
+from dropqed import analysis, assemble, eom, lattice
 
 
 def multiset_max_err(a, b) -> float:
@@ -135,6 +140,35 @@ def splu_certificates(system, deltas, vecs) -> np.ndarray:
     ax = a0 @ x - e_sparse @ x * deltas
     return (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
             / system.frobenius(deltas))
+
+
+def loop_bic_report(spec, m: int = 1, rank_tol: float = 1e-8):
+    """``analysis.bic_condition_check`` as one loop over (line, vector,
+    rule), normalizing the vector and building the weights inside it."""
+    null = eom.nullity_at(spec, 0.0, rank_tol=rank_tol)
+    expected = int(np.prod([n - 1 for n in spec.dims]))
+    rules = ("plain", "alternating", "qubit-parity", "phase-parity")
+    max_violation = {rule: 0.0 for rule in rules}
+    violations = []
+    for axis, lines in enumerate(lattice._lines(spec)):
+        for line, idx in zip(lattice.enumerate_lines(spec, axis), lines):
+            for vec in range(null.nullity):
+                e = null.e_basis[:, vec]
+                norm = np.linalg.norm(e)
+                if norm == 0:
+                    continue
+                e = e / norm
+                for rule in rules:
+                    weights = analysis._line_weights(len(idx), rule, m)
+                    s = abs(np.dot(weights, e[idx]))
+                    if s > max_violation[rule]:
+                        max_violation[rule] = float(s)
+                    if s > 1e-8:
+                        violations.append(analysis.BicViolation(rule=rule, line=line,
+                                                                vector=vec, value=float(s)))
+    return analysis.BicReport(m=m, nullity=null.nullity, expected_nullity=expected,
+                              rank_tol=rank_tol, max_violation=max_violation,
+                              violations=tuple(violations))
 
 
 def logdet_at(spec, delta) -> tuple[complex, float]:

@@ -18,8 +18,12 @@ from dropqed import (
     subradiance_scaling,
 )
 
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dropqed import analysis
 from dropqed.analysis import _line_weights
-from oracles import multiset_max_err
+from oracles import loop_bic_report, multiset_max_err
 
 
 def spec_of(dims, gammas=None, frac=1.0):
@@ -191,6 +195,17 @@ def test_bic_even_m_uses_plain_sums():
     assert report.max_violation["qubit-parity"] > 0.1
 
 
+@pytest.mark.parametrize("dims, m", [
+    ([2], 1), ([3], 2), ([2, 3], 1), ([3, 4], 2), ([4, 5], 1), ([1, 4], 1),
+    ([2, 2, 3], 2), ([3, 3, 3], 1), ([3, 3, 3], 2),
+])
+def test_bic_report_matches_the_per_line_loop(dims, m):
+    # vectors normalized and weights built once give the same report, bit
+    # for bit, as the loop that rebuilt them for every line
+    spec = spec_of(dims, tuple(0.5 + i for i in range(len(dims))), frac=m)
+    assert bic_condition_check(spec, m=m) == loop_bic_report(spec, m=m)
+
+
 def test_bic_requires_resonant_theta():
     with pytest.raises(ThetaOutOfRange):
         bic_condition_check(spec_of([2], frac=0.5), m=1)
@@ -234,6 +249,21 @@ def test_noise_study_claim_order_is_pinned():
     result = noise_study(spec, 0.05, seed=0)
     assert result.max_displacement == pytest.approx(0.128703567377, rel=1e-9)
     assert result.median_displacement == pytest.approx(0.0302363818156, rel=1e-9)
+
+
+_displacements = st.lists(st.one_of(st.floats(0.0, 10.0), st.sampled_from([0.0, 1.5, np.nan])),
+                          min_size=1, max_size=15)
+
+
+@given(_displacements.filter(lambda v: not np.isnan(v).all()))
+@settings(max_examples=300)
+@example([np.nan, 2.0, 1.0])                       # odd count after a NaN
+@example([3.0, np.nan, 1.0, 2.0, np.nan, 0.25])    # even count after NaNs
+@example([0.1, 0.7])                               # (a + b) / 2 rounds
+@example([5.0])
+def test_nan_median_is_numpys_bit_for_bit(values):
+    values = np.array(values)
+    assert np.float64(analysis._nan_median(values)).tobytes() == np.nanmedian(values).tobytes()
 
 
 def test_noise_study_seed_dependence():

@@ -187,6 +187,17 @@ def test_match_agrees_with_the_assignment_solver(pair):
     assert report.mean_abs_error == float(want.mean())
 
 
+@given(st.lists(st.integers(-3, 12), max_size=14))
+@settings(max_examples=300)
+@example([])
+@example([4])
+@example([2, 0, 2])
+def test_sort_distinctness_agrees_with_unique(values):
+    # match_spectra's test on its nearest columns, without numpy.ma
+    cols = np.array(values, dtype=np.intp)
+    assert drop._distinct(cols) == (len(np.unique(cols)) == len(cols))
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_match_rejects_non_finite_rates(bad):
     # distinct nearest partners, yet no pairing is reported

@@ -228,14 +228,56 @@ H_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(H_CASES))
+def _noisy_3x1x2():
+    spec = spec_of([3, 1, 2], (1.0, 4.0, 2.0), theta=0.65 * np.pi)
+    return spec.with_noise(sample_noise(spec, 0.05, seed=3))
+
+
+# the H cases, axes of one qubit, N = 1, theta = m pi and noise
+PENCIL_CASES = {
+    **H_CASES,
+    "1x4": lambda: spec_of([1, 4], (1.0, 0.4), theta=0.3 * np.pi),
+    "3x1x2-noisy": _noisy_3x1x2,
+    "n1": SIGMA_MIN_CASES["n1"],
+    "3x3-2pi": lambda: spec_of([3, 3], (1.0, 0.4), theta=2 * np.pi),
+    "2x3x4-pi": lambda: spec_of([2, 3, 4], (1.0, 4.0, 2.0), theta=np.pi),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_matrix_free_product_matches_the_explicit_entries(case):
+    # A0 x from the line relations against the sparse A0 that entries()
+    # builds, on random full-system columns
+    system = eom._EomSystem(PENCIL_CASES[case]())
+    a0 = system.pencil()[0]
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((system.size, 3)) + 1j * rng.standard_normal((system.size, 3))
+    want = a0 @ x
+    got = system._apply(x)
+    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
+    # a column block that is a strided view gives the same product
+    assert np.array_equal(system._apply(np.repeat(x, 2, axis=1)[:, ::2]), got)
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_closed_form_frobenius_matches_the_entries(case):
+    spec = PENCIL_CASES[case]()
+    system = eom._EomSystem(spec)
+    vals = system.entries()[2]
+    assert system.frobenius(0.0) ** 2 == pytest.approx(np.vdot(vals, vals).real, rel=1e-15)
+    delta = 0.3 - 0.7j
+    assert system.frobenius(delta) == pytest.approx(np.linalg.norm(assemble(spec, delta).a),
+                                                    rel=1e-15)
+
+
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
 def test_direct_h_matches_schur_complement(case):
-    spec = H_CASES[case]()
+    spec = PENCIL_CASES[case]()
     system = eom._EomSystem(spec)
     want = reduced(system)
     h = eom._hamiltonian(spec)
     assert np.linalg.norm(h - want) <= 1e-14 * np.linalg.norm(want)
-    # the contour route's matrix, from the pencil's nonzeros alone
+    # the contour route's matrix, from the pencil's line relations alone
     schur = system.schur()
     for ref in (want, h):
         assert np.linalg.norm(schur - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -272,7 +314,8 @@ def test_certificate_never_undercuts_dense_sigma_min(case):
         assert resid * norm >= dense_sigma_min(a) - 1e-12 * norm, gamma
 
 
-CERT_CASES = {**H_CASES, "chain-1000-clustered": lambda: spec_of([1000], theta=0.9999 * np.pi)}
+CERT_CASES = {**PENCIL_CASES,
+              "chain-1000-clustered": lambda: spec_of([1000], theta=0.9999 * np.pi)}
 
 
 @pytest.mark.parametrize("case", sorted(CERT_CASES))
@@ -284,8 +327,57 @@ def test_prefix_sum_certificates_match_the_sparse_lu(case):
     got = system.certificates(values, vecs)
     assert np.max(np.abs(got - splu_certificates(system, values, vecs))) <= 1e-12
     assert np.all(got <= 1e-9)
-    # off the pole the same vectors fail
-    assert np.all(system.certificates(values + 1e-3 * spec.rate_sum, vecs) > 1e-9)
+    # off the pole the same vectors fail, by the same margin either way
+    off = values + 1e-3 * spec.rate_sum
+    got = system.certificates(off, vecs)
+    assert np.all(got > 1e-9)
+    assert np.allclose(got, splu_certificates(system, off, vecs), rtol=1e-10, atol=0.0)
+
+
+def test_certificate_counts_every_row_of_the_x_it_forms(monkeypatch):
+    # fields that miss the bulk rows: the fused pass must still give
+    # ||A x|| / ||x|| / ||A||_F of the x it formed, with every row counted
+    spec = H_CASES["3x2x6-noisy"]()
+    system = eom._EomSystem(spec)
+    values, vecs = plain_eig(spec)
+    n = spec.n_qubits
+    fields = eom._EomSystem._fields
+
+    def off_by_a_little(self, tables, e, on, t, r):
+        fields(self, tables, e, on, t, r)
+        t += 1e-3
+        r -= 2e-3j
+    monkeypatch.setattr(eom._EomSystem, "_fields", off_by_a_little)
+    got = system.certificates(values, vecs)
+    # the same x in the full system's columns: per axis and line, t then r
+    x = np.zeros((system.size, n), dtype=complex)
+    x[:n] = vecs
+    for axis, tables in enumerate(system._axes):
+        m, n_lines = tables.sites.shape
+        on, t, r = np.empty((3, m, n_lines, n), dtype=complex)
+        off_by_a_little(system, tables, vecs, on, t, r)
+        block = x[n * (1 + 2 * axis):n * (3 + 2 * axis)].reshape(n_lines, 2, m, n)
+        block[:, 0], block[:, 1] = t.transpose(1, 0, 2), r.transpose(1, 0, 2)
+    a0, e = system.pencil()
+    ax = a0 @ x - (e @ x) * values
+    want = np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0) / system.frobenius(values)
+    assert np.all(want > 1e-5)
+    assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("shape", [(1, 7), (2, 5), (40, 3), (300, 2), (3, 300), (5, 4, 64),
+                                   (8, 40, 16)])
+def test_prefix_sums_are_cumsums_bit_for_bit(shape):
+    # slice adds and np.cumsum add in the same order
+    rng = np.random.default_rng(2)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.cumsum(a, axis=0)
+    eom._prefix_sum(a)
+    assert np.array_equal(a, want)
+    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.cumsum(b[::-1], axis=0)[::-1]
+    eom._prefix_sum(b[::-1])
+    assert np.array_equal(b, want)
 
 
 # (dims, gammas or equal rates, theta / pi): odd and even axes in one, two
@@ -370,16 +462,18 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
 
 
 def test_contour_budget_counts_the_arrays_the_route_holds(monkeypatch):
-    # ten 2197 x 2201 complex arrays (0.72 GiB) and a column block admit
-    # 13x13x13; 16x16x16 needs 2.5 GiB.  H of 17x17x17 still fits its own
-    # count, so the contour route alone refuses 16x16x16.
+    # ten 2197 x 2201 complex arrays (0.72 GiB) admit 13x13x13; 16x16x16
+    # needs 2.5 GiB.  H of 17x17x17 still fits its own count, so the
+    # contour route alone refuses 16x16x16.  The fused pass's column blocks
+    # never add to the ten, so N = 3661 fits and 3662 does not.
     def allocates(self):
         raise AssertionError("rates resolved by the size check")
     monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
     eom._check_contour(spec_of([13, 13, 13]))
     eom._check_contour(spec_of([60, 60]))
     eom._check_h(spec_of([17, 17, 17]))
-    for dims in ([16, 16, 16], [61, 61], [3700]):
+    eom._check_contour(spec_of([3661]))
+    for dims in ([16, 16, 16], [61, 61], [3662]):
         with pytest.raises(ConfigError, match="budget"):
             eom._check_contour(spec_of(dims))
     with pytest.raises(ConfigError, match="budget"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackNoConvergence
@@ -363,6 +365,25 @@ def test_certificate_counts_every_row_of_the_x_it_forms(monkeypatch):
     want = np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0) / system.frobenius(values)
     assert np.all(want > 1e-5)
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("dims", [[8, 8, 8], [24, 24], [1000]])
+def test_certificates_hold_a_few_blocks_of_n_by_64(dims):
+    # one fused pass per axis forms no array of (2d+1)N rows: about seven
+    # N x 64 arrays at a time, over three blocks of poles (one partial)
+    spec = spec_of(dims, theta=0.65 * np.pi)
+    n = spec.n_qubits
+    rng = np.random.default_rng(4)
+    vecs = rng.standard_normal((n, 150)) + 1j * rng.standard_normal((n, 150))
+    deltas = rng.standard_normal(150) + 0j
+    system = eom._EomSystem(spec)
+    tracemalloc.start()
+    try:
+        system.certificates(deltas, vecs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 16 * n * 64
 
 
 @pytest.mark.parametrize("shape", [(1, 7), (2, 5), (40, 3), (300, 2), (3, 300), (5, 4, 64),

@@ -394,7 +394,8 @@ class _EomSystem:
                              out: np.ndarray, scratch: np.ndarray) -> None:
         """Add one axis's part of the excitation rows of A0 x to the N rows
         of ``out``: c_j t_j past each line's first qubit, then c_j r_j.
-        ``scratch`` (the layout's shape) is overwritten."""
+        ``out`` must be a view whose rows reshape to the qubit grid without
+        a copy; ``scratch`` (the layout's shape) is overwritten."""
         grid = out.reshape(self._dims + out.shape[1:]).transpose(tables.order)
         np.multiply(tables.coup[1:], t[:-1], out=scratch[1:])
         grid[1:] += scratch[1:].reshape(grid[1:].shape)

@@ -152,8 +152,9 @@ def _check_h(spec: NetworkSpec) -> None:
 # arrays of LAPACK workspace.  Peak RSS above the warm process measured 9.8
 # such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The column blocks of the
 # fused pass (see _CERT_BLOCK) add nothing to that peak: the build of C holds
-# C beside four blocks of N x min(64, N), and the certificates hold the
-# poles' vectors beside seven, both below ten N x (N + 4) arrays for every N.
+# C beside at most six blocks of N x min(64, N), and the certificates hold
+# the poles' vectors beside at most eight (numpy's transients included),
+# both below ten N x (N + 4) arrays for every N.
 # 2 GiB admits N <= 3661 (60 x 60, 15 x 15 x 15).
 _CONTOUR_ARRAYS = 10
 
@@ -281,7 +282,7 @@ class _EomSystem:
     on the left-mover rows, and sum_n c_j (t_j + r_j) on the excitation
     rows.  :meth:`entries` builds A0's nonzeros on request, for
     :func:`assemble`, :func:`sigma_min` (:meth:`pencil`) and the tests,
-    which check the matrix-free product against them.  No dense array, so
+    which check the certificates' A x against them.  No dense array, so
     no budget check of its own (each route checks the arrays it holds).
     """
 
@@ -372,9 +373,11 @@ class _EomSystem:
         e^{i theta k} c_k e_k: two prefix sums, O(N) per column.
         """
         np.take(e, tables.sites, axis=0, out=on, mode="clip")   # "clip" writes unbuffered
-        _prefix_sum(np.multiply(tables.to_t, on, out=t))
+        np.multiply(tables.to_t, on, out=t)
+        np.cumsum(t, axis=0, out=t)
         t *= tables.t_phase
-        _prefix_sum(np.multiply(tables.to_r, on, out=r)[::-1])
+        np.multiply(tables.to_r, on, out=r)
+        np.cumsum(r[::-1], axis=0, out=r[::-1])     # from each line's far end
         r *= tables.r_phase
 
     def _mover_rows(self, t: np.ndarray, r: np.ndarray, i_on: np.ndarray,
@@ -401,24 +404,6 @@ class _EomSystem:
         grid[1:] += scratch[1:].reshape(grid[1:].shape)
         np.multiply(tables.coup, r, out=scratch)
         grid += scratch.reshape(grid.shape)
-
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """A0 x for a block of full-system columns, from the line relations."""
-        n, d = self.n_poles, len(self._axes)
-        ax = np.zeros(x.shape, dtype=complex)
-        for axis, tables in enumerate(self._axes):
-            m, n_lines = tables.sites.shape
-
-            def layout(rows):   # blocks of N rows, each in the (m, lines, columns) layout
-                return rows.reshape(n_lines, -1, m, x.shape[1]).transpose(1, 2, 0, 3)
-
-            t, r = layout(x[n * (1 + 2 * axis):n * (3 + 2 * axis)])
-            (right,) = layout(ax[n * axis:n * (axis + 1)])
-            (left,) = layout(ax[n * (d + axis):n * (d + axis + 1)])
-            self._mover_rows(t, r, tables.i_coup * x[tables.sites], right, left)
-            self._add_excitation_rows(tables, t, r, ax[self.size - n:],
-                                      np.empty(t.shape, dtype=complex))
-        return ax
 
     def schur(self) -> np.ndarray:
         """The N x N Schur complement of the field block, whose eigenvalues
@@ -456,7 +441,11 @@ class _EomSystem:
         axis: the axis's fields add their squares to ||x||^2 and its mover
         rows theirs to ||A x||^2, and its terms of the excitation rows are
         summed in an N-row block, whose squares are added last.  It holds
-        six arrays of the block's shape and never one of (2d+1)N rows."""
+        six arrays of the block's shape and never one of (2d+1)N rows; at
+        its peak numpy adds one transient block (np.take's contiguous copy
+        of ``e``) or its ufunc buffers (two of 8192 entries at most, which
+        span a whole block below N = 128): seven blocks traced at N >= 256,
+        up to 8.1 below."""
         work = np.empty((5,) + e.shape, dtype=complex)
         excite = np.zeros(e.shape, dtype=complex)
         x_sq = ax_sq = 0.0
@@ -474,22 +463,6 @@ class _EomSystem:
         # the real and imaginary parts of each column are adjacent
         return (np.sqrt(ax_sq.reshape(-1, 2).sum(axis=1) / x_sq.reshape(-1, 2).sum(axis=1))
                 / self.frobenius(deltas))
-
-
-# prefix sums over slices of at least this many entries take one slice add
-# per position; np.cumsum along an outer axis costs about 6 ns an entry, a
-# slice add about 1.5 us plus under 1 ns an entry (2-core Xeon VM)
-_SLICE_ADDS = 256
-
-
-def _prefix_sum(a: np.ndarray) -> None:
-    """Running sums along the first axis of ``a``, in place and in order,
-    so bit for bit those of np.cumsum."""
-    if a[0].size >= _SLICE_ADDS:
-        for j in range(1, len(a)):
-            a[j] += a[j - 1]
-    else:
-        np.cumsum(a, axis=0, out=a)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -565,8 +538,9 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
 _KEEP_SEED_TOL = 1e-12
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
 # columns per block of the fused pass of the certificates and of the Schur
-# complement's build: the pass holds about seven arrays of N x 64 (its
-# fields, mover rows and excitation rows), never one of (2d+1)N rows
+# complement's build: the certificates hold six arrays of N x 64 (its
+# fields, mover rows and excitation rows) and peak at seven to eight with
+# numpy's transients, never one of (2d+1)N rows
 _CERT_BLOCK = 64
 
 

@@ -247,21 +247,6 @@ PENCIL_CASES = {
 
 
 @pytest.mark.parametrize("case", sorted(PENCIL_CASES))
-def test_matrix_free_product_matches_the_explicit_entries(case):
-    # A0 x from the line relations against the sparse A0 that entries()
-    # builds, on random full-system columns
-    system = eom._EomSystem(PENCIL_CASES[case]())
-    a0 = system.pencil()[0]
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal((system.size, 3)) + 1j * rng.standard_normal((system.size, 3))
-    want = a0 @ x
-    got = system._apply(x)
-    assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want)
-    # a column block that is a strided view gives the same product
-    assert np.array_equal(system._apply(np.repeat(x, 2, axis=1)[:, ::2]), got)
-
-
-@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
 def test_closed_form_frobenius_matches_the_entries(case):
     spec = PENCIL_CASES[case]()
     system = eom._EomSystem(spec)
@@ -336,10 +321,12 @@ def test_prefix_sum_certificates_match_the_sparse_lu(case):
     assert np.allclose(got, splu_certificates(system, off, vecs), rtol=1e-10, atol=0.0)
 
 
-def test_certificate_counts_every_row_of_the_x_it_forms(monkeypatch):
+@pytest.mark.parametrize("case", sorted(PENCIL_CASES))
+def test_certificate_counts_every_row_of_the_x_it_forms(case, monkeypatch):
     # fields that miss the bulk rows: the fused pass must still give
-    # ||A x|| / ||x|| / ||A||_F of the x it formed, with every row counted
-    spec = H_CASES["3x2x6-noisy"]()
+    # ||A x|| / ||x|| / ||A||_F of the x it formed, with every row counted,
+    # against the sparse A0 that entries() builds
+    spec = PENCIL_CASES[case]()
     system = eom._EomSystem(spec)
     values, vecs = plain_eig(spec)
     n = spec.n_qubits
@@ -367,10 +354,12 @@ def test_certificate_counts_every_row_of_the_x_it_forms(monkeypatch):
     assert np.allclose(got, want, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("dims", [[8, 8, 8], [24, 24], [1000]])
+@pytest.mark.parametrize("dims", [[8, 8, 8], [24, 24], [1000], [5, 3, 4]])
 def test_certificates_hold_a_few_blocks_of_n_by_64(dims):
-    # one fused pass per axis forms no array of (2d+1)N rows: about seven
-    # N x 64 arrays at a time, over three blocks of poles (one partial)
+    # one fused pass per axis forms no array of (2d+1)N rows, over three
+    # blocks of poles (one partial): six N x 64 arrays held, one transient
+    # copy of the vectors in np.take, and numpy's ufunc buffers (two of
+    # np.getbufsize() entries at most, each a whole block below N = 128)
     spec = spec_of(dims, theta=0.65 * np.pi)
     n = spec.n_qubits
     rng = np.random.default_rng(4)
@@ -387,22 +376,7 @@ def test_certificates_hold_a_few_blocks_of_n_by_64(dims):
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 8 * 16 * n * 64
-
-
-@pytest.mark.parametrize("shape", [(1, 7), (2, 5), (40, 3), (300, 2), (3, 300), (5, 4, 64),
-                                   (8, 40, 16)])
-def test_prefix_sums_are_cumsums_bit_for_bit(shape):
-    # slice adds and np.cumsum add in the same order
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = np.cumsum(a, axis=0)
-    eom._prefix_sum(a)
-    assert np.array_equal(a, want)
-    b = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    want = np.cumsum(b[::-1], axis=0)[::-1]
-    eom._prefix_sum(b[::-1])
-    assert np.array_equal(b, want)
+    assert peak <= 16 * (7 * n * 64 + 2 * np.getbufsize())
 
 
 # (dims, gammas or equal rates, theta / pi): odd and even axes in one, two

@@ -102,9 +102,7 @@ def expected_cluster_counts(dims: Sequence[int]) -> dict[int, int]:
     counts = {k: 0 for k in range(d + 1)}
     for subset_size in range(d + 1):
         for subset in itertools.combinations(range(d), subset_size):
-            counts[subset_size] += int(
-                np.prod([dims[n] - 1 for n in range(d) if n not in subset])
-            )
+            counts[subset_size] += math.prod(dims[n] - 1 for n in range(d) if n not in subset)
     return counts
 
 
@@ -229,7 +227,7 @@ def bic_condition_check(spec: NetworkSpec, m: int = 1, rank_tol: float = 1e-8) -
             f"bound-state check requires theta = {m}*pi, got {spec.theta:.12g}"
         )
     null = eom.nullity_at(spec, 0.0, rank_tol=rank_tol)
-    expected = int(np.prod([n - 1 for n in spec.dims]))
+    expected = math.prod(n - 1 for n in spec.dims)
     rules = ("plain", "alternating", "qubit-parity", "phase-parity")
     max_violation = {rule: 0.0 for rule in rules}
     violations: list[BicViolation] = []

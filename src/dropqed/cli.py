@@ -371,7 +371,8 @@ def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.Superradiance
 
 
 def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
-    d = config.scaling_d or (len(config.dims) if config.dims else None)
+    d = config.scaling_d if config.scaling_d is not None else (
+        len(config.dims) if config.dims else None)
     if d is None:
         raise ConfigError("scaling needs --d")
     if (config.m_min is None) != (config.m_max is None):
@@ -584,16 +585,11 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values.update(_load_config_file(args.config))
-    overrides = {
-        "dims": _parse_dims(args.dims) if getattr(args, "dims", None) else None,
-        "gammas": _parse_gammas(args.gammas) if getattr(args, "gammas", None) else None,
-    }
-    for name in ("theta_over_pi", "epsilon_max", "noise_seed", "match_tol",
-                 "rank_tol", "solver_tol", "out_format", "output", "svg_path",
-                 "chain_n", "eom_method", "theta_sweep", "scaling_d", "m_min",
-                 "m_max", "m_step", "zero_floor", "bic_m"):
-        overrides[name] = getattr(args, name, None)
-    for key, value in overrides.items():
+    parsers = {"dims": _parse_dims, "gammas": _parse_gammas}
+    for key in _CONFIG_TYPES:
+        value = getattr(args, key, None)
+        if key in parsers:
+            value = parsers[key](value) if value else None
         if value is not None:
             values[key] = value
     try:

@@ -23,23 +23,23 @@ H e = Delta e with the N x N effective Hamiltonian
 H[j, k] = -(i/2) sum_lines sqrt(g_j g_k) exp(i theta |j - k|), summed over
 the lines through both qubits, with per-qubit rates g and |j - k| counted
 in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
-(2012)).  H is built directly from the chain kernel, one block per line;
-for a symmetric network it is the Kronecker sum of the per-axis chain
-matrices (see :mod:`dropqed.drop`).  :func:`all_poles_eig` diagonalizes
-H (the bulk method) and :func:`all_poles_cnm` gives each seed one of its
-eigenvalues, both through one eigensolve, :func:`_eig`.  Without noise H
-commutes with the reversal of every axis, so :func:`_eig` changes each
-axis to its even/odd reflection basis and diagonalizes the 2^d parity
-sectors apart, each about N / 2^d; a noisy H is one sector, one dense eig.
-:func:`all_poles_det_interp` never builds H from the line
-kernels, and takes the poles from a contour integral of the resolvent of
-the Schur complement of the full system's field block, formed from that
-system's line relations alone.  ``_EomSystem`` applies those relations,
+(2012)).  H is built directly from the chain kernel, one block per line,
+by :func:`_hamiltonian`; for a symmetric network it is the Kronecker sum
+of the per-axis chain matrices (see :mod:`dropqed.drop`).  H is the one
+matrix every route solves, so every route reports its eigenvalues.
+:func:`all_poles_eig` diagonalizes H (the bulk method) and
+:func:`all_poles_cnm` gives each seed one of its eigenvalues, both
+through one eigensolve, :func:`_eig`.  Without noise H commutes with the
+reversal of every axis, so :func:`_eig` changes each axis to its
+even/odd reflection basis and diagonalizes the 2^d parity sectors apart,
+each about N / 2^d; a noisy H is one sector, one dense eig.
+:func:`all_poles_det_interp` takes them from a contour integral of the
+resolvent of H instead.  ``_EomSystem`` applies the line relations above,
 without H and without storing the system's nonzeros, and holds the
 certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: four
-N x N for the routes that need H, ten N x (N + 4) for the contour route,
+N x N for the eigensolve routes, ten N x (N + 4) for the contour route,
 the full matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
@@ -63,7 +63,7 @@ Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
 study) is one call of :func:`_refine` on the network: one eigensolve of
 H by :func:`_eig`, which gives each seed its nearest eigenvalue not yet
 claimed by a seed closer to its own, and one certificate per pole at
-min(tol, 1e-9).
+min(tol, 1e-9).  It reports that eigenvalue, never the seed itself.
 
 Only :func:`sigma_min`, which factors the sparse pencil, imports scipy,
 inside the function: every pole route and :func:`nullity_at` run on numpy
@@ -146,15 +146,17 @@ def _check_h(spec: NetworkSpec) -> None:
 
 
 # The contour route holds at most ten complex N x (N + 4) arrays at once.
-# During the node solves these are C and LAPACK's copy of it, the probes V and
+# During the node solves these are H and LAPACK's copy of it, the probes V and
 # their copy, the solutions at this node and the last, M_0 and M_1.  During
 # the SVD of M_0 they are M_0, M_1, the SVD's copy, U, W^H and about 3.5
 # arrays of LAPACK workspace.  Peak RSS above the warm process measured 9.8
-# such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The column blocks of the
-# fused pass (see _CERT_BLOCK) add nothing to that peak: the build of C holds
-# C beside at most six blocks of N x min(64, N), and the certificates hold
-# the poles' vectors beside at most eight (numpy's transients included),
-# both below ten N x (N + 4) arrays for every N.
+# such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The build of H and the
+# certificates add nothing to that peak: H is built before V is drawn,
+# beside one axis's line blocks, about 3.5 arrays of N x M for axes of M
+# qubits (4.5 N x N traced in all for a chain, M = N), and the
+# certificates hold the poles' vectors beside at most eight blocks of
+# N x min(64, N) (see _CERT_BLOCK, numpy's transients included), both
+# below ten N x (N + 4) arrays for every N.
 # 2 GiB admits N <= 3661 (60 x 60, 15 x 15 x 15).
 _CONTOUR_ARRAYS = 10
 
@@ -405,26 +407,6 @@ class _EomSystem:
         np.multiply(tables.coup, r, out=scratch)
         grid += scratch.reshape(grid.shape)
 
-    def schur(self) -> np.ndarray:
-        """The N x N Schur complement of the field block, whose eigenvalues
-        are the poles: the excitation rows of A0 x with x = (e, w(e)), over
-        the N unit vectors e, a block of columns at a time."""
-        n = self.n_poles
-        out = np.zeros((n, n), dtype=complex)
-        for k in range(0, n, _CERT_BLOCK):
-            self._add_field_terms(np.eye(n, min(_CERT_BLOCK, n - k), -k, dtype=complex),
-                                  out[:, k:k + _CERT_BLOCK])
-        return out
-
-    def _add_field_terms(self, e: np.ndarray, out: np.ndarray) -> None:
-        """Add the field terms of the excitation rows of A0 x, x = (e, w(e)),
-        to ``out``, one axis at a time."""
-        work = np.empty((3,) + e.shape, dtype=complex)
-        for tables in self._axes:
-            on, t, r = work.reshape((3,) + tables.sites.shape + (-1,))
-            self._fields(tables, e, on, t, r)
-            self._add_excitation_rows(tables, t, r, out, on)
-
     def certificates(self, deltas: np.ndarray, vecs: np.ndarray) -> np.ndarray:
         """||A(Delta_k) x_k|| / ||x_k|| / ||A(Delta_k)||_F for every column
         e_k of ``vecs``, with x_k = (e_k, w_k) from :meth:`_fields`: the pole
@@ -533,14 +515,10 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
 
-# a seed this close to its pole (times ||H||_F) is kept as given;
-# Cartesian-sum seeds of symmetric networks lie within a few eps
-_KEEP_SEED_TOL = 1e-12
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
-# columns per block of the fused pass of the certificates and of the Schur
-# complement's build: the certificates hold six arrays of N x 64 (its
-# fields, mover rows and excitation rows) and peak at seven to eight with
-# numpy's transients, never one of (2d+1)N rows
+# columns per block of the fused pass of the certificates: they hold six
+# arrays of N x 64 (its fields, mover rows and excitation rows) and peak at
+# seven to eight with numpy's transients, never one of (2d+1)N rows
 _CERT_BLOCK = 64
 
 
@@ -549,8 +527,7 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
 
     Takes the eigenvalue of H nearest the seed, and requires its
     certificate on the full system (see the module docstring) to be at most
-    min(tol, 1e-9).  A seed within 1e-12 ||H||_F of that pole that passes
-    it is returned unchanged.
+    min(tol, 1e-9).
 
     Raises MaxIterationsError when the pole fails the certificate.
     """
@@ -576,20 +553,14 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
     find it taken then go in the same order, each to the nearest slot still
     unclaimed.
 
-    Seed k itself is reported when it lies within 1e-12 ||H||_F of its pole
-    and passes the certificate, else the pole if it passes, else NaN; only
-    a kept seed that fails is certified twice.  Passing alone keeps no seed:
-    with noise at theta = m*pi a seed on the dark poles at Delta = 0 passes
-    even when its own pole was lifted to about 1e-9.  Returns the reported
-    poles and their certificates.
+    Each claimed eigenvalue is certified once and reported if it passes,
+    else NaN.  Returns the reported poles and their certificates.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
         raise ValueError("seeds must be finite")
-    h = _hamiltonian(spec)
-    scale = np.linalg.norm(h)
-    values, vectors = _eig(spec, h)
-    del h            # folded by _eig: freed before the claimed vectors are copied
+    # H, folded by _eig, is freed before the claimed vectors are copied
+    values, vectors = _eig(spec, _hamiltonian(spec))
     dist = np.abs(seeds[:, None] - values)
     slot = dist.argmin(axis=1)        # each seed's nearest eigenvalue
     order = np.argsort(dist[np.arange(len(seeds)), slot], kind="stable")
@@ -603,16 +574,9 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
     for i in taken:
         slot[i] = np.flatnonzero(free)[dist[i, free].argmin()]
         free[slot[i]] = False
-    poles, vecs = values[slot], vectors[:, slot]
-    bound = min(tol, _CHECK_TOL)
-    system = _EomSystem(spec)
-    keep = np.abs(seeds - poles) <= _KEEP_SEED_TOL * scale
-    reported = np.where(keep, seeds, poles)
-    residuals = system.certificates(reported, vecs)
-    back = keep & ~(residuals <= bound)            # kept seeds that fail
-    reported[back] = poles[back]
-    residuals[back] = system.certificates(poles[back], vecs[:, back])
-    return np.where(residuals <= bound, reported, complex(np.nan, np.nan)), residuals
+    poles = values[slot]
+    residuals = _EomSystem(spec).certificates(poles, vectors[:, slot])
+    return np.where(residuals <= min(tol, _CHECK_TOL), poles, complex(np.nan, np.nan)), residuals
 
 
 def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
@@ -702,22 +666,22 @@ _NODES = 48              # trapezoid-rule nodes on the contour
 _EXTRA_PROBES = 4        # probe columns beyond the N poles
 
 
-def _moments(schur: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Beyn's moments M_0 and M_1 of the Schur complement C on the circle
-    |Delta| = radius, for the fixed probe block V; shifts ``schur`` in place.
+def _moments(h: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Beyn's moments M_0 and M_1 of H on the circle |Delta| = radius, for
+    the fixed probe block V; shifts ``h`` in place.
 
-    One dense solve of C - z I per node z, with C's diagonal rewritten from
+    One dense solve of H - z I per node z, with H's diagonal rewritten from
     a saved copy, so no node's round-off reaches the next.  Only the moments
-    are returned, so C, V and the solutions are freed before the SVD.
+    are returned, so H, V and the solutions are freed before the SVD.
     """
-    n = len(schur)
-    diagonal = schur.diagonal().copy()
+    n = len(h)
+    diagonal = h.diagonal().copy()
     probes = np.random.default_rng(0).standard_normal((n, n + _EXTRA_PROBES)).astype(complex)
     m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
     for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
-        schur.flat[::n + 1] = diagonal - z
+        h.flat[::n + 1] = diagonal - z
         try:
-            x = np.linalg.solve(schur, probes)
+            x = np.linalg.solve(h, probes)
         except np.linalg.LinAlgError as exc:
             raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
         # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
@@ -731,17 +695,17 @@ def _moments(schur: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """All N poles by a contour integral of the resolvent (Beyn's method).
 
-    The matrix is the N x N Schur complement C of the full system's field
-    block (:meth:`_EomSystem.schur`), built from the pencil's line
-    relations, not from the line kernels of H.  The trapezoid rule on 48 nodes of the
-    circle |Delta| = 1.5 S, S = sum_n N_n gamma_n (it encloses every pole),
-    gives the moments M_p = (1/2 pi i) oint Delta^p (C - Delta)^{-1} V
-    dDelta, p = 0, 1, one dense solve per node, for a fixed pseudo-random
-    V of N + 4 columns.  With the top-N SVD M_0 = U Sigma W^H the poles are
-    the eigenvalues of U^H M_1 W Sigma^{-1}, and U y gives their
-    eigenvectors (W.-J. Beyn, Linear Algebra Appl. 436, 3839 (2012)), each
-    certified on the full sparse system.  det A is never formed, so the
-    determinant's dynamic range does not limit the route.
+    The matrix is H, built by :func:`_hamiltonian` as on every route.  The
+    trapezoid rule on 48 nodes of the circle |Delta| = 1.5 S,
+    S = sum_n N_n gamma_n (it encloses every pole), gives the moments
+    M_p = (1/2 pi i) oint Delta^p (H - Delta)^{-1} V dDelta, p = 0, 1, one
+    dense solve per node, for a fixed pseudo-random V of N + 4 columns.
+    With the top-N SVD M_0 = U Sigma W^H the poles are the eigenvalues of
+    U^H M_1 W Sigma^{-1}, and U y gives their eigenvectors (W.-J. Beyn,
+    Linear Algebra Appl. 436, 3839 (2012)), each certified on the full
+    system from its line relations, so a wrong H fails there as on every
+    route.  det A is never formed, so the determinant's dynamic range does
+    not limit the route.
 
     The name and the "det-interp" method string are those of the
     determinant fit this replaced, kept because the ``eom-det`` command and
@@ -751,15 +715,14 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     """
     _check_contour(spec)
     n = spec.n_qubits
-    system = _EomSystem(spec)
-    m0, m1 = _moments(system.schur(), _RADIUS_FACTOR * spec.rate_sum)
+    m0, m1 = _moments(_hamiltonian(spec), _RADIUS_FACTOR * spec.rate_sum)
     u, s, wh = np.linalg.svd(m0, full_matrices=False)
     u, s, wh = u[:, :n], s[:n], wh[:n]
     deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
     vecs = u @ y
     del m0, m1, u, wh, y     # only the poles' vectors stay for the certificates
     vecs /= np.linalg.norm(vecs, axis=0)
-    return _finish(spec, 2j * deltas, system.certificates(deltas, vecs),
+    return _finish(spec, 2j * deltas, _EomSystem(spec).certificates(deltas, vecs),
                    "det-interp", (), ConditioningFailure)
 
 

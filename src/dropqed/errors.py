@@ -33,7 +33,7 @@ class ConditioningFailure(DropQedError):
     certificate ``||A x|| / ||x|| / ||A||_F`` on the full system is above
     1e-9, or when the eigensolve's or the contour route's poles break the
     trace rule; and by ``all_poles_det_interp`` when a contour node is
-    itself a pole (its solve on the Schur complement is singular).
+    itself a pole (its solve on H is singular).
     """
 
 

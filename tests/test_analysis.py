@@ -39,6 +39,12 @@ def test_expected_counts_closed_form_small():
     assert expected_cluster_counts([7]) == {0: 6, 1: 1}
 
 
+def test_expected_counts_are_exact_past_int64():
+    # (2^32 - 1)^2 wraps in a fixed-width product
+    big = 2 ** 32
+    assert expected_cluster_counts((big, big)) == {0: (big - 1) ** 2, 1: 2 * (big - 1), 2: 1}
+
+
 def test_expected_counts_sum_to_n_up_to_100():
     for dims in itertools.chain(
         [(n,) for n in range(1, 101)],

@@ -72,6 +72,17 @@ def test_compare_5x3x4_sixty_paired_rates(tmp_path):
     assert len(rates_of(doc, "eigen")) == 60
 
 
+def test_compare_cnm_checks_the_eigenvalues_of_h(capsys):
+    # the seeded route reports H's eigenvalues, not its Cartesian-sum
+    # seeds, so on a symmetric network it measures the same DRoP error
+    argv = ["compare", "--dims", "5,3,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"]
+    worst = []
+    for method in ("eigen", "cnm"):
+        assert run_cli(argv + ["--eom-method", method]) == 0
+        worst.append(json.loads(capsys.readouterr().out)["report"]["max_abs_error"])
+    assert worst[0] == worst[1] > 0.0
+
+
 def test_compare_theta_sweep(tmp_path):
     out = tmp_path / "sweep.json"
     code = run_cli(["compare", "--dims", "3,3", "--gammas", "1,0.4",
@@ -370,6 +381,12 @@ def test_scaling_report_builds_no_index_tuples(monkeypatch, capsys):
                         lambda spec: drop.drop_spectrum(spec).rates)
     assert run_cli(argv) == 0
     assert got == capsys.readouterr().out
+
+
+def test_scaling_zero_dimensions_is_config_error(capsys):
+    # --d 0 is no dimension to fit, not a fall-back to len(--dims)
+    assert run_cli(["scaling", "--d", "0", "--dims", "3,3", "--m-min", "3", "--m-max", "7"]) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
 
 
 @pytest.mark.parametrize("bound", [["--m-min", "4"], ["--m-max", "12"]])

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import eom
-from .drop import Spectrum, _cartesian_rates, drop_spectrum
+from .drop import Spectrum, _cartesian_rates, _index_columns, drop_spectrum
 from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, _lines, enumerate_lines, sample_noise
 
@@ -132,19 +132,21 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> Superradia
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
     # Re of a Cartesian-sum rate is sum_n gamma_n Re z_n with every
     # gamma_n > 0, so the largest one picks every axis's superradiant rate
-    super_index = drop_spec.index_tuples[int(np.argmax(drop_spec.rates.real))]
-    k_labels = []
-    clusters: dict[tuple[int, ...], list[complex]] = {}
-    for rate, tup in zip(drop_spec.rates, drop_spec.index_tuples):
-        axes = tuple(n for n in range(spec.ndim) if tup[n] == super_index[n])
-        k_labels.append(len(axes))
-        clusters.setdefault(axes, []).append(rate)
-    counts: dict[int, int] = {k: 0 for k in range(spec.ndim + 1)}
-    for k in k_labels:
-        counts[k] += 1
-    centers = {axes: complex(np.mean(vals)) for axes, vals in sorted(clusters.items())}
+    rates = drop_spec.rates
+    top = int(np.argmax(rates.real))
+    columns = np.array(_index_columns(drop_spec, np.arange(len(rates))))
+    hits = columns == columns[:, [top]]
+    k_labels = hits.sum(axis=0)
+    # a stable sort keeps each cluster's rates in spectrum order, so its
+    # center is the mean of the same values in the same order as a loop's
+    order = np.lexsort(hits)
+    starts = np.flatnonzero((hits[:, order[1:]] != hits[:, order[:-1]]).any(axis=0)) + 1
+    clusters = {tuple(np.flatnonzero(hits[:, group[0]]).tolist()): group
+                for group in np.split(order, starts)}
+    counts = dict(enumerate(np.bincount(k_labels, minlength=spec.ndim + 1).tolist()))
+    centers = {axes: complex(np.mean(rates[group])) for axes, group in sorted(clusters.items())}
     return SuperradianceReport(
-        k_labels=tuple(k_labels),
+        k_labels=tuple(k_labels.tolist()),
         cluster_counts=counts,
         cluster_centers=centers,
     )

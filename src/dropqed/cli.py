@@ -13,26 +13,31 @@ are written atomically (temp file + rename) with the mode a plain open()
 gives; a path that cannot be written is a config error.
 
 Rate rows are written from one fixed row template per spectrum, one ``%``
-over (re, im, *index tuple, k) per row, and the document is one join of
-its pieces, because ``json.dumps(indent=2)`` falls back to the json
-module's pure-Python encoder and spent most of a large ``drop`` job.  The
-bytes are exactly those of ``json.dumps(doc, indent=2)`` over one dict per
-rate, and of ``csv.writer`` (``\\r\\n`` line ends), with each value rounded
-to 12 significant digits as ``_sig`` rounds it.  Each Re and Im is
-formatted once, as its ``%.12g`` text t:
+over the floats (Re, Im) and ints (*index tuple, k) of each row, and the
+document is one join of its pieces, because ``json.dumps(indent=2)``
+falls back to the json module's pure-Python encoder and spent most of a
+large ``drop`` job.  The bytes are exactly those of
+``json.dumps(doc, indent=2)`` over one dict per rate, and of
+``csv.writer`` (``\\r\\n`` line ends), with each value rounded to 12
+significant digits as ``_sig`` rounds it.  Re and Im are formatted by
+``%.12g`` inside the row template:
 
-* a CSV number is t itself, and no CSV field needs quoting (method names
+* that text is the CSV field, and no CSV field needs quoting (method names
   hold no comma or quote);
-* a JSON number is t when t holds a ``.`` and no ``e``: at most 12
-  significant digits in fixed notation of a normal float are already
-  ``float.__repr__`` of ``float(t)``.  Any other text (an integral value
-  such as ``3`` or ``123456789012``, an exponent form, which covers
-  subnormals, and ``nan``/``inf``) falls back to ``float.__repr__(float(t))``,
-  or ``NaN``, ``Infinity`` and ``-Infinity``.
+* it is the JSON number too, unless a vectorized, conservative mask
+  (``_text_path``: not finite, zero, |x| < 1e-99 or >= 1e11, or within
+  1e-11 max(1, |x|) of an integer) takes the row's Re or Im.  Those rows
+  go through their ``%.12g`` texts and ``_json_numbers`` (integral texts
+  such as ``3``, exponent forms that may be subnormal, and ``nan``/``inf``
+  become ``float.__repr__(float(t))``, or ``NaN``, ``Infinity`` and
+  ``-Infinity``) and a ``%s`` template.
 
-``config`` and ``report`` still go through ``json.dumps(indent=2)``,
-indented one level.  The tests compare both formats byte for byte with
-that reference writer, on named cases and on arbitrary float64 values.
+The index columns of a ``drop_spectrum`` are unravelled from the sort
+order; any other spectrum's tuples are gathered.  ``config`` and
+``report`` go through ``json.dumps(indent=2)``, indented one level, except
+the violation rows of a ``bic`` report, which have a row template of their
+own.  The tests compare both formats byte for byte with that reference
+writer, on named cases and on arbitrary float64 values.
 
 The parser registers only the command being invoked (all ten when none
 is named), and names all ten in its usage, so ``--help``, usage and errors
@@ -63,7 +68,8 @@ import numpy as np
 
 from . import analysis, eom
 from .chain1d import _re_im_order, chain_rates
-from .drop import MatchReport, Spectrum, _check_rates, drop_spectrum, match_spectra
+from .drop import (MatchReport, Spectrum, _check_rates, _index_columns, drop_spectrum,
+                   match_spectra)
 from .errors import ConfigError, DropQedError
 from .lattice import NetworkSpec, sample_noise
 from .render import render_scatter
@@ -182,21 +188,16 @@ _Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
 
 
 def _columns(s: Spectrum, k_labels: Optional[Sequence[int]]) -> tuple[
-        list[str], list[str], Optional[list[list[int]]], Optional[list[int]]]:
-    """``%.12g`` texts of Re and Im, one column per axis of the index tuples,
-    and the k labels, of the rates in (Re, Im) order; the axis columns and
-    the k labels are None where there are none."""
+        np.ndarray, np.ndarray, Optional[list[np.ndarray]], list[np.ndarray]]:
+    """Re and Im of the rates of a nonempty spectrum in (Re, Im) order, one
+    int column per axis of its index tuples (None without tuples), and the
+    int columns that follow Re and Im in a row: the axes, then the k labels
+    if any."""
     order = _re_im_order(s.rates)
     rates = s.rates[order]
-    texts = [list(map("%.12g".__mod__, part.tolist())) for part in (rates.real, rates.imag)]
-    order = order.tolist()
-    axes = None
-    if s.index_tuples is not None:
-        # a spectrum's index tuples share one length
-        tuples = list(map(s.index_tuples.__getitem__, order))
-        axes = [list(map(itemgetter(j), tuples)) for j in range(len(tuples[0]) if tuples else 0)]
-    ks = None if k_labels is None else np.asarray(k_labels, dtype=int)[order].tolist()
-    return *texts, axes, ks
+    axes = None if s.index_tuples is None else _index_columns(s, order)
+    ks = [] if k_labels is None else [np.asarray(k_labels, dtype=int)[order]]
+    return rates.real, rates.imag, axes, [*(axes or ()), *ks]
 
 
 # json.dumps writes these rounded rates otherwise than float.__repr__
@@ -215,42 +216,114 @@ def _json_numbers(texts: list[str]) -> list[str]:
             for t in texts]
 
 
-def _json_row(axes: Optional[list], has_k: bool) -> str:
+def _text_path(x: np.ndarray) -> np.ndarray:
+    """Where the ``%.12g`` text of ``x`` might not be its JSON number.
+
+    Off this mask x is finite with 1e-99 <= |x| < 1e11, so its text is in
+    fixed notation or has a two-digit negative exponent, and x is farther
+    than 1e-11 max(1, |x|) from an integer.  Rounding to 12 significant
+    digits moves x by at most 5e-12 |x|, so the text is not integral and
+    holds a point when fixed: :func:`_json_numbers` keeps every such text.
+    """
+    size = np.abs(x)
+    with np.errstate(invalid="ignore"):   # inf - inf
+        integral = np.abs(x - np.rint(x)) <= 1e-11 * np.maximum(size, 1.0)
+    return ~((size >= 1e-99) & (size < 1e11)) | integral
+
+
+def _rows(template: str, re, im, columns: list[np.ndarray]) -> list[str]:
+    """One ``%`` of ``template`` per row over (re, im, *columns)."""
+    return list(map(template.__mod__, zip(re, im, *(c.tolist() for c in columns))))
+
+
+def _json_row(number: str, axes: Optional[list], has_k: bool) -> str:
     """Template of one rate row and its separator over (re, im, *tuple, k),
-    at the row's depth in the JSON document (json.dumps, indent=2)."""
+    with Re and Im written by ``number``, at the row's depth in the JSON
+    document (json.dumps, indent=2)."""
     if axes is None:
         tuple_text = "null"
     elif not axes:
         tuple_text = "[]"
     else:
         tuple_text = "[" + ",".join(["\n            %d"] * len(axes)) + "\n          ]"
-    return ('        {\n          "re": %s,\n          "im": %s,\n'
+    return (f'        {{\n          "re": {number},\n          "im": {number},\n'
             f'          "tuple": {tuple_text},\n          "k": {"%d" if has_k else "null"}\n'
             '        },\n')
 
 
 def _json_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
-    re, im, axes, ks = _columns(s, k_labels)
     head = f'    {{\n      "method": {json.dumps(s.method)},\n      "rates": '
-    if not re:
+    if not len(s):
         return [head, "[]\n    }"]
-    rows = list(map(_json_row(axes, ks is not None).__mod__, zip(
-        _json_numbers(re), _json_numbers(im), *(axes or ()), *([] if ks is None else [ks]))))
+    re, im, axes, columns = _columns(s, k_labels)
+    inline_row = _json_row("%.12g", axes, k_labels is not None)
+    text = _text_path(re) | _text_path(im)
+    if not text.any():
+        rows = _rows(inline_row, re.tolist(), im.tolist(), columns)
+    else:
+        # these rows take the %.12g texts of their Re and Im through
+        # _json_numbers, the others are written by the template
+        rows = np.empty(len(re), dtype=object)
+        rows[text] = _rows(_json_row("%s", axes, k_labels is not None), *(
+            _json_numbers(list(map("%.12g".__mod__, part[text].tolist()))) for part in (re, im)),
+            [c[text] for c in columns])
+        inline = ~text
+        rows[inline] = _rows(inline_row, re[inline].tolist(), im[inline].tolist(),
+                             [c[inline] for c in columns])
+        rows = rows.tolist()
     rows[-1] = rows[-1][:-2]   # the last row takes no separator
     return [head, "[\n", *rows, "\n      ]\n    }"]
 
 
 def _csv_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
     # a %.12g text is already the CSV field; no field needs quoting
-    re, im, axes, ks = _columns(s, k_labels)
-    template = (s.method.replace("%", "%%") + ",%s,%s," + " ".join(["%d"] * len(axes or ()))
-                + ("," if ks is None else ",%d") + "\r\n")
-    return list(map(template.__mod__, zip(re, im, *(axes or ()), *([] if ks is None else [ks]))))
+    if not len(s):
+        return []
+    re, im, axes, columns = _columns(s, k_labels)
+    template = (s.method.replace("%", "%%") + ",%.12g,%.12g," + " ".join(["%d"] * len(axes or ()))
+                + ("," if k_labels is None else ",%d") + "\r\n")
+    return _rows(template, re.tolist(), im.tolist(), columns)
 
 
-def _nested_json(value) -> str:
-    """``value`` as json.dumps(indent=2) writes it one level deep."""
-    return json.dumps(value, indent=2).replace("\n", "\n  ")
+def _nested_json(value, depth: int = 1) -> str:
+    """``value`` as json.dumps(indent=2) writes it ``depth`` levels deep."""
+    return json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _violation_row(n_transverse: int) -> str:
+    """Template of one ``bic`` violation over (rule, axis, *transverse,
+    vector, value), at its depth in the JSON document (json.dumps, indent=2)."""
+    transverse = "[" + ",".join(["\n          %d"] * n_transverse) + "\n        ]"
+    return ('      {\n        "rule": %s,\n        "axis": %d,\n        "transverse": '
+            + (transverse if n_transverse else "[]")
+            + ',\n        "vector": %d,\n        "value": %s\n      }')
+
+
+def _json_float(x: float) -> str:
+    """A float as json.dumps writes it."""
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+_VIOLATION_FIELDS = itemgetter("rule", "axis", "transverse", "vector", "value")
+
+
+def _report_json(report) -> str:
+    """The report as json.dumps(indent=2) writes it one level deep.  A
+    nonempty ``violations`` list (``bic``, hundreds of rows) is written from
+    one row template per transverse length; its values are floats."""
+    if not isinstance(report, dict) or not report.get("violations"):
+        return _nested_json(report)
+    violations = list(map(_VIOLATION_FIELDS, report["violations"]))
+    rules = {rule: json.dumps(rule) for rule in {v[0] for v in violations}}
+    templates = {n: _violation_row(n) for n in {len(v[2]) for v in violations}}
+    rows = [templates[len(transverse)] % (rules[rule], axis, *transverse, vector, _json_float(value))
+            for rule, axis, transverse, vector, value in violations]
+    fields = [f"    {json.dumps(key)}: "
+              + ("[\n" + ",\n".join(rows) + "\n    ]" if key == "violations"
+                 else _nested_json(value, 2))
+              for key, value in report.items()]
+    return "{\n" + ",\n".join(fields) + "\n  }"
 
 
 def _emit(config: RunConfig, spectra: _Spectra, report: Optional[dict]) -> str:
@@ -269,7 +342,7 @@ def _emit(config: RunConfig, spectra: _Spectra, report: Optional[dict]) -> str:
         parts.append("\n  ]")
     else:
         parts.append("[]")
-    parts += [',\n  "report": ', _nested_json(report), "\n}\n"]
+    parts += [',\n  "report": ', _report_json(report), "\n}\n"]
     return "".join(parts)
 
 

@@ -20,7 +20,7 @@ the EoM routes refine.
 from __future__ import annotations
 
 import itertools
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -37,23 +37,24 @@ class Spectrum:
     ``index_tuples`` is present only for Cartesian-sum spectra: entry k holds
     the 1-based per-axis choices ``(s_1, ..., s_d)`` selecting which 1-D rate
     each axis contributed to ``rates[k]``.  They must be distinct; only
-    :func:`drop_spectrum`, whose tuples are distinct by construction, skips
-    that check (``_distinct=True``).
+    :func:`drop_spectrum` skips that check: it marks its tuples as the
+    product enumeration, last axis fastest (``_product=True``), which
+    :func:`_index_columns` reads off the sort order without a gather.
     """
 
     rates: np.ndarray
     method: str
     index_tuples: Optional[tuple[tuple[int, ...], ...]] = None
-    _distinct: InitVar[bool] = False
+    _product: bool = field(default=False, compare=False, repr=False)
 
-    def __post_init__(self, _distinct: bool) -> None:
+    def __post_init__(self) -> None:
         rates = np.asarray(self.rates, dtype=complex)
         rates.setflags(write=False)
         object.__setattr__(self, "rates", rates)
         if self.index_tuples is not None:
             if len(self.index_tuples) != len(rates):
                 raise ValueError("one index tuple per rate required")
-            if not _distinct and len(set(self.index_tuples)) != len(self.index_tuples):
+            if not self._product and len(set(self.index_tuples)) != len(self.index_tuples):
                 raise ValueError("index tuples must be distinct")
 
     def __len__(self) -> int:
@@ -109,7 +110,18 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     """
     rates = _cartesian_rates(spec)
     tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
-    return Spectrum(rates=rates, method="drop", index_tuples=tuples, _distinct=True)
+    return Spectrum(rates=rates, method="drop", index_tuples=tuples, _product=True)
+
+
+def _index_columns(s: Spectrum, order: np.ndarray) -> list[np.ndarray]:
+    """One int array per axis: entry i holds that axis's index in the tuple
+    of rate ``order[i]`` of ``s``, which has tuples and at least one rate.
+    A product enumeration is unravelled from ``order``; any other tuples
+    are gathered."""
+    if s._product:
+        # the last tuple of the enumeration is (N_1, ..., N_d)
+        return [axis + 1 for axis in np.unravel_index(order, s.index_tuples[-1])]
+    return list(np.array(s.index_tuples, dtype=np.int64).reshape(len(s), -1)[order].T)
 
 
 def _distinct(values: np.ndarray) -> bool:

@@ -79,7 +79,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .chain1d import _re_im_order, coupling_matrix
+from .chain1d import _re_im_order
 from .drop import Spectrum, drop_spectrum
 from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
@@ -138,7 +138,8 @@ class NullSpaceResult:
 # copy and eigenvectors, and half an array while a fold runs; the seeded
 # routes add the claimed eigenvectors.  The single solve of a noisy spec
 # holds H, eig's copy and its eigenvectors, then H, the eigenvectors and the
-# buffer they are copied to.
+# buffer they are copied to.  Building H holds only H beside two arrays
+# of at most _H_CHUNK entries.
 # 2 GiB admits N <= 5792 for H (17 x 17 x 17).
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
@@ -151,12 +152,12 @@ def _check_h(spec: NetworkSpec) -> None:
 # the SVD of M_0 they are M_0, M_1, the SVD's copy, U, W^H and about 3.5
 # arrays of LAPACK workspace.  Peak RSS above the warm process measured 9.8
 # such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The build of H and the
-# certificates add nothing to that peak: H is built before V is drawn,
-# beside one axis's line blocks, about 3.5 arrays of N x M for axes of M
-# qubits (4.5 N x N traced in all for a chain, M = N), and the
-# certificates hold the poles' vectors beside at most eight blocks of
-# N x min(64, N) (see _CERT_BLOCK, numpy's transients included), both
-# below ten N x (N + 4) arrays for every N.
+# certificates add nothing to that peak: H is built in place before V is
+# drawn, beside two arrays of at most _H_CHUNK entries (1.12 N x N traced
+# in all for a 1000-qubit chain), and the certificates hold the poles'
+# vectors beside at most eight blocks of N x min(64, N) (see _CERT_BLOCK,
+# numpy's transients included), both below ten N x (N + 4) arrays for
+# every N.
 # 2 GiB admits N <= 3661 (60 x 60, 15 x 15 x 15).
 _CONTOUR_ARRAYS = 10
 
@@ -168,21 +169,45 @@ def _check_contour(spec: NetworkSpec) -> None:
                   f"the contour route's {_CONTOUR_ARRAYS} blocks of {n} x {n + _EXTRA_PROBES}")
 
 
+# entries of one slice of an axis's line blocks while its rate products
+# and terms are formed: at most two such arrays (about 1.5 MB) beside H
+_H_CHUNK = 1 << 16
+
+
 def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
     """The N x N effective Hamiltonian H, whose eigenvalues are the poles.
 
     Each line adds -(i/2) sqrt(g_j g_k) K[j, k] over its own qubits, with K
     the chain kernel of :func:`~dropqed.chain1d.coupling_matrix` and g the
-    per-qubit rates along the line.  The budget is checked first.
+    per-qubit rates along the line.  The line blocks of one axis are one
+    strided view of H, (transverse axes..., M, M), and take their terms in
+    place, a slice of rows at a time; K is a read-only Toeplitz view of
+    2M - 1 phases.  The budget is checked first.
     """
     _check_h(spec)
     rates = spec.resolved_rates()
-    h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
+    dims, n = spec.dims, spec.n_qubits
+    h = np.zeros((n, n), dtype=complex)
+    # bytes between the qubits j and j + 1 along each axis
+    steps = [math.prod(dims[axis + 1:]) * h.itemsize for axis in range(spec.ndim)]
     for axis, lines in enumerate(_lines(spec)):
-        # the lines of one axis are disjoint, so no entry is added twice
-        root = np.sqrt(rates[lines, axis])
-        kernel = -0.5j * coupling_matrix(lines.shape[1], spec.theta)
-        h[lines[:, :, None], lines[:, None, :]] += root[:, :, None] * root[:, None, :] * kernel
+        m, step = dims[axis], steps[axis]
+        # the lines of one axis are disjoint, so no entry is added twice; a
+        # transverse step moves both qubits of an entry
+        others = [k for k in range(spec.ndim) if k != axis]
+        blocks = np.ndarray([dims[k] for k in others] + [m, m], complex, h, 0,
+                            [steps[k] * (n + 1) for k in others] + [step * n, step])
+        root = np.sqrt(rates[lines, axis]).reshape(blocks.shape[:-1])
+        phases = -0.5j * np.exp(1j * spec.theta * np.arange(m))
+        # kernel[j, k] = phases[|j - k|] = -(i/2) K[j, k], read backwards
+        # from phases[0] where k < j
+        both = np.concatenate([phases[:0:-1], phases])
+        kernel = np.ndarray((m, m), complex, both, (m - 1) * both.itemsize,
+                            (-both.itemsize, both.itemsize))
+        rows = max(1, _H_CHUNK // (len(lines) * m))
+        for i in range(0, m, rows):
+            part = slice(i, i + rows)
+            blocks[..., part, :] += root[..., part, None] * root[..., None, :] * kernel[part]
     return h
 
 

@@ -20,6 +20,12 @@ normalized every null vector and built every rule's weights once per line,
 the byte-for-byte reference for the hoisted loop of
 ``analysis.bic_condition_check``.
 
+``gather_hamiltonian`` and ``loop_classify`` are the library's earlier
+build of H (per axis, the whole kernel scaled by every rate product and
+added through one fancy-index gather) and superradiance classification
+(one Python pass over the rates, a list per cluster), the bit-for-bit
+references for the in-place line blocks and the vectorized labels.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -34,7 +40,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import analysis, assemble, eom, lattice
+from dropqed import analysis, assemble, coupling_matrix, eom, lattice
 
 
 def multiset_max_err(a, b) -> float:
@@ -140,6 +146,32 @@ def splu_certificates(system, deltas, vecs) -> np.ndarray:
     ax = a0 @ x - e_sparse @ x * deltas
     return (np.linalg.norm(ax, axis=0) / np.linalg.norm(x, axis=0)
             / system.frobenius(deltas))
+
+
+def gather_hamiltonian(spec) -> np.ndarray:
+    """H, each axis's line blocks added through one fancy-index gather."""
+    rates = spec.resolved_rates()
+    h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
+    for axis, lines in enumerate(lattice._lines(spec)):
+        root = np.sqrt(rates[lines, axis])
+        kernel = -0.5j * coupling_matrix(lines.shape[1], spec.theta)
+        h[lines[:, :, None], lines[:, None, :]] += root[:, :, None] * root[:, None, :] * kernel
+    return h
+
+
+def loop_classify(spec, drop_spec):
+    """(k labels, cluster counts, cluster centers) of a Cartesian-sum
+    spectrum, one Python pass over its rates."""
+    super_index = drop_spec.index_tuples[int(np.argmax(drop_spec.rates.real))]
+    k_labels = []
+    clusters = {}
+    for rate, tup in zip(drop_spec.rates, drop_spec.index_tuples):
+        axes = tuple(n for n in range(spec.ndim) if tup[n] == super_index[n])
+        k_labels.append(len(axes))
+        clusters.setdefault(axes, []).append(rate)
+    counts = {k: k_labels.count(k) for k in range(spec.ndim + 1)}
+    centers = {axes: complex(np.mean(vals)) for axes, vals in sorted(clusters.items())}
+    return tuple(k_labels), counts, centers
 
 
 def loop_bic_report(spec, m: int = 1, rank_tol: float = 1e-8):

@@ -5,6 +5,7 @@ import pytest
 
 from dropqed import (
     NetworkSpec,
+    Spectrum,
     ThetaOutOfRange,
     all_poles_eig,
     bic_condition_check,
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from dropqed import analysis
 from dropqed.analysis import _line_weights
-from oracles import loop_bic_report, multiset_max_err
+from oracles import loop_bic_report, loop_classify, multiset_max_err
 
 
 def spec_of(dims, gammas=None, frac=1.0):
@@ -135,6 +136,40 @@ def test_classify_solves_each_axis_length_once(monkeypatch):
         assert report.k_labels == tuple(
             sum(t == best for t, best in zip(tup, top)) for tup in s.index_tuples)
         assert report.cluster_counts == expected_cluster_counts(dims)
+
+
+def _shuffled(s, seed):
+    # the same rates and tuples in another order: tuples that are no
+    # product enumeration
+    perm = np.random.default_rng(seed).permutation(len(s))
+    return Spectrum(rates=s.rates[perm], method="drop",
+                    index_tuples=tuple(s.index_tuples[i] for i in perm))
+
+
+@pytest.mark.parametrize("dims, gammas, frac, noisy, shuffle", [
+    ([40, 40], None, 0.9999, False, False),
+    ([12, 12, 12], (1.0, 4.0, 2.0), 0.9999, False, False),
+    ([2, 3, 4], None, 1.0, False, False),
+    ([3, 1, 4], (1.0, 4.0, 2.0), 2.0, True, False),
+    ([5], None, 1.02, False, False),
+    ([2, 2, 3, 2], (1.0, 0.4, 2.0, 3.0), 0.97, True, False),
+    ([4, 5], (1.0, 0.4), 0.9999, False, True),
+    ([2, 3, 4], None, 1.0, True, True),
+])
+def test_classify_is_bit_identical_to_a_loop_over_rates(dims, gammas, frac, noisy, shuffle):
+    spec = spec_of(dims, gammas, frac)
+    if noisy:
+        spec = spec.with_noise(sample_noise(spec, 0.05, seed=2))
+    s = drop_spectrum(spec)
+    if shuffle:
+        s = _shuffled(s, len(dims))
+    report = classify_superradiance(spec, s)
+    k_labels, counts, centers = loop_classify(spec, s)
+    assert report.k_labels == k_labels
+    assert report.cluster_counts == counts
+    assert list(report.cluster_centers) == list(centers)
+    assert (np.array(list(report.cluster_centers.values())).tobytes()
+            == np.array(list(centers.values())).tobytes())
 
 
 # ----------------------------------------------------------- scaling fits

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, eom, errors, sample_noise
+from dropqed.chain1d import _re_im_order
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
@@ -505,10 +506,43 @@ TEXT_BRANCHES = Spectrum(
     method="eigen", index_tuples=tuple((i, 9 - i) for i in range(9)))
 
 
+# rows the JSON writer formats inline beside rows that take the text path
+# (an integral Re, a zero Im, |Re| >= 1e11, a three-digit exponent, NaN)
+MIXED_ROWS = Spectrum(
+    rates=np.array([0.1 + 2.5j, 3.0 - 0.25j, 0.5 + 0.0j, -1.25e-7 + 7.5j, 2.5e11 + 0.3j,
+                    0.75 - 1.5e-200j, -0.3 - 0.7j, complex(np.nan, 0.2), 0.1 + 0.3j]),
+    method="eigen", index_tuples=tuple((i % 3, 20 - i) for i in range(9)))
+
+
 def _handler_output(argv):
     config = cli._config_from_args(cli._build_parser(argv).parse_args(argv))
     spectra, report, *_ = cli._COMMANDS[config.method](config)
     return spectra, report
+
+
+def _drop_of(argv):
+    return _handler_output(argv)[0][0][0]
+
+
+def _reversed_tuples():
+    # a drop spectrum whose tuples are no product enumeration: only a
+    # gather of its tuples writes them
+    s = _drop_of(["drop", "--dims", "2,3", "--theta-over-pi", "0.3"])
+    return Spectrum(rates=s.rates, method="drop", index_tuples=s.index_tuples[::-1])
+
+
+# bic reports: hundreds of violations, lines without transverse axes,
+# and floats json.dumps writes otherwise than repr beside a rule name it
+# escapes
+NONFINITE_VIOLATIONS = {
+    "m": 1, "max_violation": {"plain": float("inf")},
+    "violations": [
+        {"rule": "plain", "axis": 0, "transverse": [1, 2], "vector": 0, "value": float("inf")},
+        {"rule": "plain", "axis": 1, "transverse": [3], "vector": 2, "value": float("nan")},
+        {"rule": 'r\u00e9gle "odd"', "axis": 2, "transverse": [], "vector": 1, "value": 1e-320},
+        {"rule": "plain", "axis": 0, "transverse": [1, 2], "vector": 0, "value": -0.0},
+    ],
+    "passed": False}
 
 
 EMIT_CASES = {
@@ -527,6 +561,18 @@ EMIT_CASES = {
     "empty-spectrum": lambda: ([(EMPTY, None), (ODD_VALUES, None)], {"x": float("nan")}),
     "no-spectra": lambda: ([], {"sweep": [], "passed": True}),
     "no-spectra-no-report": lambda: ([], None),
+    "drop-axis-of-one-scrambled": lambda: _handler_output(
+        ["drop", "--dims", "3,1,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"]),
+    "drop-at-pi-all-text": lambda: _handler_output(["drop", "--dims", "3,4", "--theta-over-pi", "1"]),
+    "text-and-inline-rows": lambda: (
+        [(MIXED_ROWS, [4, 0, 2, 1, 3, 5, 8, 7, 6]), (MIXED_ROWS, None)], None),
+    "drop-method-non-product-tuples": lambda: ([(_reversed_tuples(), None)], None),
+    "bic-violations": lambda: _handler_output(
+        ["bic", "--dims", "3,3,3", "--theta-over-pi", "2", "--m", "2"]),
+    "bic-chain-no-transverse": lambda: _handler_output(
+        ["bic", "--dims", "4", "--theta-over-pi", "1", "--m", "1"]),
+    "bic-nonfinite-violations": lambda: ([], NONFINITE_VIOLATIONS),
+    "bic-no-violations": lambda: ([], {**NONFINITE_VIOLATIONS, "violations": []}),
 }
 
 
@@ -536,6 +582,19 @@ def test_emitter_matches_reference_bytes(case, out_format):
     spectra, report = EMIT_CASES[case]()
     config = _emit_config(out_format)
     assert cli._emit(config, spectra, report) == reference_emit(config, spectra, report)
+
+
+def test_emit_cases_take_the_paths_they_name():
+    scrambled = _drop_of(["drop", "--dims", "3,1,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"])
+    order = _re_im_order(scrambled.rates)
+    assert scrambled._product and (np.diff(order) < 0).any()
+    at_pi = _drop_of(["drop", "--dims", "3,4", "--theta-over-pi", "1"])
+    assert (cli._text_path(at_pi.rates.real) | cli._text_path(at_pi.rates.imag)).all()
+    text = cli._text_path(MIXED_ROWS.rates.real) | cli._text_path(MIXED_ROWS.rates.imag)
+    assert text.any() and not text.all()
+    reversed_tuples = _reversed_tuples()
+    assert reversed_tuples.method == "drop" and not reversed_tuples._product
+    assert EMIT_CASES["bic-violations"]()[1]["violations"]
 
 
 def _emit_config(out_format):

@@ -23,8 +23,8 @@ from dropqed import (
 )
 from dropqed import analysis, eom, lattice
 from dropqed.chain1d import _re_im_order
-from oracles import (dense_sigma_min, det_at, logdet_at, multiset_max_err, plain_eig, reduced,
-                     sector_loop_eig, splu_certificates)
+from oracles import (dense_sigma_min, det_at, gather_hamiltonian, logdet_at, multiset_max_err,
+                     plain_eig, reduced, sector_loop_eig, splu_certificates)
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -266,6 +266,34 @@ def test_direct_h_matches_schur_complement(case):
     assert np.linalg.norm(h - want) <= 1e-14 * np.linalg.norm(want)
 
 
+def _noisy(dims, gammas, frac):
+    spec = spec_of(dims, gammas, theta=frac * np.pi)
+    return spec.with_noise(sample_noise(spec, 0.05, seed=5))
+
+
+# the pencil cases and lines long enough to take their terms in several
+# slices of rows
+BUILD_CASES = {**PENCIL_CASES,
+               "chain-1000-noisy": lambda: _noisy([1000], None, 0.65),
+               "40x30-noisy": lambda: _noisy([40, 30], (1.0, 0.4), 0.9999)}
+
+
+@pytest.mark.parametrize("case", sorted(BUILD_CASES))
+def test_hamiltonian_is_bit_identical_to_the_gathered_build(case):
+    # H's bits fix every EoM route's output
+    spec = BUILD_CASES[case]()
+    assert eom._hamiltonian(spec).tobytes() == gather_hamiltonian(spec).tobytes()
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_hamiltonian_of_a_chain_holds_at_most_two_n_by_n(noisy):
+    # a chain is one line block of N x N, built in place beside two slices
+    # of its rows (the gathered build peaked at 4.5 N x N)
+    spec = _noisy([1000], None, 0.65) if noisy else spec_of([1000], theta=0.65 * np.pi)
+    n = spec.n_qubits
+    assert _traced_peak(lambda: eom._hamiltonian(spec)) <= 2 * 16 * n * n
+
+
 @pytest.mark.parametrize("dims, gammas, frac", [
     ([5, 3, 4], (1.0, 4.0, 2.0), 0.5),
     ([4, 4], (1.0, 0.4), 1.0),
@@ -362,17 +390,22 @@ def test_certificates_hold_a_few_blocks_of_n_by_64(dims):
     vecs = rng.standard_normal((n, 150)) + 1j * rng.standard_normal((n, 150))
     deltas = rng.standard_normal(150) + 0j
     system = eom._EomSystem(spec)
+    peak = _traced_peak(lambda: system.certificates(deltas, vecs))
+    assert peak <= 16 * (7 * n * 64 + 2 * np.getbufsize())
+
+
+def _traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak, as tracemalloc counts them."""
     tracing = tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     before = tracemalloc.get_traced_memory()[0]
     try:
-        system.certificates(deltas, vecs)
-        peak = tracemalloc.get_traced_memory()[1] - before
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak <= 16 * (7 * n * 64 + 2 * np.getbufsize())
 
 
 # (dims, gammas or equal rates, theta / pi): odd and even axes in one, two

@@ -153,27 +153,29 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> Superradia
 
 
 _DEFAULT_SWEEPS = {1: range(10, 61, 5), 2: range(4, 13), 3: range(3, 8)}
+_EPS = np.finfo(float).eps
 
 
 def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
-                        m_range: Optional[Sequence[int]] = None,
-                        zero_floor: float = 1e-13) -> ScalingFit:
+                        m_range: Optional[Sequence[int]] = None) -> ScalingFit:
     """Fit how the most subradiant rate decays with qubit count.
 
     Sweeps hyper-cubic networks [M]*d with unit rates, takes the smallest
-    real part above ``zero_floor`` from the Cartesian-sum spectrum, and
-    returns the log-log least-squares slope against N = M^d.  Near
-    resonance the 1-D chain scales as N^-3, so the hyper-cubic slope is
-    -3/d.  The floor is there for the dark states at theta = m*pi: chains
-    shorter than the secular route of :func:`~dropqed.chain1d.chain_rates`
-    (80 qubits) leave their real parts at round-off, up to about 1e-14;
-    longer ones put them below 1e-20 (exactly 0 at theta = 0).  It also
-    drops physical rates below it.  At theta = 0.9999*pi the chain minimum
-    is 5.6e-13 at M = 60, 1.2e-13 at M = 100 and 4.5e-15 at M = 300, good
-    to better than 1e-6 relative from M = 80 on; past about M = 105 the
-    default floor skips it, the fit takes the next mode up and the 1-D
-    slope of M = 10..300 reads -1.76.  With a floor below the minimum
-    (``zero_floor=0`` at that theta, where no rate is dark) it reads -3.01.
+    real part of the Cartesian-sum spectrum, and returns the log-log
+    least-squares slope against N = M^d.  Near resonance the 1-D chain
+    scales as N^-3, so the hyper-cubic slope is -3/d.
+
+    At theta = m*pi (within 8 ulps) the chain kernel exp(i theta |j - k|)
+    has rank one: every chain rate but the top one is dark, exactly 0 in
+    exact arithmetic, and so is every Cartesian sum of dark rates.  Those
+    prod_n (M - 1) sums are left out there, and the rest have a real part of
+    at least M.  Elsewhere every rate counts, and a smallest real part that
+    is not positive raises ValueError.  The rates come from
+    :func:`~dropqed.chain1d.chain_rates`, so chains of fewer than 80 qubits
+    resolve real parts only to about eps N absolutely (the dense route
+    there); from 80 on the secular route resolves them relative to
+    themselves.  At theta = 0.9999*pi the 1-D slope of M = 10..300 reads
+    -3.01.
     """
     if m_range is None:
         if d not in _DEFAULT_SWEEPS:
@@ -182,15 +184,22 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     m_values = list(m_range)
     if len(m_values) < 5:
         raise ValueError("scaling fit needs at least 5 sweep points")
+    resonant = abs(math.remainder(theta, math.pi)) <= 8 * _EPS * max(1.0, abs(theta))
     sizes, mins = [], []
     for m in m_values:
         spec = NetworkSpec(dims=(m,) * d, gammas=(1.0,) * d, theta=theta)
         rates = _cartesian_rates(spec).real
-        alive = rates[rates > zero_floor]
-        if len(alive) == 0:
-            raise ValueError(f"no nonzero rates above the floor for M = {m}")
+        if resonant:
+            # each axis's top rate is the last of its chain's (Re, Im)
+            # order, so the dark sums fill the leading (M - 1)^d block
+            lit = np.ones((m,) * d, dtype=bool)
+            lit[(slice(0, m - 1),) * d] = False
+            rates = rates[lit.ravel()]
+        low = float(rates.min())
+        if not low > 0:
+            raise ValueError(f"the smallest rate for M = {m} is {low:.6g}, not positive")
         sizes.append(m ** d)
-        mins.append(float(alive.min()))
+        mins.append(low)
     slope, intercept = np.polyfit(np.log(np.asarray(sizes, float)), np.log(mins), 1)
     return ScalingFit(
         sizes=tuple(sizes),
@@ -280,12 +289,13 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     Samples one noise field, forms estimates from the qubit-averaged rates,
     and gives every estimate a pole of the disordered system, an eigenvalue
     of its H: the nearest one, or the nearest unclaimed one when an estimate
-    closer to it claimed it first (see :func:`~dropqed.eom.all_poles_cnm`).
-    Reports per-seed displacements, the number of poles recovered (a pole of
-    multiplicity m counts m times), and which seeds (if any) have a pole
-    that failed its certificate at min(tol, 1e-9), the bound of
-    :func:`~dropqed.eom.all_poles_cnm`.  A network too large for the memory
-    budget raises ConfigError before the noise is drawn.
+    closer to it claimed it first (the claim rule of
+    :func:`~dropqed.eom._refine`).  Reports per-seed displacements, the
+    number of poles recovered (a pole of multiplicity m counts m times), and
+    which seeds (if any) have a pole that failed its certificate at
+    min(tol, 1e-9), the bound of :func:`~dropqed.eom.all_poles_cnm`.  A
+    network too large for the memory budget raises ConfigError before the
+    noise is drawn.
     """
     eom._check_h(spec)
     field = sample_noise(spec, epsilon_max, seed)

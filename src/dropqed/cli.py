@@ -107,7 +107,6 @@ class RunConfig:
     m_min: Optional[int] = None
     m_max: Optional[int] = None
     m_step: int = 1
-    zero_floor: float = 1e-13
     bic_m: int = 1
 
     def __post_init__(self) -> None:
@@ -453,8 +452,7 @@ def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
     m_range = None
     if config.m_min is not None:
         m_range = range(config.m_min, config.m_max + 1, config.m_step)
-    fit = analysis.subradiance_scaling(d, config.theta, m_range,
-                                       zero_floor=config.zero_floor)
+    fit = analysis.subradiance_scaling(d, config.theta, m_range)
     return [], {
         "d": d,
         "sizes": list(fit.sizes),
@@ -608,7 +606,8 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     p.add_argument("--match-tol", type=float,
                    help="relative match tolerance (times sum_n N_n gamma_n)")
     p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
-    p.add_argument("--solver-tol", type=float, help="pole search tolerance")
+    p.add_argument("--solver-tol", type=float,
+                   help="certificate bound of eom-cnm and noise (at most 1e-9)")
     p.add_argument("--format", choices=("json", "csv"), dest="out_format")
     p.add_argument("--output", help="write results here (atomic)")
     p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
@@ -624,7 +623,6 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--m-min", type=int)
         p.add_argument("--m-max", type=int)
         p.add_argument("--m-step", type=int)
-        p.add_argument("--zero-floor", type=float)
     if name == "bic":
         p.add_argument("--m", type=int, dest="bic_m", help="resonance order")
 

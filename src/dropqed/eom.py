@@ -27,9 +27,9 @@ in cells along the line (Chang, Jiang, Gorshkov & Kimble, NJP 14, 063003
 by :func:`_hamiltonian`; for a symmetric network it is the Kronecker sum
 of the per-axis chain matrices (see :mod:`dropqed.drop`).  H is the one
 matrix every route solves, so every route reports its eigenvalues.
-:func:`all_poles_eig` diagonalizes H (the bulk method) and
-:func:`all_poles_cnm` gives each seed one of its eigenvalues, both
-through one eigensolve, :func:`_eig`.  Without noise H commutes with the
+:func:`all_poles_eig` diagonalizes H (the bulk method) by one eigensolve,
+:func:`_eig`, and :func:`all_poles_cnm` is that route certified at
+min(tol, 1e-9).  Without noise H commutes with the
 reversal of every axis, so :func:`_eig` changes each axis to its
 even/odd reflection basis and diagonalizes the 2^d parity sectors apart,
 each about N / 2^d; a noisy H is one sector, one dense eig.
@@ -59,11 +59,11 @@ to ||A x||^2, and sums its terms of the excitation rows; no array of
 :func:`assemble`, which take the explicit nonzeros, are for users and
 tests; no solve path calls them.
 
-Seeded refinement (:func:`find_pole`, :func:`all_poles_cnm` and the noise
-study) is one call of :func:`_refine` on the network: one eigensolve of
-H by :func:`_eig`, which gives each seed its nearest eigenvalue not yet
-claimed by a seed closer to its own, and one certificate per pole at
-min(tol, 1e-9).  It reports that eigenvalue, never the seed itself.
+Seeded refinement (:func:`find_pole` and the noise study) is one call of
+:func:`_refine` on the network: one eigensolve of H by :func:`_eig`, which
+gives each seed its nearest eigenvalue not yet claimed by a seed closer to
+its own, and one certificate per pole at min(tol, 1e-9).  It reports that
+eigenvalue, never the seed itself.
 
 Only :func:`sigma_min`, which factors the sparse pencil, imports scipy,
 inside the function: every pole route and :func:`nullity_at` run on numpy
@@ -75,12 +75,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chain1d import _re_im_order
-from .drop import Spectrum, drop_spectrum
+from .drop import Spectrum
 from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
@@ -114,7 +114,6 @@ class PoleSearchResult:
     """
 
     poles: Spectrum
-    seeds_used: tuple[complex, ...]
     residuals: np.ndarray
     method: str
 
@@ -605,14 +604,14 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
 
 
 def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
-            method: str, seeds: Sequence[complex],
-            error: type[Exception]) -> PoleSearchResult:
+            method: str, error: type[Exception], bound: float = _CHECK_TOL) -> PoleSearchResult:
     """The last step of every route: trace rule, (Re, Im) order, certificate.
 
     The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
-    S = sum_n N_n gamma_n, else ``error`` is raised.  ``residuals[k]`` is
-    the certificate of pole k (NaN, uncertified, only for
-    ``validate="none"``); one above 1e-9 raises ConditioningFailure.
+    S = sum_n N_n gamma_n, and every certificate must be at most ``bound``,
+    else ``error`` is raised; the trace rule is checked first.
+    ``residuals[k]`` is the certificate of pole k (NaN, uncertified, only
+    for ``validate="none"``).
     """
     expected = float(spec.resolved_rates().sum())     # exact: the total per-qubit rate
     if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, spec.n_qubits * spec.rate_sum):
@@ -622,14 +621,16 @@ def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
         )
     order = _re_im_order(gammas)
     gammas, residuals = gammas[order], residuals[order]
-    worst = int(np.argmax(np.nan_to_num(residuals)))     # NaN: uncertified
-    if residuals[worst] > _CHECK_TOL:
-        raise ConditioningFailure(
-            f"reported pole {gammas[worst]} fails the singularity check: "
-            f"certificate {residuals[worst]:.3e} > {_CHECK_TOL:g}"
+    failed = int(np.count_nonzero(residuals > bound))     # NaN: uncertified
+    if failed:
+        worst = int(np.argmax(np.nan_to_num(residuals)))
+        raise error(
+            f"{failed} of {len(gammas)} poles fail the certificate <= {bound:g}: reported "
+            f"pole {gammas[worst]} fails the singularity check with certificate "
+            f"{residuals[worst]:.3e}"
         )
     return PoleSearchResult(poles=Spectrum(rates=gammas, method=method),
-                            seeds_used=tuple(seeds), residuals=residuals, method=method)
+                            residuals=residuals, method=method)
 
 
 def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResult:
@@ -651,39 +652,22 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
     values, vecs = _eig(spec, _hamiltonian(spec))
     residuals = (np.full(len(values), np.nan) if validate == "none"
                  else _EomSystem(spec).certificates(values, vecs))
-    return _finish(spec, 2j * values, residuals, "eigen", (), ConditioningFailure)
+    return _finish(spec, 2j * values, residuals, "eigen", ConditioningFailure)
 
 
-def all_poles_cnm(spec: NetworkSpec, seeds: Optional[Sequence[complex]] = None,
-                  tol: float = 1e-10) -> PoleSearchResult:
-    """All N poles, one per seed.
+def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
+    """All N poles as the eigenvalues of H, certified at min(tol, 1e-9).
 
-    Seeds default to the Cartesian-sum estimates (qubit-averaged rates when
-    a noise field is present), expressed in the Delta plane; exactly N seeds
-    are required.  Each seed gets an eigenvalue of H: its nearest, unless a
-    seed closer to that eigenvalue claimed it first, in which case its
-    nearest unclaimed one (see :func:`_refine`), so exact multiplicities
-    carry over.  Every pole's certificate must be at most min(tol, 1e-9); a
-    run whose poles fail it, or break the trace rule, raises
-    MaxIterationsError.  The budget is checked before the default seeds are
-    built.
+    The route of :func:`all_poles_eig`, one eigensolve of H and one
+    certificate per pole, reported under the "cnm" label: a run whose poles
+    break the trace rule, or fail the certificate at min(tol, 1e-9), raises
+    MaxIterationsError.  Its name and label are kept because the
+    ``eom-cnm`` command and ``--eom-method cnm`` select it.
     """
-    _check_h(spec)
-    n = spec.n_qubits
-    if seeds is None:
-        seeds = tuple(drop_spectrum(spec).rates / 2j)
-    else:
-        seeds = tuple(complex(s) for s in seeds)
-        if len(seeds) != n:
-            raise ValueError(f"all_poles_cnm needs exactly {n} seeds, got {len(seeds)}")
-    poles, residuals = _refine(spec, seeds, tol)
-    found = int(np.count_nonzero(~np.isnan(poles)))
-    if found < n:
-        raise MaxIterationsError(
-            f"{n - found} of {n} seeded poles fail the certificate "
-            f"<= {min(tol, _CHECK_TOL):g}, min(tol, {_CHECK_TOL:g})"
-        )
-    return _finish(spec, 2j * poles, residuals, "cnm", seeds, MaxIterationsError)
+    values, vecs = _eig(spec, _hamiltonian(spec))
+    residuals = _EomSystem(spec).certificates(values, vecs)
+    return _finish(spec, 2j * values, residuals, "cnm", MaxIterationsError,
+                   min(tol, _CHECK_TOL))
 
 
 _RADIUS_FACTOR = 1.5     # contour radius, times S: encloses every pole
@@ -748,7 +732,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     del m0, m1, u, wh, y     # only the poles' vectors stay for the certificates
     vecs /= np.linalg.norm(vecs, axis=0)
     return _finish(spec, 2j * deltas, _EomSystem(spec).certificates(deltas, vecs),
-                   "det-interp", (), ConditioningFailure)
+                   "det-interp", ConditioningFailure)
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

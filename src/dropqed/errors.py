@@ -16,12 +16,12 @@ class SizeMismatchError(DropQedError):
 
 
 class MaxIterationsError(DropQedError):
-    """A seeded pole search did not account for its poles.
+    """A tolerance-bound pole search did not account for its poles.
 
     Raised by ``find_pole`` when the pole nearest the seed fails its
-    certificate on the full system, and by ``all_poles_cnm`` when a seed's
-    pole fails it or, in ``_finish``, when the poles break the trace rule.
-    Seeded poles are certified at min(tol, 1e-9), the bound every route
+    certificate on the full system, and by ``all_poles_cnm``, in
+    ``_finish``, when its poles break the trace rule or one fails the
+    certificate.  Both certify at min(tol, 1e-9), the bound every route
     reports under, so a tolerance above 1e-9 passes no further pole.
     """
 
@@ -29,11 +29,11 @@ class MaxIterationsError(DropQedError):
 class ConditioningFailure(DropQedError):
     """A pole route returned poles that could not be certified.
 
-    Raised in ``_finish``, the last step of every route, when a pole's
-    certificate ``||A x|| / ||x|| / ||A||_F`` on the full system is above
-    1e-9, or when the eigensolve's or the contour route's poles break the
-    trace rule; and by ``all_poles_det_interp`` when a contour node is
-    itself a pole (its solve on H is singular).
+    Raised in ``_finish``, the last step of every route, when a pole of
+    the eigensolve or the contour route has a certificate
+    ``||A x|| / ||x|| / ||A||_F`` on the full system above 1e-9, or when
+    their poles break the trace rule; and by ``all_poles_det_interp`` when
+    a contour node is itself a pole (its solve on H is singular).
     """
 
 

@@ -190,6 +190,28 @@ def test_scaling_monotone_decreasing():
     assert all(a > b for a, b in zip(fit.min_rates, fit.min_rates[1:]))
 
 
+def test_scaling_1d_near_resonance_fits_the_chain_law():
+    # past M = 105 the chain minimum at 0.9999 pi falls below 1e-13; it is
+    # a physical rate, so the fit keeps it and reads the N^-3 law
+    fit = subradiance_scaling(1, 0.9999 * np.pi, range(10, 301, 10))
+    assert min(fit.min_rates) < 1e-14
+    assert abs(fit.slope + 3) <= 0.05
+
+
+@pytest.mark.parametrize("frac", [0, 1, -1, 2, 3])
+def test_scaling_1d_at_resonance_leaves_out_the_dark_rates(frac):
+    # at theta = m pi every chain rate but the top one, M, is dark
+    sizes = list(range(1, 10)) + [79, 80, 81, 150]
+    fit = subradiance_scaling(1, frac * np.pi, sizes)
+    assert np.allclose(fit.min_rates, sizes, rtol=1e-12, atol=0)
+
+
+def test_scaling_rejects_a_rate_that_is_not_positive(monkeypatch):
+    monkeypatch.setattr(analysis, "_cartesian_rates", lambda spec: np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="not positive"):
+        subradiance_scaling(1, 0.5 * np.pi, range(2, 7))
+
+
 # ------------------------------------------------------------ bound states
 
 def test_line_weight_rules():

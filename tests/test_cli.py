@@ -74,8 +74,8 @@ def test_compare_5x3x4_sixty_paired_rates(tmp_path):
 
 
 def test_compare_cnm_checks_the_eigenvalues_of_h(capsys):
-    # the seeded route reports H's eigenvalues, not its Cartesian-sum
-    # seeds, so on a symmetric network it measures the same DRoP error
+    # the cnm route reports H's eigenvalues, so on a symmetric network it
+    # measures the same DRoP error as the eigen route
     argv = ["compare", "--dims", "5,3,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"]
     worst = []
     for method in ("eigen", "cnm"):
@@ -430,6 +430,32 @@ def test_eom_cnm_command(tmp_path, dims, gammas, frac):
     chains = {2: chain2_rates, 3: chain3_rates}
     want = cartesian_rate_multiset([chains[n](frac * np.pi) for n in dims], gammas)
     assert multiset_max_err(got, want) < 1e-8
+
+
+@pytest.mark.parametrize("argv", [
+    ["--dims", "3,4", "--gammas", "1,0.4", "--theta-over-pi", "0.3"],
+    ["--dims", "3,2,6", "--gammas", "1,3,2", "--theta-over-pi", "0.65",
+     "--epsilon-max", "0.05", "--noise-seed", "7"],
+    ["--dims", "2,2", "--gammas", "1,0.4", "--theta-over-pi", "1"],
+], ids=["3x4", "3x2x6-noisy", "2x2-pi"])
+def test_eom_cnm_is_eom_eig_relabelled(capsys, argv):
+    # the same eigensolve: only the command and the route's label differ
+    out = []
+    for command in ("eom-eig", "eom-cnm"):
+        assert run_cli([command] + argv) == 0
+        out.append(capsys.readouterr().out)
+    assert out[0].count('"eigen"') == 1
+    assert out[1] == out[0].replace('"eom-eig"', '"eom-cnm"').replace('"eigen"', '"cnm"')
+
+
+def test_zero_floor_is_gone(tmp_path, capsys):
+    # neither the flag nor the config-file key is known any more
+    assert run_cli(["scaling", "--d", "1", "--zero-floor", "1e-13"]) == 1
+    assert "--zero-floor" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scaling_d": 1, "zero_floor": 1e-13}))
+    assert run_cli(["scaling", "--config", str(cfg)]) == 1
+    assert "unknown field 'zero_floor'" in capsys.readouterr().err
 
 
 def test_svg_rendering_deterministic(tmp_path):

@@ -21,7 +21,7 @@ from dropqed import (
     sample_noise,
     sigma_min,
 )
-from dropqed import analysis, eom, lattice
+from dropqed import analysis, chain1d, drop, eom, lattice
 from dropqed.chain1d import _re_im_order
 from oracles import (dense_sigma_min, det_at, gather_hamiltonian, logdet_at, multiset_max_err,
                      plain_eig, reduced, sector_loop_eig, splu_certificates)
@@ -475,9 +475,8 @@ def test_find_pole_at_cartesian_seeds_returns_eigenvalues_of_h(dims, gammas, fra
 
 @pytest.mark.parametrize("case", sorted(PENCIL_CASES))
 def test_all_poles_cnm_is_the_eigensolve(case):
-    # every seed claims one eigenvalue of H, so after the (Re, Im) sort the
-    # seeded route reports the bulk route's poles bit for bit, with or
-    # without noise
+    # the same eigensolve under another bound and label: the bulk route's
+    # poles bit for bit, with or without noise
     spec = PENCIL_CASES[case]()
     want = all_poles_eig(spec).poles.rates
     assert np.array_equal(all_poles_cnm(spec).poles.rates, want)
@@ -683,16 +682,22 @@ def test_solve_paths_certify_every_pole_without_lanczos(monkeypatch):
 
 @pytest.mark.parametrize("case", ["5x3x4", "3x2x6-noisy"])
 def test_all_poles_cnm_certifies_each_pole_once(monkeypatch, case):
-    columns = []
-    certify = eom._EomSystem.certificates
-
-    def counted(self, deltas, vecs):
-        columns.append(len(deltas))
-        return certify(self, deltas, vecs)
-    monkeypatch.setattr(eom._EomSystem, "certificates", counted)
+    # one eig of H and one certificate pass over its N columns: no
+    # Cartesian seeds (drop_spectrum and its chain eigensolves), no claims
+    def forbidden(*args, **kwargs):
+        raise AssertionError("all_poles_cnm built seeds or claimed poles")
+    for target, name in ((drop, "drop_spectrum"), (drop, "chain_rates"),
+                         (chain1d, "chain_rates"), (eom, "_refine")):
+        monkeypatch.setattr(target, name, forbidden)
+    calls = []
+    eig, certify = eom._eig, eom._EomSystem.certificates
+    monkeypatch.setattr(eom, "_eig", lambda spec, h: calls.append("eig") or eig(spec, h))
+    monkeypatch.setattr(eom._EomSystem, "certificates", lambda self, deltas, vecs: (
+        calls.append(len(deltas)) or certify(self, deltas, vecs)))
     spec = H_CASES[case]()
-    all_poles_cnm(spec)
-    assert sum(columns) == spec.n_qubits
+    assert np.all(all_poles_cnm(spec).residuals <= 1e-9)
+    assert calls == ["eig", spec.n_qubits]
+    assert not hasattr(eom, "drop_spectrum")
 
 
 def test_finish_rejects_failed_certificates_and_nan_poles(monkeypatch):
@@ -704,12 +709,15 @@ def test_finish_rejects_failed_certificates_and_nan_poles(monkeypatch):
         all_poles_eig(spec)
     with pytest.raises(ConditioningFailure, match="trace rule"):
         eom._finish(spec, np.full(4, complex(np.nan, 0.0)), np.zeros(4),
-                    "eigen", (), ConditioningFailure)
+                    "eigen", ConditioningFailure)
+    # a run that breaks both is reported for the trace rule
+    with pytest.raises(MaxIterationsError, match="trace rule"):
+        eom._finish(spec, np.zeros(4, dtype=complex), np.ones(4), "cnm", MaxIterationsError)
 
 
 def test_seeded_routes_certify_at_the_routes_bound(monkeypatch):
-    # a pole whose certificate lies between 1e-9 and tol fails every seeded
-    # route alike: it is no recovered pole, and no ConditioningFailure
+    # a pole whose certificate lies between 1e-9 and tol fails noise and
+    # eom-cnm alike: it is no recovered pole, and no ConditioningFailure
     certify = eom._EomSystem.certificates
 
     def first_column_at_5e9(self, deltas, vecs):
@@ -746,20 +754,13 @@ def test_noise_study_checks_the_budget_before_drawing_noise(monkeypatch):
 
 @pytest.mark.parametrize("epsilon, seed", [(0.05, 0), (0.02, 1)])
 def test_all_poles_cnm_equal_rate_3x3x3(epsilon, seed):
-    # equal rates make the Cartesian-sum seeds highly degenerate, so seeds
-    # collapse onto shared poles unless the refiner tells them apart
+    # equal rates make the poles of the noise-free network highly degenerate
     spec = spec_of([3, 3, 3], (1.0, 1.0, 1.0), theta=0.65 * np.pi)
     noisy = spec.with_noise(sample_noise(spec, epsilon, seed))
     want = all_poles_eig(noisy, validate="none").poles.rates
     got = all_poles_cnm(noisy).poles.rates
     assert len(got) == 27
     assert multiset_max_err(got, want) <= 1e-10 * noisy.rate_sum
-
-
-def test_all_poles_cnm_needs_one_seed_per_pole():
-    spec = spec_of([2], theta=0.3 * np.pi)
-    with pytest.raises(ValueError, match="exactly 2 seeds"):
-        all_poles_cnm(spec, seeds=[5.0 - 5.0j])
 
 
 def test_all_poles_eig_rejects_unknown_validate():
@@ -808,7 +809,6 @@ def _det_matches_eig(spec):
     result = all_poles_det_interp(spec)
     want = all_poles_eig(spec, validate="none").poles.rates
     assert multiset_max_err(result.poles.rates, want) <= 1e-12 * spec.rate_sum
-    assert result.seeds_used == ()
 
 
 def test_det_interp_matches_eig_under_noise():

@@ -128,7 +128,7 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> Superradia
             f"from the nearest multiple of pi; clusters are ill-defined beyond "
             f"{_RESONANCE_WINDOW:.3g}"
         )
-    if drop_spec.index_tuples is None:
+    if not drop_spec.has_tuples:
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
     # Re of a Cartesian-sum rate is sum_n gamma_n Re z_n with every
     # gamma_n > 0, so the largest one picks every axis's superradiant rate

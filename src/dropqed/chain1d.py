@@ -80,10 +80,18 @@ class ChainSpectrum:
 
 
 def _re_im_order(values: np.ndarray) -> np.ndarray:
-    """Indices that sort complex values by (Re, Im): the library's one
-    output ordering."""
+    """Indices that sort complex values by (Re, Im), ties in input order:
+    the library's one output ordering.
+
+    numpy orders complex values lexicographically, so one stable argsort
+    gives it.  Only NaN parts order otherwise there (numpy puts R + nan j
+    after every non-NaN value, a two-key sort among those of real part R),
+    so a spectrum holding one takes the two-key sort.
+    """
     values = np.asarray(values, dtype=complex)
-    return np.lexsort((values.imag, values.real))
+    if np.isnan(values).any():
+        return np.lexsort((values.imag, values.real))
+    return np.argsort(values, kind="stable")
 
 
 def coupling_matrix(n: int, theta: float) -> np.ndarray:

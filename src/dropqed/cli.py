@@ -12,8 +12,8 @@ same configuration (including the noise seed) are byte-identical.  Files
 are written atomically (temp file + rename) with the mode a plain open()
 gives; a path that cannot be written is a config error.
 
-Rate rows are written from one fixed row template per spectrum, one ``%``
-over the floats (Re, Im) and ints (*index tuple, k) of each row, and the
+Rate rows are written from fixed row templates, one ``%`` over the
+floats (Re, Im), the index tuple and the int k of each row, and the
 document is one join of its pieces, because ``json.dumps(indent=2)``
 falls back to the json module's pure-Python encoder and spent most of a
 large ``drop`` job.  The bytes are exactly those of
@@ -26,14 +26,19 @@ significant digits as ``_sig`` rounds it.  Re and Im are formatted by
   hold no comma or quote);
 * it is the JSON number too, unless a vectorized, conservative mask
   (``_text_path``: not finite, zero, |x| < 1e-99 or >= 1e11, or within
-  1e-11 max(1, |x|) of an integer) takes the row's Re or Im.  Those rows
-  go through their ``%.12g`` texts and ``_json_numbers`` (integral texts
-  such as ``3``, exponent forms that may be subnormal, and ``nan``/``inf``
-  become ``float.__repr__(float(t))``, or ``NaN``, ``Infinity`` and
-  ``-Infinity``) and a ``%s`` template.
+  1e-11 |x| of an integer) takes that value.  Re and Im are masked each on
+  its own, and each of the (up to four) kinds of row has its template,
+  with ``%s`` for a masked part.  A masked zero is written ``0.0`` or
+  ``-0.0``; any other masked value goes through its ``%.12g`` text and
+  ``_json_numbers`` (integral texts such as ``3`` gain ``.0``, exponent
+  forms that may be subnormal and ``nan``/``inf`` become
+  ``float.__repr__(float(t))``, or ``NaN``, ``Infinity`` and
+  ``-Infinity``).
 
-The index columns of a ``drop_spectrum`` are unravelled from the sort
-order; any other spectrum's tuples are gathered.  ``config`` and
+The index columns are written by ``%s``: a ``drop_spectrum``'s as the
+texts of 1..N_n gathered by the index unravelled from the sort order, so
+no index tuple is built; any other spectrum's tuples are gathered as
+ints.  ``config`` and
 ``report`` go through ``json.dumps(indent=2)``, indented one level, except
 the violation rows of a ``bic`` report, which have a row template of their
 own.  The tests compare both formats byte for byte with that reference
@@ -189,12 +194,12 @@ _Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
 def _columns(s: Spectrum, k_labels: Optional[Sequence[int]]) -> tuple[
         np.ndarray, np.ndarray, Optional[list[np.ndarray]], list[np.ndarray]]:
     """Re and Im of the rates of a nonempty spectrum in (Re, Im) order, one
-    int column per axis of its index tuples (None without tuples), and the
-    int columns that follow Re and Im in a row: the axes, then the k labels
-    if any."""
+    column per axis of its index tuples (None without tuples; texts for a
+    product enumeration, ints otherwise), and the columns that follow Re
+    and Im in a row: the axes, then the k labels if any."""
     order = _re_im_order(s.rates)
     rates = s.rates[order]
-    axes = None if s.index_tuples is None else _index_columns(s, order)
+    axes = _index_columns(s, order, texts=True) if s.has_tuples else None
     ks = [] if k_labels is None else [np.asarray(k_labels, dtype=int)[order]]
     return rates.real, rates.imag, axes, [*(axes or ()), *ks]
 
@@ -208,9 +213,12 @@ def _json_numbers(texts: list[str]) -> list[str]:
     rounded value.  A text with a point and no exponent, or with a
     two-digit negative exponent, is already ``float.__repr__`` of that
     value: repr also writes exponents below -4, and no shorter text rounds
-    to the same normal double.  Any other (three-digit exponents can be
-    subnormal) goes through float()."""
+    to the same normal double.  A text with neither point nor exponent is
+    an integer of at most 12 digits (``-0`` too), which repr writes with
+    ``.0``.  Any other (positive or three-digit exponents, which can be
+    subnormal, and ``nan``/``inf``) goes through float()."""
     return [t if "." in t and "e" not in t or t[-4:-2] == "e-"
+            else t + ".0" if "e" not in t and "n" not in t
             else _JSON_NONFINITE.get(t) or float(t).__repr__()
             for t in texts]
 
@@ -220,32 +228,48 @@ def _text_path(x: np.ndarray) -> np.ndarray:
 
     Off this mask x is finite with 1e-99 <= |x| < 1e11, so its text is in
     fixed notation or has a two-digit negative exponent, and x is farther
-    than 1e-11 max(1, |x|) from an integer.  Rounding to 12 significant
-    digits moves x by at most 5e-12 |x|, so the text is not integral and
-    holds a point when fixed: :func:`_json_numbers` keeps every such text.
+    than 1e-11 |x| from an integer.  Rounding to 12 significant digits
+    moves x by at most 5e-12 |x|, so the text is not integral and holds a
+    point when fixed: :func:`_json_numbers` keeps every such text.
     """
     size = np.abs(x)
     with np.errstate(invalid="ignore"):   # inf - inf
-        integral = np.abs(x - np.rint(x)) <= 1e-11 * np.maximum(size, 1.0)
+        integral = np.abs(x - np.rint(x)) <= 1e-11 * size
     return ~((size >= 1e-99) & (size < 1e11)) | integral
 
 
-def _rows(template: str, re, im, columns: list[np.ndarray]) -> list[str]:
+# the JSON numbers of exact zeros, indexed by sign bit
+_JSON_ZEROS = np.array(["0.0", "-0.0"], dtype=object)
+
+
+def _json_texts(x: np.ndarray) -> list[str]:
+    """The JSON number of each value of ``x``: ``0.0`` or ``-0.0`` for an
+    exact zero, which needs no formatting, and :func:`_json_numbers` of
+    the ``%.12g`` text of any other value."""
+    zero = x == 0
+    if not zero.any():
+        return _json_numbers(list(map("%.12g".__mod__, x.tolist())))
+    texts = _JSON_ZEROS[np.signbit(x).astype(np.intp)]
+    texts[~zero] = _json_numbers(list(map("%.12g".__mod__, x[~zero].tolist())))
+    return texts.tolist()
+
+
+def _rows(template: str, re: list, im: list, columns: list[np.ndarray]) -> list[str]:
     """One ``%`` of ``template`` per row over (re, im, *columns)."""
     return list(map(template.__mod__, zip(re, im, *(c.tolist() for c in columns))))
 
 
-def _json_row(number: str, axes: Optional[list], has_k: bool) -> str:
+def _json_row(re: str, im: str, axes: Optional[list], has_k: bool) -> str:
     """Template of one rate row and its separator over (re, im, *tuple, k),
-    with Re and Im written by ``number``, at the row's depth in the JSON
-    document (json.dumps, indent=2)."""
+    with Re and Im in the formats ``re`` and ``im``, at the row's depth in
+    the JSON document (json.dumps, indent=2)."""
     if axes is None:
         tuple_text = "null"
     elif not axes:
         tuple_text = "[]"
     else:
-        tuple_text = "[" + ",".join(["\n            %d"] * len(axes)) + "\n          ]"
-    return (f'        {{\n          "re": {number},\n          "im": {number},\n'
+        tuple_text = "[" + ",".join(["\n            %s"] * len(axes)) + "\n          ]"
+    return (f'        {{\n          "re": {re},\n          "im": {im},\n'
             f'          "tuple": {tuple_text},\n          "k": {"%d" if has_k else "null"}\n'
             '        },\n')
 
@@ -255,20 +279,23 @@ def _json_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
     if not len(s):
         return [head, "[]\n    }"]
     re, im, axes, columns = _columns(s, k_labels)
-    inline_row = _json_row("%.12g", axes, k_labels is not None)
-    text = _text_path(re) | _text_path(im)
-    if not text.any():
-        rows = _rows(inline_row, re.tolist(), im.tolist(), columns)
+    # Re and Im take the text path each on its own: bit 0 of a row's kind
+    # is its Re's, bit 1 its Im's, and each kind has a row template
+    kind = _text_path(re) + 2 * _text_path(im)
+
+    def kind_rows(k: int, at) -> list[str]:
+        text = (k & 1, k & 2)
+        template = _json_row(*["%s" if t else "%.12g" for t in text], axes, k_labels is not None)
+        return _rows(template, *[_json_texts(part[at]) if t else part[at].tolist()
+                                 for t, part in zip(text, (re, im))], [c[at] for c in columns])
+
+    kinds = np.flatnonzero(np.bincount(kind)).tolist()
+    if len(kinds) == 1:
+        rows = kind_rows(kinds[0], slice(None))
     else:
-        # these rows take the %.12g texts of their Re and Im through
-        # _json_numbers, the others are written by the template
         rows = np.empty(len(re), dtype=object)
-        rows[text] = _rows(_json_row("%s", axes, k_labels is not None), *(
-            _json_numbers(list(map("%.12g".__mod__, part[text].tolist()))) for part in (re, im)),
-            [c[text] for c in columns])
-        inline = ~text
-        rows[inline] = _rows(inline_row, re[inline].tolist(), im[inline].tolist(),
-                             [c[inline] for c in columns])
+        for k in kinds:
+            rows[kind == k] = kind_rows(k, kind == k)
         rows = rows.tolist()
     rows[-1] = rows[-1][:-2]   # the last row takes no separator
     return [head, "[\n", *rows, "\n      ]\n    }"]
@@ -279,7 +306,7 @@ def _csv_spectrum(s: Spectrum, k_labels: Optional[Sequence[int]]) -> list[str]:
     if not len(s):
         return []
     re, im, axes, columns = _columns(s, k_labels)
-    template = (s.method.replace("%", "%%") + ",%.12g,%.12g," + " ".join(["%d"] * len(axes or ()))
+    template = (s.method.replace("%", "%%") + ",%.12g,%.12g," + " ".join(["%s"] * len(axes or ()))
                 + ("," if k_labels is None else ",%d") + "\r\n")
     return _rows(template, re.tolist(), im.tolist(), columns)
 

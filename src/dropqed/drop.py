@@ -20,6 +20,7 @@ the EoM routes refine.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -30,32 +31,53 @@ from .errors import SizeMismatchError, _check_budget, _check_dense
 from .lattice import NetworkSpec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Spectrum:
     """A multiset of complex collective decay rates with provenance.
 
     ``index_tuples`` is present only for Cartesian-sum spectra: entry k holds
     the 1-based per-axis choices ``(s_1, ..., s_d)`` selecting which 1-D rate
     each axis contributed to ``rates[k]``.  They must be distinct; only
-    :func:`drop_spectrum` skips that check: it marks its tuples as the
-    product enumeration, last axis fastest (``_product=True``), which
-    :func:`_index_columns` reads off the sort order without a gather.
+    :func:`drop_spectrum` skips that check: it passes no tuples but the
+    product shape ``_shape = (N_1, ..., N_d)``, whose enumeration (last axis
+    fastest) the tuples are.  That enumeration is built, and kept, only
+    when ``index_tuples`` is read; ``has_tuples`` and :func:`_index_columns`
+    (which unravels a product's indices from the sort order) never build it.
     """
 
     rates: np.ndarray
     method: str
-    index_tuples: Optional[tuple[tuple[int, ...], ...]] = None
-    _product: bool = field(default=False, compare=False, repr=False)
+    _tuples: Optional[tuple[tuple[int, ...], ...]] = field(repr=False)
+    _shape: Optional[tuple[int, ...]] = field(repr=False)
 
-    def __post_init__(self) -> None:
-        rates = np.asarray(self.rates, dtype=complex)
+    def __init__(self, rates, method: str,
+                 index_tuples: Optional[tuple[tuple[int, ...], ...]] = None,
+                 _shape: Optional[tuple[int, ...]] = None) -> None:
+        rates = np.asarray(rates, dtype=complex)
         rates.setflags(write=False)
-        object.__setattr__(self, "rates", rates)
-        if self.index_tuples is not None:
-            if len(self.index_tuples) != len(rates):
+        if _shape is not None and math.prod(_shape) != len(rates):
+            raise ValueError("the product shape must hold one index tuple per rate")
+        if index_tuples is not None:
+            if len(index_tuples) != len(rates):
                 raise ValueError("one index tuple per rate required")
-            if not self._product and len(set(self.index_tuples)) != len(self.index_tuples):
+            if len(set(index_tuples)) != len(index_tuples):
                 raise ValueError("index tuples must be distinct")
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "_tuples", index_tuples)
+        object.__setattr__(self, "_shape", _shape)
+
+    @property
+    def index_tuples(self) -> Optional[tuple[tuple[int, ...], ...]]:
+        if self._tuples is None and self._shape is not None:
+            object.__setattr__(self, "_tuples", tuple(
+                itertools.product(*[range(1, n + 1) for n in self._shape])))
+        return self._tuples
+
+    @property
+    def has_tuples(self) -> bool:
+        """Whether the rates carry index tuples, without building them."""
+        return self._shape is not None or self._tuples is not None
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -73,16 +95,18 @@ class MatchReport:
 
 
 # Memory per Cartesian-sum rate: the heaviest command on these rates,
-# ``classify`` with JSON and ``--svg``, peaked at 650 bytes per rate over the
-# bare interpreter at 70x70x70 (2-core Xeon VM, Python 3.11, numpy 2.4);
-# rounded up, so the budget admits about 2.1 million rates.
+# ``classify`` with JSON and ``--svg``, peaked at 700 bytes per rate over the
+# bare interpreter at 70x70x70 and theta = pi (675 at 0.98 pi), mostly the
+# document's row texts; no index tuple is built on that path (750 and 730
+# bytes when every rate's tuple was).  2-core Xeon VM, Python 3.11, numpy
+# 2.4, peak RSS.  Rounded up, so the budget admits about 2.1 million rates.
 _RATE_BYTES = 1024
 
 
 def _check_rates(spec: NetworkSpec) -> None:
-    """Raise ConfigError when the network's Cartesian sum, its index
-    tuples and their output, or the chain eigensolve of its longest axis,
-    would exceed the memory budget."""
+    """Raise ConfigError when the network's Cartesian sum and its output,
+    or the chain eigensolve of its longest axis, would exceed the memory
+    budget."""
     _check_budget(spec.n_qubits * _RATE_BYTES, f"the Cartesian sum's {spec.n_qubits} rates")
     _check_dense(max(spec.dims), max(spec.dims), "the longest axis's chain kernel")
 
@@ -105,23 +129,27 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
 
     For a symmetric network this uses the given per-axis rates.  With a noise
     field present the construction is an approximation seeded by the
-    qubit-averaged rate of each axis.  A network too large for the memory
-    budget raises ConfigError before any rate or tuple is built.
+    qubit-averaged rate of each axis.  The index tuples are the product
+    enumeration of the axes, built when first read.  A network too large
+    for the memory budget raises ConfigError before any rate is built.
     """
-    rates = _cartesian_rates(spec)
-    tuples = tuple(itertools.product(*[range(1, n + 1) for n in spec.dims]))
-    return Spectrum(rates=rates, method="drop", index_tuples=tuples, _product=True)
+    return Spectrum(rates=_cartesian_rates(spec), method="drop", _shape=spec.dims)
 
 
-def _index_columns(s: Spectrum, order: np.ndarray) -> list[np.ndarray]:
-    """One int array per axis: entry i holds that axis's index in the tuple
-    of rate ``order[i]`` of ``s``, which has tuples and at least one rate.
-    A product enumeration is unravelled from ``order``; any other tuples
-    are gathered."""
-    if s._product:
-        # the last tuple of the enumeration is (N_1, ..., N_d)
-        return [axis + 1 for axis in np.unravel_index(order, s.index_tuples[-1])]
-    return list(np.array(s.index_tuples, dtype=np.int64).reshape(len(s), -1)[order].T)
+def _index_columns(s: Spectrum, order: np.ndarray, texts: bool = False) -> list[np.ndarray]:
+    """One array per axis: entry i holds that axis's index in the tuple of
+    rate ``order[i]`` of ``s``, which has tuples and at least one rate.
+    A product enumeration is unravelled from ``order``, as ints or, with
+    ``texts``, as the texts of 1..N_n gathered by the unravelled index (an
+    object array, for the row writer: no int is built or formatted per
+    rate); any other tuples are gathered as ints."""
+    if s._shape is None:
+        return list(np.array(s._tuples, dtype=np.int64).reshape(len(s), -1)[order].T)
+    axes = np.unravel_index(order, s._shape)
+    if not texts:
+        return [axis + 1 for axis in axes]
+    return [np.array([str(i) for i in range(1, n + 1)], dtype=object)[axis]
+            for n, axis in zip(s._shape, axes)]
 
 
 def _distinct(values: np.ndarray) -> bool:

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .analysis import SuperradianceReport
 from .drop import Spectrum
 
@@ -22,8 +24,8 @@ def _fmt(x: float) -> str:
 
 
 def _bounds(spectra: Sequence[Spectrum]) -> tuple[float, float, float, float]:
-    xs = [float(r.real) for s in spectra for r in s.rates]
-    ys = [float(r.imag) for s in spectra for r in s.rates]
+    rates = np.concatenate([s.rates for s in spectra])
+    xs, ys = rates.real.tolist(), rates.imag.tolist()
     if not xs:
         return -1.0, 1.0, -1.0, 1.0
     x0, x1 = min(xs), max(xs)
@@ -47,6 +49,7 @@ def render_scatter(spectra: Sequence[Spectrum],
     left, right, top, bottom = 64.0, _WIDTH - 24.0, 28.0, _HEIGHT - 52.0
     x0, x1, y0, y1 = _bounds(spectra)
 
+    # on floats, or elementwise on arrays
     def sx(x: float) -> float:
         return left + (x - x0) / (x1 - x0) * (right - left)
 
@@ -98,28 +101,29 @@ def render_scatter(spectra: Sequence[Spectrum],
     k_colored = None
     if report is not None:
         for s in spectra:
-            if s.index_tuples is not None and len(report.k_labels) == len(s):
+            if s.has_tuples and len(report.k_labels) == len(s):
                 k_colored = s
                 break
 
     for si, s in enumerate(spectra):
         color = _SERIES_PALETTE[si % len(_SERIES_PALETTE)]
-        for ri, rate in enumerate(s.rates):
-            px, py = sx(float(rate.real)), sy(float(rate.imag))
-            if s.method == "drop" or s.index_tuples is not None:
-                c = color
-                if s is k_colored:
-                    c = _K_PALETTE[report.k_labels[ri] % len(_K_PALETTE)]
-                out.append(
-                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="none" '
-                    f'stroke="{c}" stroke-width="1.5"/>'
-                )
-            else:
-                out.append(
-                    f'<path d="M {_fmt(px - 4)} {_fmt(py - 4)} L {_fmt(px + 4)} {_fmt(py + 4)} '
-                    f'M {_fmt(px - 4)} {_fmt(py + 4)} L {_fmt(px + 4)} {_fmt(py - 4)}" '
-                    f'stroke="{color}" stroke-width="1.5" fill="none"/>'
-                )
+        # sx and sy of the whole spectrum at once (the same IEEE
+        # operations); %.6g writes what _fmt writes
+        px, py = sx(s.rates.real), sy(s.rates.imag)
+        if s.method == "drop" or s.has_tuples:
+            colors = [color] * len(s)
+            if s is k_colored:
+                palette = np.array(_K_PALETTE, dtype=object)
+                colors = palette[np.asarray(report.k_labels) % len(_K_PALETTE)].tolist()
+            circle = ('<circle cx="%.6g" cy="%.6g" r="4" fill="none" '
+                      'stroke="%s" stroke-width="1.5"/>')
+            out += map(circle.__mod__, zip(px.tolist(), py.tolist(), colors))
+        else:
+            cross = (f'<path d="M %.6g %.6g L %.6g %.6g M %.6g %.6g L %.6g %.6g" '
+                     f'stroke="{color}" stroke-width="1.5" fill="none"/>')
+            lo_x, lo_y = (px - 4).tolist(), (py - 4).tolist()
+            hi_x, hi_y = (px + 4).tolist(), (py + 4).tolist()
+            out += map(cross.__mod__, zip(lo_x, lo_y, hi_x, hi_y, lo_x, hi_y, hi_x, lo_y))
         out.append(
             f'<text x="{_fmt(right - 6)}" y="{_fmt(top + 16 + 14 * si)}" font-size="11" '
             f'text-anchor="end" font-family="sans-serif" fill="{color}">{s.method}</text>'

@@ -26,6 +26,10 @@ added through one fancy-index gather) and superradiance classification
 (one Python pass over the rates, a list per cluster), the bit-for-bit
 references for the in-place line blocks and the vectorized labels.
 
+``loop_render`` is the library's earlier SVG writer, one Python pass over
+the rates with ``float()`` per coordinate, the byte-for-byte reference
+for the whole-spectrum glyph coordinates of ``render.render_scatter``.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -41,6 +45,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from dropqed import analysis, assemble, coupling_matrix, eom, lattice
+from dropqed.render import _HEIGHT, _K_PALETTE, _SERIES_PALETTE, _WIDTH, _fmt
 
 
 def multiset_max_err(a, b) -> float:
@@ -392,3 +397,104 @@ def reference_emit(config, spectra, report) -> str:
             writer.writerow([s.method, f"{row['re']:.12g}", f"{row['im']:.12g}",
                              tup, "" if row["k"] is None else row["k"]])
     return buf.getvalue()
+
+
+def _loop_bounds(spectra):
+    xs = [float(r.real) for s in spectra for r in s.rates]
+    ys = [float(r.imag) for s in spectra for r in s.rates]
+    if not xs:
+        return -1.0, 1.0, -1.0, 1.0
+    x0, x1 = min(xs), max(xs)
+    y0, y1 = min(ys), max(ys)
+    dx = (x1 - x0) or max(abs(x0), 1.0)
+    dy = (y1 - y0) or max(abs(y0), 1.0)
+    return x0 - 0.06 * dx, x1 + 0.06 * dx, y0 - 0.06 * dy, y1 + 0.06 * dy
+
+
+def loop_render(spectra, report=None) -> str:
+    """``render.render_scatter`` as one Python pass over the rates, each
+    rate's coordinates through ``float()`` and the scalar maps sx, sy."""
+    if len(spectra) == 0:
+        raise ValueError("need at least one spectrum")
+    left, right, top, bottom = 64.0, _WIDTH - 24.0, 28.0, _HEIGHT - 52.0
+    x0, x1, y0, y1 = _loop_bounds(spectra)
+
+    def sx(x: float) -> float:
+        return left + (x - x0) / (x1 - x0) * (right - left)
+
+    def sy(y: float) -> float:
+        return bottom - (y - y0) / (y1 - y0) * (bottom - top)
+
+    out = []
+    out.append(
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_WIDTH}" height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">'
+    )
+    out.append(f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>')
+    out.append(
+        f'<rect x="{_fmt(left)}" y="{_fmt(top)}" width="{_fmt(right - left)}" '
+        f'height="{_fmt(bottom - top)}" fill="none" stroke="#444444" stroke-width="1"/>'
+    )
+    # ticks
+    for i in range(5):
+        fx = x0 + (x1 - x0) * i / 4
+        px = sx(fx)
+        out.append(
+            f'<line x1="{_fmt(px)}" y1="{_fmt(bottom)}" x2="{_fmt(px)}" '
+            f'y2="{_fmt(bottom + 5)}" stroke="#444444" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_fmt(px)}" y="{_fmt(bottom + 18)}" font-size="11" '
+            f'text-anchor="middle" font-family="sans-serif">{_fmt(fx)}</text>'
+        )
+        fy = y0 + (y1 - y0) * i / 4
+        py = sy(fy)
+        out.append(
+            f'<line x1="{_fmt(left - 5)}" y1="{_fmt(py)}" x2="{_fmt(left)}" '
+            f'y2="{_fmt(py)}" stroke="#444444" stroke-width="1"/>'
+        )
+        out.append(
+            f'<text x="{_fmt(left - 8)}" y="{_fmt(py + 4)}" font-size="11" '
+            f'text-anchor="end" font-family="sans-serif">{_fmt(fy)}</text>'
+        )
+    out.append(
+        f'<text x="{_fmt((left + right) / 2)}" y="{_fmt(_HEIGHT - 12.0)}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif">Re &#915;</text>'
+    )
+    out.append(
+        f'<text x="14" y="{_fmt((top + bottom) / 2)}" font-size="13" '
+        f'text-anchor="middle" font-family="sans-serif" '
+        f'transform="rotate(-90 14 {_fmt((top + bottom) / 2)})">Im &#915;</text>'
+    )
+
+    k_colored = None
+    if report is not None:
+        for s in spectra:
+            if s.index_tuples is not None and len(report.k_labels) == len(s):
+                k_colored = s
+                break
+
+    for si, s in enumerate(spectra):
+        color = _SERIES_PALETTE[si % len(_SERIES_PALETTE)]
+        for ri, rate in enumerate(s.rates):
+            px, py = sx(float(rate.real)), sy(float(rate.imag))
+            if s.method == "drop" or s.index_tuples is not None:
+                c = color
+                if s is k_colored:
+                    c = _K_PALETTE[report.k_labels[ri] % len(_K_PALETTE)]
+                out.append(
+                    f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" fill="none" '
+                    f'stroke="{c}" stroke-width="1.5"/>'
+                )
+            else:
+                out.append(
+                    f'<path d="M {_fmt(px - 4)} {_fmt(py - 4)} L {_fmt(px + 4)} {_fmt(py + 4)} '
+                    f'M {_fmt(px - 4)} {_fmt(py + 4)} L {_fmt(px + 4)} {_fmt(py - 4)}" '
+                    f'stroke="{color}" stroke-width="1.5" fill="none"/>'
+                )
+        out.append(
+            f'<text x="{_fmt(right - 6)}" y="{_fmt(top + 16 + 14 * si)}" font-size="11" '
+            f'text-anchor="end" font-family="sans-serif" fill="{color}">{s.method}</text>'
+        )
+    out.append("</svg>")
+    return "\n".join(out) + "\n"

@@ -345,3 +345,20 @@ def test_secular_solver_deflates_exact_roots():
     assert multiset_max_err(got, want) <= 1e-12 * m
     for k in (5, 10, 11, 20, 40):
         assert np.abs(got - 1j * lam[k]).min() <= 1e-13 * m
+
+
+_SORT_PARTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, float("inf"), float("-inf"), float("nan")]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(_SORT_PARTS, _SORT_PARTS), max_size=40), repeat=st.integers(0, 3))
+def test_re_im_order_is_the_two_key_sort(parts, repeat):
+    # one stable argsort of the complex values, or the two-key sort where
+    # a part is NaN: either way exactly the (Re, Im) lexsort, ties in
+    # input order (repeated values and -0.0 beside 0.0 included)
+    values = np.array([complex(re, im) for re, im in parts] * (repeat + 1), dtype=complex)
+    got = chain1d._re_im_order(values)
+    assert np.array_equal(got, np.lexsort((values.imag, values.real)))

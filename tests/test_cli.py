@@ -10,13 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import NetworkSpec, Spectrum, analysis, cli, drop, eom, errors, sample_noise
+from dropqed import (NetworkSpec, Spectrum, analysis, cli, drop, eom, errors, render_scatter,
+                     sample_noise)
 from dropqed.chain1d import _re_im_order
 from dropqed.cli import main
 from oracles import (
     cartesian_rate_multiset,
     chain2_rates,
     chain3_rates,
+    loop_render,
     multiset_max_err,
     reference_emit,
 )
@@ -538,6 +540,14 @@ MIXED_ROWS = Spectrum(
     rates=np.array([0.1 + 2.5j, 3.0 - 0.25j, 0.5 + 0.0j, -1.25e-7 + 7.5j, 2.5e11 + 0.3j,
                     0.75 - 1.5e-200j, -0.3 - 0.7j, complex(np.nan, 0.2), 0.1 + 0.3j]),
     method="eigen", index_tuples=tuple((i % 3, 20 - i) for i in range(9)))
+# one column inline and the other on the text path, either way round
+# (exact zeros, an integral value, a subnormal)
+INLINE_RE_TEXT_IM = Spectrum(
+    rates=np.array([0.1 + 0.0j, 0.25 - 0.0j, -1.5 + 2.5j, 7.5e-3 + 3.0j, 0.4 + 1e-310j]),
+    method="eigen")
+TEXT_RE_INLINE_IM = Spectrum(
+    rates=np.array([0.0 + 0.1j, -0.0 - 0.25j, 2.0 + 2.5j, 1e-320 + 7.5e-3j, 0.4 + 0.3j]),
+    method="eigen", index_tuples=tuple((i,) for i in range(5)))
 
 
 def _handler_output(argv):
@@ -590,8 +600,12 @@ EMIT_CASES = {
     "drop-axis-of-one-scrambled": lambda: _handler_output(
         ["drop", "--dims", "3,1,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"]),
     "drop-at-pi-all-text": lambda: _handler_output(["drop", "--dims", "3,4", "--theta-over-pi", "1"]),
+    "drop-at-zero-exact-zeros": lambda: _handler_output(
+        ["drop", "--dims", "3,4", "--theta-over-pi", "0"]),
     "text-and-inline-rows": lambda: (
         [(MIXED_ROWS, [4, 0, 2, 1, 3, 5, 8, 7, 6]), (MIXED_ROWS, None)], None),
+    "one-column-on-the-text-path": lambda: (
+        [(INLINE_RE_TEXT_IM, None), (TEXT_RE_INLINE_IM, [0, 1, 2, 3, 4])], None),
     "drop-method-non-product-tuples": lambda: ([(_reversed_tuples(), None)], None),
     "bic-violations": lambda: _handler_output(
         ["bic", "--dims", "3,3,3", "--theta-over-pi", "2", "--m", "2"]),
@@ -613,13 +627,18 @@ def test_emitter_matches_reference_bytes(case, out_format):
 def test_emit_cases_take_the_paths_they_name():
     scrambled = _drop_of(["drop", "--dims", "3,1,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"])
     order = _re_im_order(scrambled.rates)
-    assert scrambled._product and (np.diff(order) < 0).any()
+    assert scrambled._shape == (3, 1, 4) and (np.diff(order) < 0).any()
+    # a row's kind: bit 0 set where its Re takes the text path, bit 1 its Im
+    def kinds(s):
+        return set((cli._text_path(s.rates.real) + 2 * cli._text_path(s.rates.imag)).tolist())
     at_pi = _drop_of(["drop", "--dims", "3,4", "--theta-over-pi", "1"])
-    assert (cli._text_path(at_pi.rates.real) | cli._text_path(at_pi.rates.imag)).all()
-    text = cli._text_path(MIXED_ROWS.rates.real) | cli._text_path(MIXED_ROWS.rates.imag)
-    assert text.any() and not text.all()
+    at_zero = _drop_of(["drop", "--dims", "3,4", "--theta-over-pi", "0"])
+    assert kinds(at_pi) == {0, 1} and kinds(at_zero) == {2, 3}
+    assert (at_zero.rates.imag == 0).all()
+    assert kinds(MIXED_ROWS) == {0, 1, 2}
+    assert kinds(INLINE_RE_TEXT_IM) == {0, 2} and kinds(TEXT_RE_INLINE_IM) == {0, 1}
     reversed_tuples = _reversed_tuples()
-    assert reversed_tuples.method == "drop" and not reversed_tuples._product
+    assert reversed_tuples.method == "drop" and reversed_tuples._shape is None
     assert EMIT_CASES["bic-violations"]()[1]["violations"]
 
 
@@ -772,3 +791,46 @@ def test_cartesian_commands_load_no_scipy():
     assert report["mean_abs_error"] == cli._sig(dist.mean())
     layers = ("lattice", "chain1d", "drop", "eom", "analysis", "render", "cli")
     assert {f"dropqed.{layer}" for layer in layers} <= set(runs[0]["modules"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["drop", "--dims", "4,3,5", "--gammas", "1,4,2", "--theta-over-pi", "0.65"],
+    ["drop", "--dims", "4,3,5", "--theta-over-pi", "1", "--format", "csv"],
+    ["classify", "--dims", "4,4,3", "--theta-over-pi", "0.9999", "--svg", "{tmp}/c.svg"],
+    ["classify", "--dims", "5,4", "--theta-over-pi", "2", "--format", "csv"],
+    ["compare", "--dims", "3,4", "--gammas", "1,0.4", "--theta-over-pi", "0.3",
+     "--svg", "{tmp}/m.svg"],
+    ["noise", "--dims", "2,3", "--gammas", "1,2", "--theta-over-pi", "0.65",
+     "--epsilon-max", "0.05", "--noise-seed", "7", "--svg", "{tmp}/n.svg"],
+])
+def test_commands_build_no_index_tuples(monkeypatch, capsys, tmp_path, argv):
+    # the writer and renderer unravel a product spectrum's indices and ask
+    # has_tuples; neither reads index_tuples.  The bytes are those of a run
+    # that may read them
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+
+    def no_tuples(self):
+        raise AssertionError("index tuples were read")
+    monkeypatch.setattr(drop.Spectrum, "index_tuples", property(no_tuples))
+    assert run_cli(argv) in (0, 2)
+    got = capsys.readouterr().out
+    svg = [p.read_bytes() for p in sorted(tmp_path.iterdir())]
+    monkeypatch.undo()
+    assert run_cli(argv) in (0, 2)
+    assert got == capsys.readouterr().out
+    assert svg == [p.read_bytes() for p in sorted(tmp_path.iterdir())]
+
+
+def test_render_matches_loop_render():
+    # whole-spectrum glyph coordinates write the bytes of the per-rate loop
+    spectra, _, cls = cli._COMMANDS["classify"](cli.RunConfig(
+        method="classify", dims=(12, 12, 12), gammas=(1.0, 4.0, 2.0), theta_over_pi=1.0))
+    classified = spectra[0][0]
+    compared = [s for s, _ in _handler_output(["compare", "--dims", "3,4", "--gammas", "1,0.4",
+                                               "--theta-over-pi", "0.3"])[0]]
+    one_rate = Spectrum(rates=np.array([0.25 - 1.5j]), method="eigen")
+    one_drop = drop.drop_spectrum(NetworkSpec(dims=(1,), gammas=(1.0,), theta=0.3))
+    assert cls.cluster_counts[3] == 1 and "<path" in render_scatter(compared)
+    for spectra, report in [([classified], cls), (compared, None), ([EMPTY, classified], None),
+                            ([EMPTY], None), ([one_rate], None), ([one_drop], None)]:
+        assert render_scatter(spectra, report=report) == loop_render(spectra, report=report)

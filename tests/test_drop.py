@@ -272,3 +272,20 @@ def test_drop_spectrum_builds_no_set_of_its_tuples(monkeypatch):
     monkeypatch.setattr(drop, "set", hashes, raising=False)
     spectrum = drop_spectrum(spec_of([3, 2, 4], (1.0, 4.0, 2.0), 0.65))
     assert spectrum.index_tuples == tuple(itertools.product(range(1, 4), range(1, 3), range(1, 5)))
+
+
+def test_product_tuples_are_built_on_first_read_and_kept(monkeypatch):
+    calls = []
+    original = drop.itertools.product
+
+    def counted(*ranges):
+        calls.append(len(ranges))
+        return original(*ranges)
+    monkeypatch.setattr(drop.itertools, "product", counted)
+    spectrum = drop_spectrum(spec_of([3, 1, 4], (1.0, 4.0, 2.0), 0.65))
+    assert spectrum.has_tuples and calls == []
+    first = spectrum.index_tuples
+    assert first is spectrum.index_tuples and calls == [3]
+    assert first == tuple(original(range(1, 4), range(1, 2), range(1, 5)))
+    assert not Spectrum(rates=[1.0], method="eigen").has_tuples
+    assert Spectrum(rates=[1.0], method="eigen", index_tuples=((2,),)).has_tuples

@@ -69,7 +69,11 @@ class BicReport:
       the computed null spaces actually satisfy).
 
     ``max_violation[rule]`` is the largest |sum| observed; ``violations``
-    lists every (rule, line, vector) whose sum exceeded 1e-8.
+    lists every (rule, line, vector) whose sum exceeded 1e-8.  The sums
+    are taken over the orthonormal null basis the SVD returns.  Only
+    ``nullity`` and the round-off-level sums of a rule the null space
+    satisfies are properties of the network; for a rule it does not
+    satisfy, ``max_violation`` and ``violations`` depend on that basis.
     """
 
     m: int
@@ -80,7 +84,7 @@ class BicReport:
     violations: tuple[BicViolation, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseStudyResult:
     """Cartesian-sum estimates vs refined poles of one disordered network."""
 

@@ -63,7 +63,7 @@ _MAX_SWEEPS = 50
 _EPS = np.finfo(float).eps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChainSpectrum:
     """Dimensionless collective rates of one chain, sorted by (Re, Im)."""
 

@@ -8,7 +8,11 @@ Every command emits the same JSON schema::
 
 or CSV with columns ``method,re,im,tuple,k``.  Rates are sorted by
 (Re, Im) and printed with 12 significant digits, so repeated runs with the
-same configuration (including the noise seed) are byte-identical.  Files
+same configuration (including the noise seed) are byte-identical.  The
+sort is on the unrounded values, so rows whose printed Re is equal can
+appear out of Im order: ``eom-eig --dims 3,3 --gammas 1,0.4
+--theta-over-pi 0.5`` prints Im 1.852, -1.852, -0.794, 0.794 at Re 0.7,
+whose unrounded Re differ in round-off.  Files
 are written atomically (temp file + rename) with the mode a plain open()
 gives; a path that cannot be written is a config error.
 
@@ -153,10 +157,7 @@ class RunConfig:
         """The memory budget check of the command's route on ``spec``."""
         if self.method in ("drop", "classify"):
             _check_rates(spec)
-        elif self.method == "eom-det" or (self.method == "compare"
-                                          and self.eom_method == "det-interp"):
-            eom._check_contour(spec)
-        else:     # the other EoM commands and bic hold H
+        else:     # the EoM commands and bic hold H
             eom._check_h(spec)
 
     def as_dict(self) -> dict:

@@ -31,7 +31,7 @@ from .errors import SizeMismatchError, _check_budget, _check_dense
 from .lattice import NetworkSpec
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Spectrum:
     """A multiset of complex collective decay rates with provenance.
 

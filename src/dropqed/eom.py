@@ -28,19 +28,18 @@ by :func:`_hamiltonian`; for a symmetric network it is the Kronecker sum
 of the per-axis chain matrices (see :mod:`dropqed.drop`).  H is the one
 matrix every route solves, so every route reports its eigenvalues.
 :func:`all_poles_eig` diagonalizes H (the bulk method) by one eigensolve,
-:func:`_eig`, and :func:`all_poles_cnm` is that route certified at
-min(tol, 1e-9).  Without noise H commutes with the
-reversal of every axis, so :func:`_eig` changes each axis to its
+:func:`_eig`; :func:`all_poles_cnm` is that route certified at
+min(tol, 1e-9), and :func:`all_poles_det_interp` is it under another
+label, all three one body, :func:`_eigen_route`.  Without noise H commutes
+with the reversal of every axis, so :func:`_eig` changes each axis to its
 even/odd reflection basis and diagonalizes the 2^d parity sectors apart,
 each about N / 2^d; a noisy H is one sector, one dense eig.
-:func:`all_poles_det_interp` takes them from a contour integral of the
-resolvent of H instead.  ``_EomSystem`` applies the line relations above,
-without H and without storing the system's nonzeros, and holds the
-certificate below.
+``_EomSystem`` applies the line relations above, without H and without
+storing the system's nonzeros, and holds the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: four
-N x N for the eigensolve routes, ten N x (N + 4) for the contour route,
-the full matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
+N x N for the routes on H, the full matrix for :func:`assemble`, and
+N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
@@ -81,11 +80,11 @@ import numpy as np
 
 from .chain1d import _re_im_order
 from .drop import Spectrum
-from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
+from .errors import ConditioningFailure, MaxIterationsError, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EomMatrix:
     """The assembled square system at one detuning.
 
@@ -103,7 +102,7 @@ class EomMatrix:
     rates: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleSearchResult:
     """Poles found by one extraction route.
 
@@ -118,7 +117,7 @@ class PoleSearchResult:
     method: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NullSpaceResult:
     """Null space of A(Delta): dimension and qubit-excitation components.
 
@@ -143,29 +142,6 @@ class NullSpaceResult:
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
     _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
-
-
-# The contour route holds at most ten complex N x (N + 4) arrays at once.
-# During the node solves these are H and LAPACK's copy of it, the probes V and
-# their copy, the solutions at this node and the last, M_0 and M_1.  During
-# the SVD of M_0 they are M_0, M_1, the SVD's copy, U, W^H and about 3.5
-# arrays of LAPACK workspace.  Peak RSS above the warm process measured 9.8
-# such arrays at 8 x 8 x 8 and 9.7 at 9 x 9 x 9.  The build of H and the
-# certificates add nothing to that peak: H is built in place before V is
-# drawn, beside two arrays of at most _H_CHUNK entries (1.12 N x N traced
-# in all for a 1000-qubit chain), and the certificates hold the poles'
-# vectors beside at most eight blocks of N x min(64, N) (see _CERT_BLOCK,
-# numpy's transients included), both below ten N x (N + 4) arrays for
-# every N.
-# 2 GiB admits N <= 3661 (60 x 60, 15 x 15 x 15).
-_CONTOUR_ARRAYS = 10
-
-
-def _check_contour(spec: NetworkSpec) -> None:
-    """Raise ConfigError when the contour route's arrays would exceed the budget."""
-    n = spec.n_qubits
-    _check_budget(16 * _CONTOUR_ARRAYS * n * (n + _EXTRA_PROBES),
-                  f"the contour route's {_CONTOUR_ARRAYS} blocks of {n} x {n + _EXTRA_PROBES}")
 
 
 # entries of one slice of an axis's line blocks while its rate products
@@ -649,10 +625,7 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
     if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
-    values, vecs = _eig(spec, _hamiltonian(spec))
-    residuals = (np.full(len(values), np.nan) if validate == "none"
-                 else _EomSystem(spec).certificates(values, vecs))
-    return _finish(spec, 2j * values, residuals, "eigen", ConditioningFailure)
+    return _eigen_route(spec, "eigen", ConditioningFailure, certify=validate != "none")
 
 
 def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
@@ -664,75 +637,32 @@ def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
     MaxIterationsError.  Its name and label are kept because the
     ``eom-cnm`` command and ``--eom-method cnm`` select it.
     """
+    return _eigen_route(spec, "cnm", MaxIterationsError, min(tol, _CHECK_TOL))
+
+
+def _eigen_route(spec: NetworkSpec, method: str, error: type[Exception],
+                 bound: float = _CHECK_TOL, certify: bool = True) -> PoleSearchResult:
+    """The body of the three all-poles routes: one eigensolve of H (which
+    checks the budget first), one certificate pass over its N eigenvectors
+    (NaN, uncertified, without ``certify``), and :func:`_finish` under
+    ``method``, raising ``error`` past ``bound``."""
     values, vecs = _eig(spec, _hamiltonian(spec))
-    residuals = _EomSystem(spec).certificates(values, vecs)
-    return _finish(spec, 2j * values, residuals, "cnm", MaxIterationsError,
-                   min(tol, _CHECK_TOL))
-
-
-_RADIUS_FACTOR = 1.5     # contour radius, times S: encloses every pole
-_NODES = 48              # trapezoid-rule nodes on the contour
-_EXTRA_PROBES = 4        # probe columns beyond the N poles
-
-
-def _moments(h: np.ndarray, radius: float) -> tuple[np.ndarray, np.ndarray]:
-    """Beyn's moments M_0 and M_1 of H on the circle |Delta| = radius, for
-    the fixed probe block V; shifts ``h`` in place.
-
-    One dense solve of H - z I per node z, with H's diagonal rewritten from
-    a saved copy, so no node's round-off reaches the next.  Only the moments
-    are returned, so H, V and the solutions are freed before the SVD.
-    """
-    n = len(h)
-    diagonal = h.diagonal().copy()
-    probes = np.random.default_rng(0).standard_normal((n, n + _EXTRA_PROBES)).astype(complex)
-    m0, m1 = np.zeros_like(probes), np.zeros_like(probes)
-    for z in radius * np.exp(2j * np.pi * np.arange(_NODES) / _NODES):
-        h.flat[::n + 1] = diagonal - z
-        try:
-            x = np.linalg.solve(h, probes)
-        except np.linalg.LinAlgError as exc:
-            raise ConditioningFailure(f"contour node Delta = {z} is a pole") from exc
-        # trapezoid weight of node z: dDelta / (2 pi i) = z / nodes
-        x *= z / _NODES
-        m0 += x
-        x *= z
-        m1 += x
-    return m0, m1
+    residuals = (_EomSystem(spec).certificates(values, vecs) if certify
+                 else np.full(len(values), np.nan))
+    return _finish(spec, 2j * values, residuals, method, error, bound)
 
 
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
-    """All N poles by a contour integral of the resolvent (Beyn's method).
+    """All N poles as the eigenvalues of H, under the "det-interp" label.
 
-    The matrix is H, built by :func:`_hamiltonian` as on every route.  The
-    trapezoid rule on 48 nodes of the circle |Delta| = 1.5 S,
-    S = sum_n N_n gamma_n (it encloses every pole), gives the moments
-    M_p = (1/2 pi i) oint Delta^p (H - Delta)^{-1} V dDelta, p = 0, 1, one
-    dense solve per node, for a fixed pseudo-random V of N + 4 columns.
-    With the top-N SVD M_0 = U Sigma W^H the poles are the eigenvalues of
-    U^H M_1 W Sigma^{-1}, and U y gives their eigenvectors (W.-J. Beyn,
-    Linear Algebra Appl. 436, 3839 (2012)), each certified on the full
-    system from its line relations, so a wrong H fails there as on every
-    route.  det A is never formed, so the determinant's dynamic range does
-    not limit the route.
-
-    The name and the "det-interp" method string are those of the
-    determinant fit this replaced, kept because the ``eom-det`` command and
-    ``--eom-method det-interp`` select the route.  A node on a pole (its
-    solve is singular), a broken trace rule or a failed certificate raises
-    ConditioningFailure.
+    The route of :func:`all_poles_eig`: one eigensolve of H, one certificate
+    per pole, and a run whose poles break the trace rule or fail the
+    certificate raises ConditioningFailure.  The name and the "det-interp"
+    method string are those of the determinant fit and the contour integral
+    this route was before, kept because the ``eom-det`` command and
+    ``--eom-method det-interp`` select it.
     """
-    _check_contour(spec)
-    n = spec.n_qubits
-    m0, m1 = _moments(_hamiltonian(spec), _RADIUS_FACTOR * spec.rate_sum)
-    u, s, wh = np.linalg.svd(m0, full_matrices=False)
-    u, s, wh = u[:, :n], s[:n], wh[:n]
-    deltas, y = np.linalg.eig(u.conj().T @ m1 @ wh.conj().T / s)
-    vecs = u @ y
-    del m0, m1, u, wh, y     # only the poles' vectors stay for the certificates
-    vecs /= np.linalg.norm(vecs, axis=0)
-    return _finish(spec, 2j * deltas, _EomSystem(spec).certificates(deltas, vecs),
-                   "det-interp", ConditioningFailure)
+    return _eigen_route(spec, "det-interp", ConditioningFailure)
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

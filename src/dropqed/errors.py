@@ -30,10 +30,9 @@ class ConditioningFailure(DropQedError):
     """A pole route returned poles that could not be certified.
 
     Raised in ``_finish``, the last step of every route, when a pole of
-    the eigensolve or the contour route has a certificate
+    ``all_poles_eig`` or ``all_poles_det_interp`` has a certificate
     ``||A x|| / ||x|| / ||A||_F`` on the full system above 1e-9, or when
-    their poles break the trace rule; and by ``all_poles_det_interp`` when
-    a contour node is itself a pole (its solve on H is singular).
+    their poles break the trace rule.
     """
 
 

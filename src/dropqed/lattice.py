@@ -27,7 +27,7 @@ import numpy as np
 QubitIndex = tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseField:
     """Per-qubit, per-axis decay rates after fabrication disorder.
 

@@ -441,13 +441,21 @@ def test_eom_cnm_command(tmp_path, dims, gammas, frac):
     ["--dims", "2,2", "--gammas", "1,0.4", "--theta-over-pi", "1"],
 ], ids=["3x4", "3x2x6-noisy", "2x2-pi"])
 def test_eom_cnm_is_eom_eig_relabelled(capsys, argv):
-    # the same eigensolve: only the command and the route's label differ
-    out = []
-    for command in ("eom-eig", "eom-cnm"):
-        assert run_cli([command] + argv) == 0
-        out.append(capsys.readouterr().out)
-    assert out[0].count('"eigen"') == 1
-    assert out[1] == out[0].replace('"eom-eig"', '"eom-cnm"').replace('"eigen"', '"cnm"')
+    # the same eigensolve: only the command and the route's label differ,
+    # for eom-cnm and eom-det, and for compare's det-interp route (whose
+    # noisy case fails its match, exit 2, on both routes)
+    def run(args):
+        code = run_cli(args + argv)
+        return code, capsys.readouterr().out
+    code, eig = run(["eom-eig"])
+    assert code == 0 and eig.count('"eigen"') == 1
+    for command, label in (("eom-cnm", "cnm"), ("eom-det", "det-interp")):
+        assert run([command]) == (0, eig.replace('"eom-eig"', f'"{command}"').replace(
+            '"eigen"', f'"{label}"'))
+    code, compare = run(["compare"])
+    assert code in (0, 2) and compare.count('"eigen"') == 1
+    assert run(["compare", "--eom-method", "det-interp"]) == (
+        code, compare.replace('"eigen"', '"det-interp"'))
 
 
 def test_zero_floor_is_gone(tmp_path, capsys):
@@ -739,8 +747,8 @@ def test_written_files_get_umask_mode(tmp_path, umask):
 
 def test_cartesian_commands_load_no_scipy():
     # a fresh interpreter: this test process has scipy loaded already.  The
-    # Cartesian-sum commands, and the EoM commands (the contour route and
-    # compare's nearest pairing among them), run in turn; each must leave
+    # Cartesian-sum commands, and the EoM commands (eom-det and compare's
+    # nearest pairing among them), run in turn; each must leave
     # scipy's solvers unloaded
     commands = [
         ["drop", "--dims", "3,4", "--format", "csv"],

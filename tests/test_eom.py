@@ -21,7 +21,7 @@ from dropqed import (
     sample_noise,
     sigma_min,
 )
-from dropqed import analysis, chain1d, drop, eom, lattice
+from dropqed import analysis, chain1d, cli, drop, eom, lattice
 from dropqed.chain1d import _re_im_order
 from oracles import (dense_sigma_min, det_at, gather_hamiltonian, logdet_at, multiset_max_err,
                      plain_eig, reduced, sector_loop_eig, splu_certificates)
@@ -482,6 +482,23 @@ def test_all_poles_cnm_is_the_eigensolve(case):
     assert np.array_equal(all_poles_cnm(spec).poles.rates, want)
 
 
+def test_array_holding_results_compare_by_identity_and_hash():
+    # frozen dataclasses holding arrays: == is identity, a bool (not numpy's
+    # ambiguous truth value), and hash() works; a noisy spec compares its
+    # noise field by identity
+    spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
+
+    def build():
+        noise = sample_noise(spec, 0.05, seed=1)
+        return [drop_spectrum(spec), chain_rates(3, spec.theta), all_poles_eig(spec),
+                nullity_at(spec_of([2, 3], theta=np.pi), 0.0), noise,
+                noise_study(spec, 0.05, seed=1), assemble(spec, 0.1), spec.with_noise(noise)]
+    for a, b in zip(build(), build()):
+        assert (a == a) is True and (a == b) is False and (a != b) is True, type(a)
+        assert hash(a) == hash(a), type(a)
+        assert len({a, b}) == 2, type(a)
+
+
 def test_oversized_network_fails_before_any_allocation(monkeypatch):
     def allocates(self):
         raise AssertionError("rates resolved before the size check")
@@ -496,23 +513,23 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
     assert eom._hamiltonian(spec_of([10, 10, 10])).shape == (1000, 1000)
 
 
-def test_contour_budget_counts_the_arrays_the_route_holds(monkeypatch):
-    # ten 2197 x 2201 complex arrays (0.72 GiB) admit 13x13x13; 16x16x16
-    # needs 2.5 GiB.  H of 17x17x17 still fits its own count, so the
-    # contour route alone refuses 16x16x16.  The fused pass's column blocks
-    # never add to the ten, so N = 3661 fits and 3662 does not.
+def test_eom_det_budget_is_the_hamiltonians(monkeypatch):
+    # eom-det holds what every route on H holds: 17x17x17 (N = 4913) passes
+    # the check and reaches the rates, 18x18x18 (N = 5832) is refused first,
+    # in the route and in the CLI's check before noise is drawn
     def allocates(self):
-        raise AssertionError("rates resolved by the size check")
+        raise AssertionError("rates resolved")
     monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
-    eom._check_contour(spec_of([13, 13, 13]))
-    eom._check_contour(spec_of([60, 60]))
-    eom._check_h(spec_of([17, 17, 17]))
-    eom._check_contour(spec_of([3661]))
-    for dims in ([16, 16, 16], [61, 61], [3662]):
-        with pytest.raises(ConfigError, match="budget"):
-            eom._check_contour(spec_of(dims))
+    admitted, refused = spec_of([17, 17, 17]), spec_of([18, 18, 18])
+    with pytest.raises(AssertionError, match="rates resolved"):
+        all_poles_det_interp(admitted)
     with pytest.raises(ConfigError, match="budget"):
-        all_poles_det_interp(spec_of([16, 16, 16]))
+        all_poles_det_interp(refused)
+    for config in (cli.RunConfig(method="eom-det"),
+                   cli.RunConfig(method="compare", eom_method="det-interp")):
+        config._check_budget(admitted)
+        with pytest.raises(ConfigError, match="budget"):
+            config._check_budget(refused)
 
 
 def test_sparse_routes_never_build_h(monkeypatch):
@@ -683,12 +700,14 @@ def test_solve_paths_certify_every_pole_without_lanczos(monkeypatch):
 @pytest.mark.parametrize("case", ["5x3x4", "3x2x6-noisy"])
 def test_all_poles_cnm_certifies_each_pole_once(monkeypatch, case):
     # one eig of H and one certificate pass over its N columns: no
-    # Cartesian seeds (drop_spectrum and its chain eigensolves), no claims
+    # Cartesian seeds (drop_spectrum and its chain eigensolves), no claims;
+    # the same for all_poles_det_interp, and no dense solve
     def forbidden(*args, **kwargs):
-        raise AssertionError("all_poles_cnm built seeds or claimed poles")
+        raise AssertionError("a route built seeds, claimed poles or solved")
     for target, name in ((drop, "drop_spectrum"), (drop, "chain_rates"),
                          (chain1d, "chain_rates"), (eom, "_refine")):
         monkeypatch.setattr(target, name, forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
     calls = []
     eig, certify = eom._eig, eom._EomSystem.certificates
     monkeypatch.setattr(eom, "_eig", lambda spec, h: calls.append("eig") or eig(spec, h))
@@ -696,7 +715,8 @@ def test_all_poles_cnm_certifies_each_pole_once(monkeypatch, case):
         calls.append(len(deltas)) or certify(self, deltas, vecs)))
     spec = H_CASES[case]()
     assert np.all(all_poles_cnm(spec).residuals <= 1e-9)
-    assert calls == ["eig", spec.n_qubits]
+    assert np.all(all_poles_det_interp(spec).residuals <= 1e-9)
+    assert calls == ["eig", spec.n_qubits] * 2
     assert not hasattr(eom, "drop_spectrum")
 
 
@@ -805,10 +825,12 @@ def test_det_interp_polished_poles_obey_trace_rule():
 
 
 def _det_matches_eig(spec):
-    # both routes diagonalize the same H, by a contour and by eig
-    result = all_poles_det_interp(spec)
-    want = all_poles_eig(spec, validate="none").poles.rates
-    assert multiset_max_err(result.poles.rates, want) <= 1e-12 * spec.rate_sum
+    # the eigensolve route under another label: its poles and certificates
+    # bit for bit
+    got, want = all_poles_det_interp(spec), all_poles_eig(spec)
+    assert got.method == got.poles.method == "det-interp"
+    assert np.array_equal(got.poles.rates, want.poles.rates)
+    assert np.array_equal(got.residuals, want.residuals)
 
 
 def test_det_interp_matches_eig_under_noise():
@@ -852,15 +874,6 @@ def test_det_interp_is_bit_identical_on_repeat():
     runs = [all_poles_det_interp(spec) for _ in range(2)]
     assert np.array_equal(runs[0].poles.rates, runs[1].poles.rates)
     assert np.array_equal(runs[0].residuals, runs[1].residuals)
-
-
-def test_det_interp_node_on_a_pole_raises(monkeypatch):
-    # the node solve on H finds it exactly singular
-    def singular(a, b):
-        raise np.linalg.LinAlgError("Singular matrix")
-    monkeypatch.setattr(np.linalg, "solve", singular)
-    with pytest.raises(ConditioningFailure, match="is a pole"):
-        all_poles_det_interp(spec_of([2, 2]))
 
 
 @pytest.mark.parametrize("dims, gammas, frac", [

@@ -175,11 +175,9 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     prod_n (M - 1) sums are left out there, and the rest have a real part of
     at least M.  Elsewhere every rate counts, and a smallest real part that
     is not positive raises ValueError.  The rates come from
-    :func:`~dropqed.chain1d.chain_rates`, so chains of fewer than 80 qubits
-    resolve real parts only to about eps N absolutely (the dense route
-    there); from 80 on the secular route resolves them relative to
-    themselves.  At theta = 0.9999*pi the 1-D slope of M = 10..300 reads
-    -3.01.
+    :func:`~dropqed.chain1d.chain_rates`, which resolves the small real
+    parts relative to themselves at every M.  At theta = 0.9999*pi the 1-D
+    slope of M = 10..300 reads -3.01.
     """
     if m_range is None:
         if d not in _DEFAULT_SWEEPS:

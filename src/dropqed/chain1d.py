@@ -17,33 +17,30 @@ the two blocks' eigenvalues.
 Each block is ``i S + u u^T`` with S real symmetric: ``Im K = sin(theta
 |j - k|)`` folds into S, and ``Re K = cos(theta (j - k))`` has rank two,
 one reversal-even and one reversal-odd profile, so each block keeps one
-of them as u.  A chain of at least ``2 * _SECULAR_MIN`` = 80 qubits solves
-each block by one real symmetric eigensolve of S and a rank-one secular
-equation (Golub, SIAM Rev. 15, 318 (1973)), whose roots take a handful of
-O(m^2) Aberth-Ehrlich sweeps for a block of m (Aberth, Math. Comp. 27,
-339 (1973)).  Shorter chains take one complex eigvals per block, which is
-faster there: over six angles on one BLAS thread (2-core Xeon VM) the
-secular route took 10.1 ms at N = 70 against 9.3 ms, 11.4 against 12.5 ms
-at N = 80, and 118 against 399 ms at N = 400; at N = 8 it takes ten times
-as long.
+of them as u.  Each block takes one real symmetric eigensolve of S, which
+leaves the rank-one update ``i diag(lam) + v v^T`` (Golub, SIAM Rev. 15,
+318 (1973)).  A block of at least ``_SECULAR_MIN`` = 40 rows finds its
+eigenvalues as the roots of a secular equation by a handful of O(m^2)
+Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 339 (1973)), a smaller one
+by one complex eigvals of the update: on one BLAS thread (2-core Xeon VM)
+both took about 0.6 ms at 30 rows, and the sweeps half as long at 50-60.
 
-Both routes are backward-stable, so every rate is good to about eps N
-absolutely; for the dense one that is all, and the small real parts of
-the subradiant rates near theta = m pi carry large relative errors.  The
-secular route gives each real part from the weights and the distances to
-the poles of the secular equation, which the eigensolve of S gives to eps
-||S||, and ||S|| is of order |theta - m pi| N there.  Against a 60-digit
-eigensolve at 0.9999 pi its worst relative error of a real part is 9e-7
-at N = 120, where the dense route's is 3.6e-3 (and 8e-9 against 1.6e-4
-on the blocks of N = 40, below the crossover).  At the floating-point
-theta = m pi, which is not quite resonant, it puts the N - 1 dark rates
-below 1e-20 (exactly 0 at theta = 0), where the dense route leaves them
-at round-off, about 1e-14.
+Every rate is good to about eps N absolutely, and the small real parts of
+the subradiant rates near theta = m pi far better: the eigensolve of S
+gives the poles i lam_k to eps ||S||, of order eps |theta - m pi| N there.
+Against a 50-digit eigensolve at 0.9999 pi the worst relative error of a
+real part is 5e-9 at N = 12 and 1.3e-7 at N = 40, where one complex
+eigvals of each kernel block gives 2.9e-6 and 1.6e-4 (and 9e-7 against
+3.6e-3 at N = 120, against 60 digits).  At the floating-point theta = m pi
+the kernel's own eigensolve leaves the N - 1 dark rates at round-off,
+about 1e-14; here they are exactly 0 at theta = 0, and elsewhere mostly 0
+and the rest below 1e-20 in the sweeps and at pi and 2 pi, below 1e-15 in
+the eigvals of small blocks up to 5 pi.
 
 The transfer-matrix characteristic polynomial, the Bloch-phase pole system
 and the full-kernel eigensolve characterize the same rates independently;
 they live in the test oracles (``tests/oracles.py``) as cross-checks of
-these routes.
+this route.
 """
 
 from __future__ import annotations
@@ -54,8 +51,8 @@ import numpy as np
 
 from .errors import _check_dense
 
-# Chains of at least 2 * _SECULAR_MIN qubits take the secular route of
-# chain_rates; below that one dense eigvals per sector is faster.
+# Sectors of at least _SECULAR_MIN rows find their roots by Aberth's sweeps;
+# below that one dense eigvals of the rank-one update is faster.
 _SECULAR_MIN = 40
 # Aberth sweeps after which a sector with roots still moving takes a dense
 # eigvals; the most any sector took on N = 80-601 and 34 angles was 15
@@ -124,17 +121,17 @@ def _sectors(n: int, theta: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     j = np.arange(m)
     toeplitz, hankel = sines[np.abs(j[:, None] - j)], sines[n - 1 - j[:, None] - j]
     shift = theta * (j - (n - 1) / 2)
-    even, u_even = toeplitz + hankel, np.sqrt(2) * np.cos(shift)
+    even, u_even = np.zeros((n - m, n - m)), np.ones(n - m)
+    np.add(toeplitz, hankel, out=even[:m, :m])
+    u_even[:m] = np.sqrt(2) * np.cos(shift)
     if n % 2:
-        edge = np.sqrt(2) * sines[m - j]
-        even = np.block([[even, edge[:, None]], [edge[None, :], np.zeros((1, 1))]])
-        u_even = np.append(u_even, 1.0)
+        even[m, :m] = even[:m, m] = np.sqrt(2) * sines[m - j]
     return (even, u_even), (toeplitz - hankel, np.sqrt(2) * np.sin(shift))
 
 
 def _deflate(lam: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Split ``i diag(lam) + v v^T`` (lam ascending) into its exact
-    eigenvalues and the poles and weights left to the secular equation.
+    """Split ``i diag(lam) + v v^T`` (lam ascending, not empty) into its
+    exact eigenvalues and the poles and weights left to the secular equation.
 
     As in LAPACK's divide and conquer (dlaed2), with tol = 8 eps times the
     larger of max|lam| and ||v||^2: a weight with ||v|| |v_k| <= tol is
@@ -144,10 +141,10 @@ def _deflate(lam: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     Returns the kept (lam, v) and the exact eigenvalues.
     """
     norm2 = v @ v
-    tol = 8 * _EPS * max(np.abs(lam).max(initial=0.0), norm2)
+    tol = 8 * _EPS * max(-lam[0], lam[-1], norm2)
     keep = np.sqrt(norm2) * np.abs(v) > tol
-    kept = np.flatnonzero(keep)
-    if kept.size > 1 and np.diff(lam[kept]).min() <= 2 * tol:
+    if keep.sum() > 1 and np.diff(lam[keep]).min() <= 2 * tol:
+        kept = np.flatnonzero(keep)
         lam, v = lam.copy(), v.copy()
         prev = kept[0]
         for k in kept[1:]:
@@ -207,37 +204,41 @@ def _secular_rates(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     With ``S = Q diag(lam) Q^T`` and ``v = Q^T u`` they are the eigenvalues
     of ``i diag(lam) + v v^T`` (Golub, SIAM Rev. 15, 318 (1973)): after
     :func:`_deflate`, the roots of ``f(z) = 1 + sum_k w_k / (i lam_k - z)``
-    with ``w = v^2``, one per kept pole.  They are found together by
-    Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 339 (1973)) on the
-    polynomial ``prod_k (i lam_k - z) f(z)`` from the :func:`_seeds`, each
-    O(m^2) for m kept poles; a root is frozen once its step falls below
-    16 eps |z| or f below the rounding error of its sum.  A sector with
-    roots still moving after ``_MAX_SWEEPS`` sweeps takes one dense eigvals
-    of its deflated matrix.
+    with ``w = v^2``, one per kept pole.  In a sector of at least
+    ``_SECULAR_MIN`` rows (counted before deflation) they are found
+    together by Aberth-Ehrlich sweeps (Aberth, Math. Comp. 27, 339 (1973))
+    on the polynomial ``prod_k (i lam_k - z) f(z)`` from the :func:`_seeds`,
+    each O(m^2) for m kept poles; a root is frozen once its step falls
+    below 16 eps |z| or f below the rounding error of its sum.  A smaller
+    sector, and one with roots still moving after ``_MAX_SWEEPS`` sweeps,
+    takes one dense eigvals of its deflated matrix.
     """
     lam, q = np.linalg.eigh(s)
     lam, v, exact = _deflate(lam, q.T @ u)
     if not v.size:
         return exact
-    poles, w = 1j * lam, v * v
-    z = _seeds(lam, w)
-    active = np.arange(z.size)
-    for _ in range(_MAX_SWEEPS):
-        if not active.size:
-            break
-        za = z[active]
-        r = 1 / (poles - za[:, None])
-        f = 1 + r @ w
-        others = za[:, None] - z
-        others[np.arange(active.size), active] = np.inf
-        # Newton's step on the polynomial, f / (f' / f - sum_k 1 / (z - i lam_k))
-        # in a form without 1 / f, less Aberth's sum over the other roots
-        step = f / ((r * r) @ w - f * (r.sum(1) + (1 / others).sum(1)))
-        z[active] = za - step
-        # a root is done once its step is down to 16 eps |z|, or f to the
-        # rounding error of its sum (the far roots of long chains)
-        small_step = np.abs(step) <= 16 * _EPS * np.abs(za)
-        active = active[~(small_step | (np.abs(f) <= 4 * _EPS * (1 + np.abs(r) @ w)))]
+    poles = 1j * lam
+    # a sector of fewer than _SECULAR_MIN rows goes straight to the eigvals
+    active = np.arange(v.size)
+    if len(u) >= _SECULAR_MIN:
+        w = v * v
+        z = _seeds(lam, w)
+        for _ in range(_MAX_SWEEPS):
+            if not active.size:
+                break
+            za = z[active]
+            r = 1 / (poles - za[:, None])
+            f = 1 + r @ w
+            others = za[:, None] - z
+            others[np.arange(active.size), active] = np.inf
+            # Newton's step on the polynomial, f / (f' / f - sum_k 1 / (z - i lam_k))
+            # in a form without 1 / f, less Aberth's sum over the other roots
+            step = f / ((r * r) @ w - f * (r.sum(1) + (1 / others).sum(1)))
+            z[active] = za - step
+            # a root is done once its step is down to 16 eps |z|, or f to the
+            # rounding error of its sum (the far roots of long chains)
+            small_step = np.abs(step) <= 16 * _EPS * np.abs(za)
+            active = active[~(small_step | (np.abs(f) <= 4 * _EPS * (1 + np.abs(r) @ w)))]
     if active.size:
         z = np.linalg.eigvals(np.diag(poles) + np.outer(v, v))
     return np.concatenate([z, exact])
@@ -247,19 +248,14 @@ def chain_rates(n: int, theta: float) -> ChainSpectrum:
     """All N dimensionless collective decay rates of an N-qubit chain: the
     eigenvalues of :func:`coupling_matrix`, sorted by (Re, Im).
 
-    With ``m = N // 2``, ``A = K[:m, :m]`` and ``CJ = K[:m, N-m:]`` with its
-    columns reversed, the reversal-odd modes see ``A - CJ`` and the
-    reversal-even ones ``A + CJ``; for odd N the even block gains the
-    middle qubit as one more row and column, ``sqrt(2) K[:m, m]`` and
-    ``K[m, m]``.  Both blocks come from K by an exact orthogonal transform
-    (centrosymmetric splitting, Cantoni & Butler 1976).  Below
-    ``2 * _SECULAR_MIN`` = 80 qubits each block takes one dense eigvals;
-    from there on each, ``i S + u u^T`` (:func:`_sectors`), takes one real
-    symmetric eigensolve of S and a secular solve (:func:`_secular_rates`),
-    which resolves the small real parts near theta = m pi relative to
-    themselves (see the module notes).  A chain whose kernel and
-    eigensolver copies would exceed the memory budget raises ConfigError
-    first: n <= 5792.
+    The kernel splits into its reversal-even and reversal-odd blocks by an
+    exact orthogonal transform (centrosymmetric splitting, Cantoni & Butler
+    1976), each ``i S + u u^T`` (:func:`_sectors`), and each block takes one
+    real symmetric eigensolve of S and a rank-one solve
+    (:func:`_secular_rates`), which resolves the small real parts near
+    theta = m pi relative to themselves (see the module notes).  A chain
+    whose kernel and eigensolver copies would exceed the memory budget
+    raises ConfigError first: n <= 5792.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -268,15 +264,6 @@ def chain_rates(n: int, theta: float) -> ChainSpectrum:
     # route that served them before), below the 64 n^2 of four complex
     # n x n arrays
     _check_dense(n, n, "the chain kernel")
-    if n // 2 >= _SECULAR_MIN:
-        z = np.concatenate([_secular_rates(s, u) for s, u in _sectors(n, theta)])
-        return ChainSpectrum(n=n, theta=theta, z=z[_re_im_order(z)])
-    k = coupling_matrix(n, theta)
-    m = n // 2
-    a, cj = k[:m, :m], k[:m, n - m:][:, ::-1]
-    even = a + cj
-    if n % 2:
-        edge = np.sqrt(2) * k[:m, m]
-        even = np.block([[even, edge[:, None]], [edge[None, :], k[m:m + 1, m:m + 1]]])
-    z = np.concatenate([np.linalg.eigvals(even), np.linalg.eigvals(a - cj)])
+    # the odd sector of one qubit is empty
+    z = np.concatenate([_secular_rates(s, u) for s, u in _sectors(n, theta) if u.size])
     return ChainSpectrum(n=n, theta=theta, z=z[_re_im_order(z)])

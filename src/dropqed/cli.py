@@ -157,7 +157,9 @@ class RunConfig:
         """The memory budget check of the command's route on ``spec``."""
         if self.method in ("drop", "classify"):
             _check_rates(spec)
-        else:     # the EoM commands and bic hold H
+        elif self.method == "bic":
+            eom._check_svd(spec)
+        else:     # the EoM commands hold H
             eom._check_h(spec)
 
     def as_dict(self) -> dict:

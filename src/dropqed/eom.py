@@ -38,8 +38,8 @@ each about N / 2^d; a noisy H is one sector, one dense eig.
 storing the system's nonzeros, and holds the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: four
-N x N for the routes on H, the full matrix for :func:`assemble`, and
-N x N for :func:`sigma_min`.
+N x N for the routes on H, eight for :func:`nullity_at`'s SVD, the full
+matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
@@ -80,7 +80,7 @@ import numpy as np
 
 from .chain1d import _re_im_order
 from .drop import Spectrum
-from .errors import ConditioningFailure, MaxIterationsError, _check_dense
+from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
 from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
 
 
@@ -142,6 +142,16 @@ class NullSpaceResult:
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
     _check_dense(spec.n_qubits, spec.n_qubits, "the effective Hamiltonian")
+
+
+# nullity_at is counted as eight complex N x N arrays: H, shifted in place,
+# and the full SVD (gesdd's copy, U, V^H and its real workspace).  Its peak
+# RSS above a warm process read 7.6 of them at 12 x 12 x 12 (theta = pi, one
+# BLAS thread).  2 GiB admits N <= 4096 (16 x 16 x 16).
+def _check_svd(spec: NetworkSpec) -> None:
+    """Raise ConfigError when H and its full SVD would exceed the budget."""
+    n = spec.n_qubits
+    _check_budget(8 * 16 * n * n, f"the effective Hamiltonian is {n} x {n}: its SVD's work arrays")
 
 
 # entries of one slice of an axis's line blocks while its rate products
@@ -676,9 +686,11 @@ def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> Nul
     vectors of H - Delta I, the excitation components of A's null vectors,
     which is what the bound-state sign-sum condition constrains.
     """
+    _check_svd(spec)
     h = _hamiltonian(spec)
     n = len(h)
-    _, svals, vh = np.linalg.svd(h - complex(delta) * np.eye(n))
+    h.flat[::n + 1] -= complex(delta)
+    _, svals, vh = np.linalg.svd(h)
     nullity = int((svals < rank_tol * svals[0]).sum())
     basis = vh[n - nullity:].conj().T
     return NullSpaceResult(nullity=nullity, e_basis=basis, singular_values=svals,

@@ -225,7 +225,8 @@ def test_split_matches_full_kernel_eigensolve(n, frac):
     assert abs(z.sum() - n) <= 1e-12 * n
 
 
-# both sides of the crossover to the secular route, odd and even
+# both sides of the crossover to Aberth's sweeps in the larger sector, odd
+# and even
 CROSSOVER_NS = [2 * chain1d._SECULAR_MIN + k for k in (-2, -1, 0, 1)] + [7, 257]
 SECULAR_FRACS = (0.0, 1e-6, 0.3, 0.9999, 1 - 1e-8, 1.0, 1 + 1e-8, 2.0, 3.3, -0.4)
 
@@ -239,17 +240,19 @@ def test_secular_route_matches_dense_oracle(n, frac):
 
 
 def test_secular_route_is_taken_from_the_crossover_on(monkeypatch):
-    sizes = []
-    solve = chain1d._secular_rates
+    # every chain solves both of its sectors by _secular_rates; the seeds
+    # and Aberth's sweeps run only in sectors of at least _SECULAR_MIN rows
+    sizes, seeded = [], []
+    solve, seeds = chain1d._secular_rates, chain1d._seeds
     monkeypatch.setattr(chain1d, "_secular_rates", lambda s, u: sizes.append(len(u)) or solve(s, u))
+    monkeypatch.setattr(chain1d, "_seeds", lambda lam, w: seeded.append(sizes[-1]) or seeds(lam, w))
     for n in CROSSOVER_NS:
         chain_rates(n, 0.3 * np.pi)
-    first = 2 * chain1d._SECULAR_MIN
-    want = [size for n in CROSSOVER_NS if n >= first for size in (n - n // 2, n // 2)]
-    assert sizes == want
+    assert sizes == [size for n in CROSSOVER_NS for size in (n - n // 2, n // 2)]
+    assert seeded == [size for size in sizes if size >= chain1d._SECULAR_MIN]
 
 
-@pytest.mark.parametrize("n", [7, 100, 101])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 100, 101])
 def test_sectors_are_the_split_blocks(n):
     # i S + u u^T is the reversal-even block A + CJ (bordered for odd n)
     # and the reversal-odd block A - CJ of the kernel
@@ -262,15 +265,17 @@ def test_sectors_are_the_split_blocks(n):
             edge = np.sqrt(2) * k[:m, m]
             even = np.block([[even, edge[:, None]], [edge[None, :], k[m:m + 1, m:m + 1]]])
         for block, (s, u) in zip((even, a - cj), chain1d._sectors(n, frac * np.pi)):
-            assert np.abs(block - (1j * s + np.outer(u, u))).max() <= 1e-14 * n
+            # one qubit's odd sector is empty
+            assert np.abs(block - (1j * s + np.outer(u, u))).max(initial=0.0) <= 1e-14 * n
 
 
-@pytest.mark.parametrize("n", [100, 101, 160])
+@pytest.mark.parametrize("n", [2, 3, 7, 12, 40, 100, 101, 160])
 def test_dark_rates_at_resonance_above_crossover(n):
     # at theta = 0 the sine block is exactly zero and every dark rate is
     # deflated to exactly 0; at the floating-point m * pi it is not quite
-    # zero, and the dark rates of that kernel are below 1e-20 (the dense
-    # eigensolve leaves them at round-off, about 1e-14)
+    # zero, and the dark rates of that kernel are below 1e-20 on both sides
+    # of the crossover (an eigensolve of the kernel leaves them at
+    # round-off, about 1e-14)
     for m in (0, 1, 2, 3):
         z = chain_rates(n, m * np.pi).z
         assert abs(z[-1] - n) <= 1e-12 * n
@@ -305,26 +310,36 @@ def test_sweep_cap_falls_back_to_dense_eigensolve(monkeypatch, n, cap):
 
 
 def test_secular_solver_resolves_subradiant_real_parts():
-    # every real part of both sectors at N = 40, 0.9999 pi to 1e-6 relative
-    # error against a 60-digit eigensolve of the same sector blocks; one
-    # dense eigvals of a block reaches only 1.6e-4
+    # every real part near theta = m pi to 1e-6 relative error against a
+    # 50-digit eigensolve of the two reversal blocks A + CJ (bordered for
+    # odd n) and A - CJ, on both sides of the crossover to Aberth's sweeps;
+    # one dense eigvals of each block reached 2.0e-6 at n = 6, 1.6e-4 at
+    # n = 40 and 7.1e-4 at n = 79
     mp = pytest.importorskip("mpmath")
-    n, theta = 40, 0.9999 * np.pi
-    m = n // 2
-    with mp.workdps(60):
-        phase = [mp.expj(mp.mpf(theta) * s) for s in range(n)]
-        for sign, (s, u) in zip((1, -1), chain1d._sectors(n, theta)):
-            block = mp.matrix(m, m)
-            for j in range(m):
-                for k in range(m):
-                    block[j, k] = phase[abs(j - k)] + sign * phase[n - 1 - j - k]
-            want = np.array([complex(v) for v in mp.eig(block, left=False, right=False)])
-            got = chain1d._secular_rates(s, u)
-            assert len(got) == m
-            nearest = np.abs(got[:, None] - want[None, :]).argmin(1)
-            assert sorted(nearest) == list(range(m))
-            rel = np.abs(got.real - want[nearest].real) / want[nearest].real
-            assert rel.max() <= 1e-6
+    for n, frac in ((3, 0.99999), (6, 0.99999), (7, 0.9999), (12, 0.9999), (40, 0.9999),
+                    (79, 0.9999)):
+        theta, m = frac * np.pi, n // 2
+        want = []
+        with mp.workdps(50):
+            phase = [mp.expj(mp.mpf(theta) * s) for s in range(n)]
+            for sign, size in ((1, n - m), (-1, m)):
+                block = mp.matrix(size, size)
+                for j in range(m):
+                    for k in range(m):
+                        block[j, k] = phase[abs(j - k)] + sign * phase[n - 1 - j - k]
+                if size > m:
+                    for j in range(m):
+                        block[j, m] = block[m, j] = mp.sqrt(2) * phase[m - j]
+                    block[m, m] = phase[0]
+                # mpmath's eig ignores left=False, right=False on a 1 x 1 matrix
+                values = [block[0, 0]] if size == 1 else mp.eig(block, left=False, right=False)
+                want += [complex(v) for v in values]
+        want = np.array(want)
+        got = chain_rates(n, theta).z
+        nearest = np.abs(got[:, None] - want[None, :]).argmin(1)
+        assert sorted(nearest) == list(range(n)), n
+        rel = np.abs(got.real - want[nearest].real) / want[nearest].real
+        assert rel.max() <= 1e-6, (n, frac, rel.max())
 
 
 def test_secular_solver_deflates_exact_roots():

@@ -608,6 +608,8 @@ EMIT_CASES = {
     "drop-axis-of-one-scrambled": lambda: _handler_output(
         ["drop", "--dims", "3,1,4", "--gammas", "1,4,2", "--theta-over-pi", "0.65"]),
     "drop-at-pi-all-text": lambda: _handler_output(["drop", "--dims", "3,4", "--theta-over-pi", "1"]),
+    "drop-at-pi-inline-and-masked": lambda: _handler_output(
+        ["drop", "--dims", "3,4", "--gammas", "1,0.4", "--theta-over-pi", "1"]),
     "drop-at-zero-exact-zeros": lambda: _handler_output(
         ["drop", "--dims", "3,4", "--theta-over-pi", "0"]),
     "text-and-inline-rows": lambda: (
@@ -639,9 +641,13 @@ def test_emit_cases_take_the_paths_they_name():
     # a row's kind: bit 0 set where its Re takes the text path, bit 1 its Im
     def kinds(s):
         return set((cli._text_path(s.rates.real) + 2 * cli._text_path(s.rates.imag)).tolist())
+    # at 0 and pi every Re of the equal-rate 3x4 is integral (its dark sums
+    # are exactly 0), and at 0 every Im is 0; the rate 0.4 adds inline Re
+    # beside them at pi, and exact zeros in Im
     at_pi = _drop_of(["drop", "--dims", "3,4", "--theta-over-pi", "1"])
+    mixed_at_pi = _drop_of(["drop", "--dims", "3,4", "--gammas", "1,0.4", "--theta-over-pi", "1"])
     at_zero = _drop_of(["drop", "--dims", "3,4", "--theta-over-pi", "0"])
-    assert kinds(at_pi) == {0, 1} and kinds(at_zero) == {2, 3}
+    assert kinds(at_pi) == {1} and kinds(mixed_at_pi) == {0, 1, 2} and kinds(at_zero) == {3}
     assert (at_zero.rates.imag == 0).all()
     assert kinds(MIXED_ROWS) == {0, 1, 2}
     assert kinds(INLINE_RE_TEXT_IM) == {0, 2} and kinds(TEXT_RE_INLINE_IM) == {0, 1}

@@ -532,6 +532,26 @@ def test_eom_det_budget_is_the_hamiltonians(monkeypatch):
             config._check_budget(refused)
 
 
+def test_bic_budget_is_the_svds(monkeypatch):
+    # nullity_at holds H and its full SVD, eight N x N arrays: 16x16x16
+    # (N = 4096) passes the check and reaches the rates, 17x17x17 (N = 4913),
+    # which H alone would admit, is refused before any N x N array, in the
+    # route and in the CLI's check before noise is drawn
+    def allocates(self):
+        raise AssertionError("rates resolved")
+    monkeypatch.setattr(NetworkSpec, "resolved_rates", allocates)
+    admitted = spec_of([16, 16, 16], theta=np.pi)
+    refused = spec_of([17, 17, 17], theta=np.pi)
+    with pytest.raises(AssertionError, match="rates resolved"):
+        analysis.bic_condition_check(admitted)
+    with pytest.raises(ConfigError, match="budget"):
+        analysis.bic_condition_check(refused)
+    config = cli.RunConfig(method="bic")
+    config._check_budget(admitted)
+    with pytest.raises(ConfigError, match="budget"):
+        config._check_budget(refused)
+
+
 def test_sparse_routes_never_build_h(monkeypatch):
     def builds_h(spec):
         raise AssertionError("H built")

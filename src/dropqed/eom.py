@@ -38,8 +38,9 @@ each about N / 2^d; a noisy H is one sector, one dense eig.
 storing the system's nonzeros, and holds the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
 anything that scales with N, against the dense arrays it holds: four
-N x N for the routes on H, eight for :func:`nullity_at`'s SVD, the full
-matrix for :func:`assemble`, and N x N for :func:`sigma_min`.
+N x N for the routes on H, eight for :func:`nullity_at`'s SVD, four of
+the full (2d+1)N x (2d+1)N matrix for :func:`assemble`, and four N x N,
+the limit of the routes on H, for :func:`sigma_min`.
 
 Every route certifies each pole it reports once, and ends with the same
 step: the trace rule (the poles sum to the total per-qubit rate within
@@ -526,6 +527,15 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
 
 
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
+
+
+def _check_tol(tol: float) -> None:
+    """Raise ValueError unless ``tol`` is finite and positive: a NaN bound
+    would pass every certificate, since no residual compares above it."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+
+
 # columns per block of the fused pass of the certificates: they hold six
 # arrays of N x 64 (its fields, mover rows and excitation rows) and peak at
 # seven to eight with numpy's transients, never one of (2d+1)N rows
@@ -539,8 +549,10 @@ def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
     certificate on the full system (see the module docstring) to be at most
     min(tol, 1e-9).
 
-    Raises MaxIterationsError when the pole fails the certificate.
+    Raises MaxIterationsError when the pole fails the certificate, and
+    ValueError when ``tol`` is not finite and positive.
     """
+    _check_tol(tol)
     seed = complex(seed)
     poles, _ = _refine(spec, [seed], tol)
     pole = complex(poles[0])
@@ -644,9 +656,11 @@ def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
     The route of :func:`all_poles_eig`, one eigensolve of H and one
     certificate per pole, reported under the "cnm" label: a run whose poles
     break the trace rule, or fail the certificate at min(tol, 1e-9), raises
-    MaxIterationsError.  Its name and label are kept because the
-    ``eom-cnm`` command and ``--eom-method cnm`` select it.
+    MaxIterationsError; a ``tol`` that is not finite and positive raises
+    ValueError.  Its name and label are kept because the ``eom-cnm``
+    command and ``--eom-method cnm`` select it.
     """
+    _check_tol(tol)
     return _eigen_route(spec, "cnm", MaxIterationsError, min(tol, _CHECK_TOL))
 
 

@@ -33,7 +33,7 @@ class NoiseField:
 
     ``rates[i, n]`` is the rate of the qubit with linear index ``i`` along
     axis ``n``, in the same units as the symmetric rates it perturbs.
-    All stored rates are strictly positive.
+    All stored rates are finite and strictly positive.
     """
 
     dims: tuple[int, ...]
@@ -50,8 +50,8 @@ class NoiseField:
                 f"rates shape {rates.shape} does not match "
                 f"({n_qubits}, {len(self.dims)})"
             )
-        if not np.all(rates > 0):
-            raise ValueError("all per-qubit rates must be > 0")
+        if not np.all(np.isfinite(rates) & (rates > 0)):
+            raise ValueError("all per-qubit rates must be finite and > 0")
         rates.setflags(write=False)
 
     def mean_rates(self) -> tuple[float, ...]:
@@ -228,8 +228,8 @@ def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField
     in turn; the last key is checked against numpy's own SeedSequence on
     every call, and a mismatch raises RuntimeError.
     """
-    if epsilon_max < 0:
-        raise ValueError("epsilon_max must be >= 0")
+    if not (math.isfinite(epsilon_max) and epsilon_max >= 0):
+        raise ValueError("epsilon_max must be finite and >= 0")
     n_qubits, d = spec.n_qubits, spec.ndim
     if epsilon_max == 0.0:
         rates = spec.gammas * n_qubits

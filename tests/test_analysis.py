@@ -22,8 +22,7 @@ from dropqed import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dropqed import analysis
-from dropqed.analysis import _line_weights
+from dropqed import analysis, eom
 from oracles import loop_bic_report, loop_classify, multiset_max_err
 
 
@@ -214,13 +213,53 @@ def test_scaling_rejects_a_rate_that_is_not_positive(monkeypatch):
 
 # ------------------------------------------------------------ bound states
 
-def test_line_weight_rules():
-    assert np.array_equal(_line_weights(4, "plain", 1), np.ones(4))
-    assert np.array_equal(_line_weights(3, "alternating", 1), [1, -1, 1])
-    assert np.array_equal(_line_weights(4, "qubit-parity", 1), np.ones(4))
-    assert np.array_equal(_line_weights(3, "qubit-parity", 1), [1, -1, 1])
-    assert np.array_equal(_line_weights(4, "phase-parity", 1), [1, -1, 1, -1])
-    assert np.array_equal(_line_weights(4, "phase-parity", 2), np.ones(4))
+def _null_basis(basis):
+    """A stand-in for eom.nullity_at that returns ``basis`` as the null basis."""
+    def nullity_at(spec, delta, rank_tol=1e-8):
+        return eom.NullSpaceResult(nullity=basis.shape[1], e_basis=basis,
+                                   singular_values=np.ones(len(basis)), rank_tol=rank_tol)
+    return nullity_at
+
+
+def test_line_weight_rules(monkeypatch):
+    # the uniform vector on a chain: plain sum sqrt(n), alternating sum
+    # 0 for even n and 1 / sqrt(n) for odd n
+    cases = [
+        (4, 1, {"plain": 2.0, "alternating": 0.0, "qubit-parity": 2.0, "phase-parity": 0.0}),
+        (4, 2, {"plain": 2.0, "alternating": 0.0, "qubit-parity": 2.0, "phase-parity": 2.0}),
+        (3, 1, {"plain": 3 ** 0.5, "alternating": 3 ** -0.5, "qubit-parity": 3 ** -0.5,
+                "phase-parity": 3 ** -0.5}),
+        (3, 2, {"plain": 3 ** 0.5, "alternating": 3 ** -0.5, "qubit-parity": 3 ** -0.5,
+                "phase-parity": 3 ** 0.5}),
+    ]
+    for n, m, values in cases:
+        monkeypatch.setattr(eom, "nullity_at", _null_basis(np.full((n, 1), n ** -0.5, complex)))
+        report = bic_condition_check(spec_of([n], frac=m), m=m)
+        assert report.max_violation == pytest.approx(values, abs=1e-15)
+        assert [(v.rule, v.value) for v in report.violations] == [
+            (rule, pytest.approx(value, abs=1e-15))
+            for rule, value in values.items() if value > 1e-8]
+
+
+@pytest.mark.parametrize("dims, m", [([2], 1), ([3], 2), ([2, 3], 1), ([3, 4], 2), ([3, 3, 3], 1)])
+def test_bic_report_does_not_depend_on_the_null_basis(monkeypatch, dims, m):
+    # every orthonormal basis of the null space, the SVD's turned by a
+    # random unitary Q, gives the same rows and values
+    spec = spec_of(dims, tuple(0.5 + i for i in range(len(dims))), frac=m)
+    report = bic_condition_check(spec, m=m)
+    null = eom.nullity_at(spec, 0.0)
+    k = null.nullity
+    rng = np.random.default_rng(k)
+    q, _ = np.linalg.qr(rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+    monkeypatch.setattr(eom, "nullity_at", _null_basis(null.e_basis @ q))
+    turned = bic_condition_check(spec, m=m)
+    assert [(v.rule, v.line) for v in turned.violations] == [
+        (v.rule, v.line) for v in report.violations]
+    assert np.allclose([v.value for v in turned.violations],
+                       [v.value for v in report.violations], rtol=0, atol=1e-12)
+    assert turned.max_violation == pytest.approx(report.max_violation, rel=0, abs=1e-12)
+    # the failing rules' values are those of a unit null vector
+    assert max(report.max_violation.values()) > 0.1
 
 
 def test_bic_two_qubit_chain():
@@ -263,10 +302,17 @@ def test_bic_even_m_uses_plain_sums():
     ([2, 2, 3], 2), ([3, 3, 3], 1), ([3, 3, 3], 2),
 ])
 def test_bic_report_matches_the_per_line_loop(dims, m):
-    # vectors normalized and weights built once give the same report, bit
-    # for bit, as the loop that rebuilt them for every line
+    # one contraction per axis gives the rows of the (line, rule) loop, in
+    # its order, and its values
     spec = spec_of(dims, tuple(0.5 + i for i in range(len(dims))), frac=m)
-    assert bic_condition_check(spec, m=m) == loop_bic_report(spec, m=m)
+    report, loop = bic_condition_check(spec, m=m), loop_bic_report(spec, m=m)
+    assert [(v.rule, v.line) for v in report.violations] == [
+        (v.rule, v.line) for v in loop.violations]
+    assert np.allclose([v.value for v in report.violations],
+                       [v.value for v in loop.violations], rtol=0, atol=1e-12)
+    assert report.max_violation == pytest.approx(loop.max_violation, rel=0, abs=1e-12)
+    assert (report.m, report.nullity, report.expected_nullity, report.rank_tol) == (
+        loop.m, loop.nullity, loop.expected_nullity, loop.rank_tol)
 
 
 def test_bic_requires_resonant_theta():
@@ -275,6 +321,12 @@ def test_bic_requires_resonant_theta():
 
 
 # ------------------------------------------------------------ noise study
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_noise_study_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        noise_study(spec_of([2, 2], (1.0, 0.4), frac=0.65), 0.05, seed=1, tol=tol)
+
 
 def test_noise_study_zero_epsilon_is_exact():
     spec = spec_of([2, 2], (1.0, 0.4), frac=0.65)

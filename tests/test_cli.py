@@ -156,6 +156,32 @@ def test_solver_error_exit_code(capsys):
     assert err.startswith("error: solver:")
 
 
+_TOLERANCES = ("match_tol", "rank_tol", "solver_tol")
+
+
+@pytest.mark.parametrize("field, value", [
+    (field, value) for field in ("epsilon_max", *_TOLERANCES)
+    for value in (float("nan"), float("inf"), -1.0)] + [(field, 0.0) for field in _TOLERANCES])
+def test_config_rejects_values_that_are_not_finite(field, value):
+    # epsilon_max may be 0; a tolerance must be positive
+    with pytest.raises(errors.ConfigError, match=field):
+        cli.RunConfig(method="noise", dims=(2, 3), **{field: value})
+
+
+@pytest.mark.parametrize("argv", [
+    # a NaN epsilon used to hang the noise draw, and a NaN solver_tol to
+    # pass every certificate
+    ["noise", "--dims", "2,3", "--epsilon-max", "nan"],
+    ["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4", "--solver-tol", "nan"],
+    ["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4", "--solver-tol", "-1"],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--rank-tol", "nan"],
+    ["compare", "--dims", "2,3", "--match-tol", "inf"],
+], ids=["epsilon-nan", "solver-tol-nan", "solver-tol-negative", "rank-tol-nan", "match-tol-inf"])
+def test_nonfinite_settings_are_config_errors(capsys, argv):
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.startswith("error: config:")
+
+
 def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
     # refused by the memory budget before anything is assembled
     def allocates(self):
@@ -575,16 +601,16 @@ def _reversed_tuples():
     return Spectrum(rates=s.rates, method="drop", index_tuples=s.index_tuples[::-1])
 
 
-# bic reports: hundreds of violations, lines without transverse axes,
+# bic reports: violations on lines with and without transverse axes,
 # and floats json.dumps writes otherwise than repr beside a rule name it
 # escapes
 NONFINITE_VIOLATIONS = {
     "m": 1, "max_violation": {"plain": float("inf")},
     "violations": [
-        {"rule": "plain", "axis": 0, "transverse": [1, 2], "vector": 0, "value": float("inf")},
-        {"rule": "plain", "axis": 1, "transverse": [3], "vector": 2, "value": float("nan")},
-        {"rule": 'r\u00e9gle "odd"', "axis": 2, "transverse": [], "vector": 1, "value": 1e-320},
-        {"rule": "plain", "axis": 0, "transverse": [1, 2], "vector": 0, "value": -0.0},
+        {"rule": "plain", "axis": 0, "transverse": [1, 2], "value": float("inf")},
+        {"rule": "plain", "axis": 1, "transverse": [3], "value": float("nan")},
+        {"rule": 'r\u00e9gle "odd"', "axis": 2, "transverse": [], "value": 1e-320},
+        {"rule": "plain", "axis": 0, "transverse": [1, 2], "value": -0.0},
     ],
     "passed": False}
 

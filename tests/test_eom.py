@@ -587,8 +587,9 @@ def test_find_pole_far_seed_reaches_a_pole():
     poles = all_poles_eig(spec, validate="none").poles.rates / 2j
     assert np.abs(poles - find_pole(spec, seed)).min() <= 1e-10
     # a refined pole that cannot pass the full-matrix check is an error
+    # (a bound of 0 is refused as a tol, so the bound is the least normal)
     with pytest.raises(MaxIterationsError):
-        find_pole(spec, seed, tol=0.0)
+        find_pole(spec, seed, tol=np.finfo(float).tiny)
 
 
 @pytest.mark.parametrize("case, frac", [
@@ -610,6 +611,19 @@ def test_find_pole_returns_the_nearest_pole(case, frac):
 def test_find_pole_rejects_nonfinite_seed():
     with pytest.raises(ValueError):
         find_pole(spec_of([2]), seed=complex(np.nan, 0))
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_find_pole_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    # no certificate compares above a NaN bound, so it would pass them all
+    with pytest.raises(ValueError, match="tol"):
+        find_pole(spec_of([2, 3], (1.0, 0.4)), seed=0.5j, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
+def test_all_poles_cnm_rejects_a_tol_that_is_not_finite_and_positive(tol):
+    with pytest.raises(ValueError, match="tol"):
+        all_poles_cnm(spec_of([2, 3], (1.0, 0.4)), tol=tol)
 
 
 # ----------------------------------------------------------- full spectra

@@ -140,6 +140,22 @@ def test_noise_rejects_seeds_numpy_rejects(seed, error):
         sample_noise(spec, 0.05, seed)
 
 
+@pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -0.1])
+def test_noise_rejects_an_epsilon_that_is_not_finite_and_nonnegative(epsilon):
+    # a NaN epsilon used to pass the check and never leave the rejection loop
+    spec = NetworkSpec(dims=(2, 3), gammas=(1.0, 2.0), theta=0.4)
+    with pytest.raises(ValueError, match="epsilon_max"):
+        sample_noise(spec, epsilon, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+def test_noise_field_rates_must_be_finite_and_positive(bad):
+    rates = np.ones((6, 2))
+    rates[3, 1] = bad
+    with pytest.raises(ValueError, match="finite and > 0"):
+        lattice.NoiseField(dims=(2, 3), rates=rates, epsilon_max=0.1, rng_seed=0)
+
+
 def test_noise_positive_even_at_large_epsilon():
     spec = NetworkSpec(dims=(4, 4), gammas=(1.0, 0.1), theta=0.4)
     field = sample_noise(spec, 1.5, seed=0)

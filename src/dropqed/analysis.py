@@ -12,13 +12,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
+from functools import reduce
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import eom
-from .drop import Spectrum, _cartesian_rates, _index_columns, drop_spectrum
+from .chain1d import chain_rates
+from .drop import Spectrum, _index_columns, drop_spectrum
 from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, _lines, enumerate_lines, sample_noise
 
@@ -157,7 +160,6 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> Superradia
 
 
 _DEFAULT_SWEEPS = {1: range(10, 61, 5), 2: range(4, 13), 3: range(3, 8)}
-_EPS = np.finfo(float).eps
 
 
 def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
@@ -169,46 +171,44 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     least-squares slope against N = M^d.  Near resonance the 1-D chain
     scales as N^-3, so the hyper-cubic slope is -3/d.
 
-    At theta = m*pi (within 8 ulps) the chain kernel exp(i theta |j - k|)
-    has rank one: every chain rate but the top one is dark, exactly 0 in
-    exact arithmetic, and so is every Cartesian sum of dark rates.  Those
-    prod_n (M - 1) sums are left out there, and the rest have a real part of
-    at least M.  Elsewhere every rate counts, and a smallest real part that
-    is not positive raises ValueError.  The rates come from
-    :func:`~dropqed.chain1d.chain_rates`, which resolves the small real
-    parts relative to themselves at every M.  At theta = 0.9999*pi the 1-D
-    slope of M = 10..300 reads -3.01.
+    No sum is built: its real part adds one chain rate's per axis, in axis
+    order, and rounded addition is monotone, so the smallest is that of d
+    copies of the chain's smallest, bit for bit.  At theta = m*pi (within
+    8 ulps) every chain rate but the top one (real part M) is dark, 0 in
+    exact arithmetic, and the sums of dark rates are left out: the smallest
+    is the least of d sums, each with one axis on the top rate.  The chain
+    rates (:func:`~dropqed.chain1d.chain_rates`, M <= 5792) resolve small
+    real parts relative to themselves: at 0.9999*pi the 1-D slope of M =
+    10..300 reads -3.01.  d < 1, a non-finite theta, N past the float range
+    and a smallest real part <= 0 raise ValueError.
     """
-    if m_range is None:
-        if d not in _DEFAULT_SWEEPS:
-            raise ValueError(f"no default sweep for d = {d}; pass m_range")
-        m_range = _DEFAULT_SWEEPS[d]
-    m_values = list(m_range)
+    if not (d >= 1 and math.isfinite(theta)):
+        raise ValueError(f"need d >= 1 and a finite theta, got d = {d}, theta = {theta}")
+    if m_range is None and d not in _DEFAULT_SWEEPS:
+        raise ValueError(f"no default sweep for d = {d}; pass m_range")
+    m_values = list(_DEFAULT_SWEEPS[d] if m_range is None else m_range)
     if len(m_values) < 5:
         raise ValueError("scaling fit needs at least 5 sweep points")
-    resonant = abs(math.remainder(theta, math.pi)) <= 8 * _EPS * max(1.0, abs(theta))
-    sizes, mins = [], []
+    try:
+        for m in m_values:
+            float(m) ** d    # overflows before an absurd d builds a huge int
+        sizes = [m ** d for m in m_values]
+        x = np.asarray(sizes, float)
+    except OverflowError:
+        raise ValueError(f"N = M^{d} does not fit a float over this sweep") from None
+    resonant = abs(math.remainder(theta, math.pi)) <= 8 * math.ulp(1.0) * max(1.0, abs(theta))
+    mins = []
     for m in m_values:
-        spec = NetworkSpec(dims=(m,) * d, gammas=(1.0,) * d, theta=theta)
-        rates = _cartesian_rates(spec).real
-        if resonant:
-            # each axis's top rate is the last of its chain's (Re, Im)
-            # order, so the dark sums fill the leading (M - 1)^d block
-            lit = np.ones((m,) * d, dtype=bool)
-            lit[(slice(0, m - 1),) * d] = False
-            rates = rates[lit.ravel()]
-        low = float(rates.min())
+        re = chain_rates(m, theta).z.real
+        floor, top = float(re.min()), float(re[-1])    # top: last in (Re, Im) order
+        low = min(reduce(operator.add, [top if n == pin else floor for n in range(d)], 0.0)
+                  for pin in (range(d) if resonant else [None]))
         if not low > 0:
             raise ValueError(f"the smallest rate for M = {m} is {low:.6g}, not positive")
-        sizes.append(m ** d)
         mins.append(low)
-    slope, intercept = np.polyfit(np.log(np.asarray(sizes, float)), np.log(mins), 1)
-    return ScalingFit(
-        sizes=tuple(sizes),
-        min_rates=tuple(mins),
-        slope=float(slope),
-        intercept=float(intercept),
-    )
+    slope, intercept = np.polyfit(np.log(x), np.log(mins), 1)
+    return ScalingFit(sizes=tuple(sizes), min_rates=tuple(mins), slope=float(slope),
+                      intercept=float(intercept))
 
 
 _BIC_RULES = ("plain", "alternating", "qubit-parity", "phase-parity")

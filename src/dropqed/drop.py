@@ -111,29 +111,22 @@ def _check_rates(spec: NetworkSpec) -> None:
     _check_dense(max(spec.dims), max(spec.dims), "the longest axis's chain kernel")
 
 
-def _cartesian_rates(spec: NetworkSpec) -> np.ndarray:
-    """The ``prod N_n`` Cartesian-sum rates of the network, last axis
-    fastest (the order of :func:`itertools.product` over the axes)."""
-    _check_rates(spec)
-    gammas = spec.effective_gammas()
-    # axes of equal length share one chain eigensolve
-    per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
-    total = np.zeros(1, dtype=complex)
-    for g, n in zip(gammas, spec.dims):
-        total = (total[:, None] + g * per_length[n][None, :]).ravel()
-    return total
-
-
 def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     """All ``prod N_n`` Cartesian-sum rates of the network, with index tuples.
 
     For a symmetric network this uses the given per-axis rates.  With a noise
     field present the construction is an approximation seeded by the
-    qubit-averaged rate of each axis.  The index tuples are the product
-    enumeration of the axes, built when first read.  A network too large
-    for the memory budget raises ConfigError before any rate is built.
+    qubit-averaged rate of each axis.  The rates run last axis fastest, in
+    the product enumeration of the index tuples, built when first read.  A
+    network too large for the memory budget raises ConfigError first.
     """
-    return Spectrum(rates=_cartesian_rates(spec), method="drop", _shape=spec.dims)
+    _check_rates(spec)
+    # axes of equal length share one chain eigensolve
+    per_length = {n: chain_rates(n, spec.theta).z for n in dict.fromkeys(spec.dims)}
+    total = np.zeros(1, dtype=complex)
+    for g, n in zip(spec.effective_gammas(), spec.dims):
+        total = (total[:, None] + g * per_length[n][None, :]).ravel()
+    return Spectrum(rates=total, method="drop", _shape=spec.dims)
 
 
 def _index_columns(s: Spectrum, order: np.ndarray, texts: bool = False) -> list[np.ndarray]:

@@ -529,11 +529,11 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
 _CHECK_TOL = 1e-9        # certificate of every reported pole, at most
 
 
-def _check_tol(tol: float) -> None:
+def _check_tol(tol: float, name: str = "tol") -> None:
     """Raise ValueError unless ``tol`` is finite and positive: a NaN bound
     would pass every certificate, since no residual compares above it."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
+        raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
 
 # columns per block of the fused pass of the certificates: they hold six
@@ -698,8 +698,10 @@ def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> Nul
     takes the SVD of the N x N matrix H - Delta I, counting singular values
     below ``rank_tol`` times the largest.  The basis columns are unit null
     vectors of H - Delta I, the excitation components of A's null vectors,
-    which is what the bound-state sign-sum condition constrains.
+    which is what the bound-state sign-sum condition constrains.  A
+    ``rank_tol`` that is not finite and positive raises ValueError.
     """
+    _check_tol(rank_tol, "rank_tol")
     _check_svd(spec)
     h = _hamiltonian(spec)
     n = len(h)

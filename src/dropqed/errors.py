@@ -1,6 +1,8 @@
 """Exception types raised by dropqed solvers and the CLI, and the memory
 budget that every size check raises ConfigError against."""
 
+import math
+
 
 class DropQedError(Exception):
     """Base class for all dropqed errors."""
@@ -49,8 +51,9 @@ _MEMORY_BUDGET = 2 * 2 ** 30
 def _check_budget(need: int, what: str) -> None:
     """Raise ConfigError when ``what`` needs more than the budget (``need`` bytes)."""
     if need > _MEMORY_BUDGET:
-        raise ConfigError(f"{what} need {need / 2 ** 30:.3g} GiB, over the "
-                          f"{_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+        # a need past the float range is written by its power of ten
+        gib = f"{need / 2 ** 30:.3g}" if need < 2 ** 1000 else f"over 1e+{int(math.log10(need >> 30))}"
+        raise ConfigError(f"{what} need {gib} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
 def _check_dense(rows: int, cols: int, what: str) -> None:

@@ -89,8 +89,8 @@ class NetworkSpec:
             raise ValueError("every axis must hold at least one qubit")
         if len(gammas) != len(dims):
             raise ValueError("gammas must have one entry per axis")
-        if any(g <= 0 for g in gammas):
-            raise ValueError("every rate must be > 0")
+        if not all(math.isfinite(g) and g > 0 for g in gammas):
+            raise ValueError("every rate must be finite and > 0")
         if not math.isfinite(self.theta):
             raise ValueError("theta must be finite")
         if self.noise is not None and self.noise.dims != dims:

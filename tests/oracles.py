@@ -30,6 +30,11 @@ references for the in-place line blocks and the vectorized labels.
 the rates with ``float()`` per coordinate, the byte-for-byte reference
 for the whole-spectrum glyph coordinates of ``render.render_scatter``.
 
+``cartesian_min_rate`` is the library's earlier subradiance minimum, the
+smallest real part over the whole Cartesian sum with the dark sums masked
+out at resonance, the bit-for-bit reference for the per-axis minimum of
+``analysis.subradiance_scaling``.
+
 ``reference_emit`` is the CLI document writer the library used before its
 fixed-template emitter: ``json.dumps(indent=2)`` over one dict per rate, and
 ``csv.writer``.  It is the byte-for-byte reference for ``cli._emit``.
@@ -44,7 +49,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import analysis, assemble, coupling_matrix, eom, lattice
+from dropqed import analysis, assemble, coupling_matrix, drop_spectrum, eom, lattice
 from dropqed.render import _HEIGHT, _K_PALETTE, _SERIES_PALETTE, _WIDTH, _fmt
 
 
@@ -339,6 +344,20 @@ def lattice_3x3_rates(g1: float, g2: float, theta: float) -> np.ndarray:
     three-qubit chain rates."""
     z = chain3_rates(theta)
     return np.array([za * g1 + zb * g2 for za in z for zb in z])
+
+
+def cartesian_min_rate(d: int, m: int, theta: float) -> float:
+    """The smallest real part of the Cartesian sum of [m]*d unit-rate
+    chains, with the dark sums left out at theta = m*pi (within 8 ulps)."""
+    spec = lattice.NetworkSpec(dims=(m,) * d, gammas=(1.0,) * d, theta=theta)
+    rates = drop_spectrum(spec).rates.real
+    if abs(math.remainder(theta, math.pi)) <= 8 * np.finfo(float).eps * max(1.0, abs(theta)):
+        # each axis's top rate is the last of its chain's (Re, Im) order,
+        # so the dark sums fill the leading (m - 1)^d block
+        lit = np.ones((m,) * d, dtype=bool)
+        lit[(slice(0, m - 1),) * d] = False
+        rates = rates[lit.ravel()]
+    return float(rates.min())
 
 
 def cartesian_rate_multiset(per_axis_rates, gammas) -> np.ndarray:

@@ -23,7 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dropqed import analysis, eom
-from oracles import loop_bic_report, loop_classify, multiset_max_err
+from dropqed.chain1d import ChainSpectrum
+from oracles import cartesian_min_rate, loop_bic_report, loop_classify, multiset_max_err
 
 
 def spec_of(dims, gammas=None, frac=1.0):
@@ -206,9 +207,41 @@ def test_scaling_1d_at_resonance_leaves_out_the_dark_rates(frac):
 
 
 def test_scaling_rejects_a_rate_that_is_not_positive(monkeypatch):
-    monkeypatch.setattr(analysis, "_cartesian_rates", lambda spec: np.array([0.0, 1.0]))
+    monkeypatch.setattr(analysis, "chain_rates",
+                        lambda n, theta: ChainSpectrum(n=2, theta=theta, z=[0.0, 1.0]))
     with pytest.raises(ValueError, match="not positive"):
         subradiance_scaling(1, 0.5 * np.pi, range(2, 7))
+
+
+@pytest.mark.parametrize("frac", [0.5, 0.65, 0.9999, 0.99999, 1, 2, -1])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("sweep", ["default", "from-one"])
+def test_scaling_minimum_is_the_cartesian_minimum(d, frac, sweep):
+    # the per-axis minimum equals that over the whole Cartesian sum, with
+    # the dark sums left out at resonance, bit for bit
+    m_range = analysis._DEFAULT_SWEEPS[d] if sweep == "default" else range(1, 7)
+    fit = subradiance_scaling(d, frac * np.pi, m_range)
+    assert fit.min_rates == tuple(cartesian_min_rate(d, m, frac * np.pi) for m in m_range)
+
+
+def test_scaling_3d_past_the_cartesian_budget():
+    # 3,375,000 rates at M = 150 would need 3.2 GiB as a Cartesian sum;
+    # one chain eigensolve per point reads the N^-1 law
+    fit = subradiance_scaling(3, 0.9999 * np.pi, range(100, 301, 50))
+    assert abs(fit.slope + 1) <= 0.01
+
+
+@pytest.mark.parametrize("d, theta, m_range", [
+    (0, 0.5 * np.pi, range(3, 8)),
+    (1, np.nan, range(3, 8)),
+    (400, 0.5 * np.pi, range(10, 15)),
+], ids=["d-zero", "theta-nan", "n-past-float"])
+def test_scaling_refuses_before_any_chain_is_solved(monkeypatch, d, theta, m_range):
+    def solves(n, theta):
+        raise AssertionError("a chain was solved")
+    monkeypatch.setattr(analysis, "chain_rates", solves)
+    with pytest.raises(ValueError):
+        subradiance_scaling(d, theta, m_range)
 
 
 # ------------------------------------------------------------ bound states

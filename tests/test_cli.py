@@ -15,6 +15,7 @@ from dropqed import (NetworkSpec, Spectrum, analysis, cli, drop, eom, errors, re
 from dropqed.chain1d import _re_im_order
 from dropqed.cli import main
 from oracles import (
+    cartesian_min_rate,
     cartesian_rate_multiset,
     chain2_rates,
     chain3_rates,
@@ -176,7 +177,11 @@ def test_config_rejects_values_that_are_not_finite(field, value):
     ["eom-cnm", "--dims", "2,3", "--gammas", "1,0.4", "--solver-tol", "-1"],
     ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--rank-tol", "nan"],
     ["compare", "--dims", "2,3", "--match-tol", "inf"],
-], ids=["epsilon-nan", "solver-tol-nan", "solver-tol-negative", "rank-tol-nan", "match-tol-inf"])
+    # a NaN rate used to write NaN rows, and an infinite one to fail the solver
+    ["drop", "--dims", "2,3", "--gammas", "nan,1"],
+    ["eom-eig", "--dims", "2,3", "--gammas", "inf,1"],
+], ids=["epsilon-nan", "solver-tol-nan", "solver-tol-negative", "rank-tol-nan", "match-tol-inf",
+        "gamma-nan", "gamma-inf"])
 def test_nonfinite_settings_are_config_errors(capsys, argv):
     assert run_cli(argv) == 1
     assert capsys.readouterr().err.startswith("error: config:")
@@ -213,7 +218,7 @@ def test_oversized_noisy_network_is_refused_before_drawing_noise(capsys, monkeyp
     ["drop", "--dims", "40", "--epsilon-max", "0.05"],
     ["classify", "--dims", "10,10", "--theta-over-pi", "1", "--epsilon-max", "0.05"],
     ["chain", "--n", "40"],
-    ["scaling", "--d", "2", "--m-min", "8", "--m-max", "12"],
+    ["scaling", "--d", "2", "--m-min", "40", "--m-max", "44"],
 ], ids=["drop", "drop-noisy", "drop-noisy-1d", "classify-noisy", "chain", "scaling"])
 def test_cartesian_commands_are_refused_past_the_budget(capsys, monkeypatch, args):
     # a 50 kB budget stands in for an oversized network: 100 rates or a
@@ -225,6 +230,20 @@ def test_cartesian_commands_are_refused_past_the_budget(capsys, monkeypatch, arg
     assert run_cli(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config:") and "budget" in err
+
+
+_HUGE = ",".join(["100000"] * 70)
+
+
+@pytest.mark.parametrize("argv", [
+    ["drop", "--dims", _HUGE], ["eom-eig", "--dims", _HUGE],
+    ["scaling", "--d", "400", "--m-min", "10", "--m-max", "14"],
+], ids=["drop", "eom-eig", "scaling"])
+def test_a_need_past_the_float_range_is_config_error(capsys, argv):
+    # the budget message once divided the need into a float, which overflowed
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "Traceback" not in err
 
 
 def test_unknown_method_is_usage_error():
@@ -395,21 +414,20 @@ def test_scaling_command(tmp_path):
 
 
 def test_scaling_report_builds_no_index_tuples(monkeypatch, capsys):
-    # the sweep takes its rates from the Cartesian sum alone; its report
-    # bytes equal those of the rates of the full drop_spectrum (tuples and all)
+    # the sweep builds no Cartesian sum, and its minima are those of the
+    # whole sum, so the report holds the oracle's
     argv = ["scaling", "--d", "2", "--m-min", "100", "--m-max", "300", "--m-step", "50"]
 
-    def no_tuples(spec):
-        raise AssertionError("scaling built index tuples")
-    monkeypatch.setattr(analysis, "drop_spectrum", no_tuples)
-    monkeypatch.setattr(drop, "drop_spectrum", no_tuples)
+    def no_sum(spec):
+        raise AssertionError("scaling built a Cartesian sum")
+    monkeypatch.setattr(analysis, "drop_spectrum", no_sum)
+    monkeypatch.setattr(drop, "drop_spectrum", no_sum)
     assert run_cli(argv) == 0
-    got = capsys.readouterr().out
+    report = json.loads(capsys.readouterr().out)["report"]
     monkeypatch.undo()
-    monkeypatch.setattr(analysis, "_cartesian_rates",
-                        lambda spec: drop.drop_spectrum(spec).rates)
-    assert run_cli(argv) == 0
-    assert got == capsys.readouterr().out
+    theta = cli.RunConfig(method="scaling").theta
+    assert report["min_rates"] == [cli._sig(cartesian_min_rate(2, m, theta))
+                                   for m in range(100, 301, 50)]
 
 
 def test_scaling_zero_dimensions_is_config_error(capsys):

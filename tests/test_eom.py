@@ -626,6 +626,16 @@ def test_all_poles_cnm_rejects_a_tol_that_is_not_finite_and_positive(tol):
         all_poles_cnm(spec_of([2, 3], (1.0, 0.4)), tol=tol)
 
 
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 0.0, -1.0])
+def test_null_space_rejects_a_rank_tol_that_is_not_finite_and_positive(rank_tol):
+    # NaN and -1 counted no singular value as small: nullity 0 where 2 is right
+    spec = spec_of([2, 3], theta=np.pi)
+    with pytest.raises(ValueError, match="rank_tol"):
+        nullity_at(spec, 0.0, rank_tol=rank_tol)
+    with pytest.raises(ValueError, match="rank_tol"):
+        analysis.bic_condition_check(spec, rank_tol=rank_tol)
+
+
 # ----------------------------------------------------------- full spectra
 
 @pytest.mark.parametrize("dims, gammas, frac", [

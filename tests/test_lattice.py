@@ -70,6 +70,13 @@ def test_spec_validation():
         NetworkSpec(dims=(2,), gammas=(1.0,), theta=np.inf)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_spec_rejects_a_rate_that_is_not_finite(bad):
+    # NaN passed the old g <= 0 test
+    with pytest.raises(ValueError, match="finite and > 0"):
+        NetworkSpec(dims=(2, 3), gammas=(bad, 1.0), theta=0.3)
+
+
 def test_noise_zero_epsilon_is_symmetric():
     spec = NetworkSpec(dims=(3, 2), gammas=(1.0, 2.5), theta=0.4)
     field = sample_noise(spec, 0.0, seed=11)

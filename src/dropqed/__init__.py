@@ -19,7 +19,7 @@ from .analysis import (
     noise_study,
     subradiance_scaling,
 )
-from .chain1d import ChainSpectrum, chain_rates, coupling_matrix
+from .chain1d import ChainSpectrum, chain_rates
 from .drop import MatchReport, Spectrum, drop_spectrum, match_spectra
 from .eom import (
     EomMatrix,
@@ -82,7 +82,6 @@ __all__ = [
     "bic_condition_check",
     "chain_rates",
     "classify_superradiance",
-    "coupling_matrix",
     "drop_spectrum",
     "enumerate_lines",
     "enumerate_qubits",

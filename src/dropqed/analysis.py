@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import eom
-from .chain1d import chain_rates
+from .chain1d import _check_chain, chain_rates
 from .drop import Spectrum, _index_columns, drop_spectrum
 from .errors import ThetaOutOfRange
 from .lattice import LineId, NetworkSpec, _lines, enumerate_lines, sample_noise
@@ -179,14 +179,18 @@ def subradiance_scaling(d: int, theta: float = 0.9999 * math.pi,
     is the least of d sums, each with one axis on the top rate.  The chain
     rates (:func:`~dropqed.chain1d.chain_rates`, M <= 5792) resolve small
     real parts relative to themselves: at 0.9999*pi the 1-D slope of M =
-    10..300 reads -3.01.  d < 1, a non-finite theta, N past the float range
-    and a smallest real part <= 0 raise ValueError.
+    10..300 reads -3.01.  d < 1, a non-finite theta, M < 1, N past the
+    float range and a smallest real part <= 0 raise ValueError, and each M
+    past the chain budget ConfigError as the sweep is read.
     """
     if not (d >= 1 and math.isfinite(theta)):
         raise ValueError(f"need d >= 1 and a finite theta, got d = {d}, theta = {theta}")
     if m_range is None and d not in _DEFAULT_SWEEPS:
         raise ValueError(f"no default sweep for d = {d}; pass m_range")
-    m_values = list(_DEFAULT_SWEEPS[d] if m_range is None else m_range)
+    m_values = []
+    for m in _DEFAULT_SWEEPS[d] if m_range is None else m_range:
+        _check_chain(m)    # as the sweep is read: a range lists at most 5792 M
+        m_values.append(m)
     if len(m_values) < 5:
         raise ValueError("scaling fit needs at least 5 sweep points")
     try:

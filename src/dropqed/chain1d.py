@@ -91,19 +91,6 @@ def _re_im_order(values: np.ndarray) -> np.ndarray:
     return np.argsort(values, kind="stable")
 
 
-def coupling_matrix(n: int, theta: float) -> np.ndarray:
-    """N x N kernel ``exp(i * theta * |j - k|)`` coupling qubits on one line.
-
-    Eliminating the right/left-moving amplitudes from the chain equations of
-    motion leaves ``Delta e = -(i/2) gamma K e``, so the dimensionless rates
-    are exactly the eigenvalues of K (via Gamma = 2i Delta).  The entries
-    are gathered from the N phases ``exp(i * theta * s)``, s = 0..N-1.
-    """
-    j = np.arange(n)
-    phases = np.exp(1j * theta * j)
-    return phases[np.abs(j[:, None] - j[None, :])]
-
-
 def _sectors(n: int, theta: float) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The two reversal sectors of the kernel, each as ``(S, u)`` with the
     sector block equal to ``i S + u u^T``.
@@ -244,9 +231,21 @@ def _secular_rates(s: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.concatenate([z, exact])
 
 
+def _check_chain(n: int) -> None:
+    """Raise ValueError for n < 1, and ConfigError when the chain's kernel
+    and eigensolver copies would exceed the memory budget (n > 5792)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    # peak RSS is about 25 n^2 bytes (24.7 and 24.3 n^2 above a warm process
+    # at n = 2000 and 4000, theta = 0.65 pi; 28.5 and 28.4 for the dense
+    # route that served them before), below the 64 n^2 of four complex
+    # n x n arrays
+    _check_dense(n, n, "the chain kernel")
+
+
 def chain_rates(n: int, theta: float) -> ChainSpectrum:
     """All N dimensionless collective decay rates of an N-qubit chain: the
-    eigenvalues of :func:`coupling_matrix`, sorted by (Re, Im).
+    eigenvalues of the kernel K (see the module notes), sorted by (Re, Im).
 
     The kernel splits into its reversal-even and reversal-odd blocks by an
     exact orthogonal transform (centrosymmetric splitting, Cantoni & Butler
@@ -257,13 +256,7 @@ def chain_rates(n: int, theta: float) -> ChainSpectrum:
     whose kernel and eigensolver copies would exceed the memory budget
     raises ConfigError first: n <= 5792.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    # peak RSS is about 25 n^2 bytes (24.7 and 24.3 n^2 above a warm process
-    # at n = 2000 and 4000, theta = 0.65 pi; 28.5 and 28.4 for the dense
-    # route that served them before), below the 64 n^2 of four complex
-    # n x n arrays
-    _check_dense(n, n, "the chain kernel")
+    _check_chain(n)
     # the odd sector of one qubit is empty
     z = np.concatenate([_secular_rates(s, u) for s, u in _sectors(n, theta) if u.size])
     return ChainSpectrum(n=n, theta=theta, z=z[_re_im_order(z)])

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .chain1d import chain_rates
-from .errors import SizeMismatchError, _check_budget, _check_dense
+from .errors import SizeMismatchError, _check_budget, _check_dense, _decimal
 from .lattice import NetworkSpec
 
 
@@ -107,7 +107,8 @@ def _check_rates(spec: NetworkSpec) -> None:
     """Raise ConfigError when the network's Cartesian sum and its output,
     or the chain eigensolve of its longest axis, would exceed the memory
     budget."""
-    _check_budget(spec.n_qubits * _RATE_BYTES, f"the Cartesian sum's {spec.n_qubits} rates")
+    _check_budget(spec.n_qubits * _RATE_BYTES,
+                  f"the Cartesian sum's {_decimal(spec.n_qubits)} rates")
     _check_dense(max(spec.dims), max(spec.dims), "the longest axis's chain kernel")
 
 

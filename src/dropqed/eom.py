@@ -33,7 +33,7 @@ min(tol, 1e-9), and :func:`all_poles_det_interp` is it under another
 label, all three one body, :func:`_eigen_route`.  Without noise H commutes
 with the reversal of every axis, so :func:`_eig` changes each axis to its
 even/odd reflection basis and diagonalizes the 2^d parity sectors apart,
-each about N / 2^d; a noisy H is one sector, one dense eig.
+each about N / 2^d by one dense eig; a noisy H is one sector, one eig.
 ``_EomSystem`` applies the line relations above, without H and without
 storing the system's nonzeros, and holds the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
@@ -133,12 +133,13 @@ class NullSpaceResult:
 
 
 # The H routes are counted as four complex N x N arrays.  They hold H, which
-# is folded in place, and the eigenvector buffer, plus per sector one eig's
-# copy and eigenvectors, and half an array while a fold runs; the seeded
-# routes add the claimed eigenvectors.  The single solve of a noisy spec
-# holds H, eig's copy and its eigenvectors, then H, the eigenvectors and the
-# buffer they are copied to.  Building H holds only H beside two arrays
-# of at most _H_CHUNK entries.
+# is folded in place, and the eigenvector buffer, plus, one sector at a
+# time, the sector's block, eig's copy of it and its eigenvectors, and half
+# an array while a fold runs; the seeded routes add the claimed
+# eigenvectors.  The single solve of a noisy spec holds H, eig's copy and
+# its eigenvectors, then H, the eigenvectors and the buffer they are copied
+# to.  Building H holds only H beside two arrays of at most _H_CHUNK
+# entries.
 # 2 GiB admits N <= 5792 for H (17 x 17 x 17).
 def _check_h(spec: NetworkSpec) -> None:
     """Raise ConfigError when H and its eigensolve would exceed the budget."""
@@ -164,8 +165,8 @@ def _hamiltonian(spec: NetworkSpec) -> np.ndarray:
     """The N x N effective Hamiltonian H, whose eigenvalues are the poles.
 
     Each line adds -(i/2) sqrt(g_j g_k) K[j, k] over its own qubits, with K
-    the chain kernel of :func:`~dropqed.chain1d.coupling_matrix` and g the
-    per-qubit rates along the line.  The line blocks of one axis are one
+    the chain kernel exp(i theta |j - k|) of :mod:`dropqed.chain1d` and g
+    the per-qubit rates along the line.  The line blocks of one axis are one
     strided view of H, (transverse axes..., M, M), and take their terms in
     place, a slice of rows at a time; K is a read-only Toeplitz view of
     2M - 1 phases.  The budget is checked first.
@@ -223,11 +224,11 @@ def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`_fold` on both index sides of every axis makes it block-diagonal:
     a mode is even or odd along each axis, which gives 2^d sectors of about
     N / 2^d (Cantoni & Butler, Linear Algebra Appl. 13, 275 (1976), per
-    axis).  The sectors of one shape go to one stacked np.linalg.eig call,
-    which gives each the values and vectors of its own call.  Each sector's
-    eigenvectors go into one N x N buffer at its rows and columns, which is
-    then folded back.  A spec with a noise field folds no axis: its one
-    sector is H, and the call is np.linalg.eig(h) itself.
+    axis).  Each sector takes one np.linalg.eig call, in product order; its
+    values and vectors go to the next columns of the result, its vectors at
+    its own rows, and the vectors are then folded back.  A spec with a
+    noise field folds no axis: its one sector is a view of H, and the call
+    is np.linalg.eig(h) itself.
     """
     dims, n = spec.dims, spec.n_qubits
     grid = h.reshape(dims + dims)
@@ -237,32 +238,18 @@ def _eig(spec: NetworkSpec, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             _fold(grid, axis)
     else:
         halves = [(slice(0, m),) for m in dims]
-    # the sectors' columns in product order, grouped by shape
-    by_shape: dict[tuple[int, ...], list[tuple[tuple[slice, ...], slice]]] = {}
+    values = np.empty(n, dtype=complex)
+    vectors = np.zeros((n, n), dtype=complex)
+    rows = vectors.reshape(dims + (n,))
     start = 0
     for sector in itertools.product(*halves):
         shape = tuple(s.stop - s.start for s in sector)
         size = math.prod(shape)
         if size:                 # an empty sector is odd along an axis of one qubit
-            by_shape.setdefault(shape, []).append((sector, slice(start, start + size)))
-            start += size
-    values = np.empty(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
-    rows = vectors.reshape(dims + (n,))
-    for shape, sectors in by_shape.items():
-        size = math.prod(shape)
-        if len(sectors) == 1:    # as its 2-D block; H itself under noise, a view
-            sector = sectors[0][0]
-            stack = grid[sector + sector].reshape(size, size)
-        else:
-            stack = np.empty((len(sectors), size, size), dtype=complex)
-            for block, (sector, _) in zip(stack, sectors):
-                block.reshape(shape + shape)[...] = grid[sector + sector]
-        stack_values, stack_vectors = np.linalg.eig(stack)
-        for (sector, cols), block_values, block in zip(
-                sectors, stack_values.reshape(-1, size), stack_vectors.reshape(-1, size, size)):
-            values[cols] = block_values
+            cols = slice(start, start + size)
+            values[cols], block = np.linalg.eig(grid[sector + sector].reshape(size, size))
             rows[sector + (cols,)] = block.reshape(shape + (size,))
+            start += size
     if spec.noise is None:
         for axis in range(len(dims)):
             _fold(rows, axis)

@@ -48,14 +48,23 @@ class ThetaOutOfRange(DropQedError):
 _MEMORY_BUDGET = 2 * 2 ** 30
 
 
+def _decimal(n: int) -> str:
+    """A count in full below 10^12, else as three digits and a power of ten,
+    also past the float range and the 4300 digits Python writes in full."""
+    if n < 10 ** 12:
+        return str(n)
+    power = int(math.log10(n))
+    return f"{n / 10 ** power:.3g}e+{power}"
+
+
 def _check_budget(need: int, what: str) -> None:
     """Raise ConfigError when ``what`` needs more than the budget (``need`` bytes)."""
     if need > _MEMORY_BUDGET:
-        # a need past the float range is written by its power of ten
-        gib = f"{need / 2 ** 30:.3g}" if need < 2 ** 1000 else f"over 1e+{int(math.log10(need >> 30))}"
+        gib = f"{need / 2 ** 30:.3g}" if need < 2 ** 1000 else _decimal(need >> 30)
         raise ConfigError(f"{what} need {gib} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
 
 
 def _check_dense(rows: int, cols: int, what: str) -> None:
     """Raise ConfigError when four complex rows x cols arrays exceed the budget."""
-    _check_budget(4 * 16 * rows * cols, f"{what} is {rows} x {cols}: its dense work arrays")
+    _check_budget(4 * 16 * rows * cols,
+                  f"{what} is {_decimal(rows)} x {_decimal(cols)}: its dense work arrays")

@@ -231,26 +231,23 @@ def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField
     if not (math.isfinite(epsilon_max) and epsilon_max >= 0):
         raise ValueError("epsilon_max must be finite and >= 0")
     n_qubits, d = spec.n_qubits, spec.ndim
-    if epsilon_max == 0.0:
-        rates = spec.gammas * n_qubits
-    else:
-        # numpy's own hash of the last key; it also rejects a seed numpy
-        # does not take
-        last = np.random.SeedSequence(entropy=seed, spawn_key=(n_qubits - 1, d - 1))
-        keys = _stream_keys(seed, n_qubits, d)
-        if not np.array_equal(keys[-1], last.generate_state(2, np.uint64)):
-            raise RuntimeError("noise stream keys differ from numpy's SeedSequence")
-        bits = np.random.Philox(last)
-        rng = np.random.Generator(bits)
-        state = bits.state             # a fresh stream: zero counter, empty buffer
-        rates = []
-        for key, gamma in zip(keys, spec.gammas * n_qubits):
-            state["state"]["key"] = key
-            bits.state = state
-            while True:
-                val = gamma * (1.0 + epsilon_max * rng.standard_normal())
-                if val > 0.0:
-                    rates.append(val)
-                    break
+    # numpy's own hash of the last key; it also rejects a seed numpy does
+    # not take
+    last = np.random.SeedSequence(entropy=seed, spawn_key=(n_qubits - 1, d - 1))
+    keys = _stream_keys(seed, n_qubits, d)
+    if not np.array_equal(keys[-1], last.generate_state(2, np.uint64)):
+        raise RuntimeError("noise stream keys differ from numpy's SeedSequence")
+    bits = np.random.Philox(last)
+    rng = np.random.Generator(bits)
+    state = bits.state             # a fresh stream: zero counter, empty buffer
+    rates = []
+    for key, gamma in zip(keys, spec.gammas * n_qubits):
+        state["state"]["key"] = key
+        bits.state = state
+        while True:
+            val = gamma * (1.0 + epsilon_max * rng.standard_normal())
+            if val > 0.0:
+                rates.append(val)
+                break
     return NoiseField(dims=spec.dims, rates=np.reshape(rates, (n_qubits, d)),
                       epsilon_max=float(epsilon_max), rng_seed=int(seed))

@@ -49,7 +49,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from dropqed import analysis, assemble, coupling_matrix, drop_spectrum, eom, lattice
+from dropqed import analysis, assemble, drop_spectrum, eom, lattice
 from dropqed.render import _HEIGHT, _K_PALETTE, _SERIES_PALETTE, _WIDTH, _fmt
 
 
@@ -96,7 +96,8 @@ def plain_eig(spec) -> tuple[np.ndarray, np.ndarray]:
 def sector_loop_eig(spec) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues and unit eigenvectors of a symmetric network's H by one
     np.linalg.eig call per reflection-parity sector, in product order: the
-    reference for the library's stacked calls."""
+    reference for the order in which the library fills the sectors'
+    columns."""
     dims, n = spec.dims, spec.n_qubits
     grid = eom._hamiltonian(spec).reshape(dims + dims)
     for axis in range(2 * len(dims)):
@@ -164,7 +165,7 @@ def gather_hamiltonian(spec) -> np.ndarray:
     h = np.zeros((spec.n_qubits, spec.n_qubits), dtype=complex)
     for axis, lines in enumerate(lattice._lines(spec)):
         root = np.sqrt(rates[lines, axis])
-        kernel = -0.5j * coupling_matrix(lines.shape[1], spec.theta)
+        kernel = -0.5j * exp_kernel(lines.shape[1], spec.theta)
         h[lines[:, :, None], lines[:, None, :]] += root[:, :, None] * root[:, None, :] * kernel
     return h
 
@@ -225,7 +226,8 @@ def det_at(spec, delta) -> complex:
 
 def exp_kernel(n: int, theta: float) -> np.ndarray:
     """The chain kernel ``exp(i theta |j - k|)`` by one complex exponential
-    per entry: the reference for the library's gather from N phases."""
+    per entry: the reference for the kernel ``eom._hamiltonian`` reads from
+    N phases."""
     j = np.arange(n)
     return np.exp(1j * theta * np.abs(j[:, None] - j[None, :]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from dropqed import (
+    ConfigError,
     NetworkSpec,
     Spectrum,
     ThetaOutOfRange,
@@ -242,6 +243,20 @@ def test_scaling_refuses_before_any_chain_is_solved(monkeypatch, d, theta, m_ran
     monkeypatch.setattr(analysis, "chain_rates", solves)
     with pytest.raises(ValueError):
         subradiance_scaling(d, theta, m_range)
+
+
+def test_scaling_refuses_an_m_past_the_chain_budget_as_it_is_read():
+    # the sweep was listed whole first: range(6000, 2000001) took 167 MB
+    # of peak RSS before its first chain was refused
+    read = []
+
+    def sweep():
+        for m in range(6000, 2_000_001):
+            read.append(m)
+            yield m
+    with pytest.raises(ConfigError, match="budget"):
+        subradiance_scaling(1, 0.5 * np.pi, sweep())
+    assert read == [6000]
 
 
 # ------------------------------------------------------------ bound states

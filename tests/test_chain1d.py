@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dropqed import chain1d, chain_rates, coupling_matrix
+from dropqed import chain1d, chain_rates
 from oracles import (
     chain2_rates,
     chain3_rates,
@@ -163,11 +163,11 @@ def test_superradiance_limit_at_pi():
         assert near_0.sum() == n - 1
 
 
-def test_coupling_matrix_matches_char_poly_roots():
+def test_kernel_eigenvalues_match_char_poly_roots():
     # two independent constructions of the same spectrum
     for n in (4, 7):
         theta = 0.42 * np.pi
-        z_eig = np.linalg.eigvals(coupling_matrix(n, theta))
+        z_eig = np.linalg.eigvals(exp_kernel(n, theta))
         chi = np.polynomial.polynomial.polyroots(char_poly(n, theta))
         assert multiset_max_err(z_eig, 1j / chi) < 1e-9
 
@@ -207,12 +207,6 @@ def test_lambda_residual_rejects_non_poles():
 def test_lambda_residual_rejects_zero():
     with pytest.raises(ValueError):
         lambda_residual(3, np.pi, 0.0)
-
-
-@pytest.mark.parametrize("frac", SPLIT_FRACS)
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 50, 51, 513, 1000])
-def test_coupling_matrix_is_bit_identical_to_exp_formula(n, frac):
-    assert np.array_equal(coupling_matrix(n, frac * np.pi), exp_kernel(n, frac * np.pi))
 
 
 @pytest.mark.parametrize("frac", SPLIT_FRACS)
@@ -257,7 +251,7 @@ def test_sectors_are_the_split_blocks(n):
     # i S + u u^T is the reversal-even block A + CJ (bordered for odd n)
     # and the reversal-odd block A - CJ of the kernel
     for frac in (0.0, 0.37, 0.9999, 2.6):
-        k = coupling_matrix(n, frac * np.pi)
+        k = exp_kernel(n, frac * np.pi)
         m = n // 2
         a, cj = k[:m, :m], k[:m, n - m:][:, ::-1]
         even = a + cj

@@ -246,6 +246,39 @@ def test_a_need_past_the_float_range_is_config_error(capsys, argv):
     assert err.startswith("error: config:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("axes", [70, 1000])
+@pytest.mark.parametrize("command", ["drop", "eom-eig"])
+def test_budget_messages_write_huge_counts_as_powers_of_ten(capsys, command, axes):
+    # the counts were written in full: 351 digits at 70 axes of 100000, and
+    # past 4300 digits Python refused to write them, so no budget was named
+    assert run_cli([command, "--dims", ",".join(["100000"] * axes)]) == 1
+    err = capsys.readouterr().err
+    assert "budget" in err and "Traceback" not in err
+    assert max(map(len, err.splitlines())) <= 200
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--d", "1", "--m-min", "6000", "--m-max", "1000000000000"],
+    ["compare", "--dims", "2,2", "--theta-sweep", "0:1:1000000000000"],
+], ids=["scaling", "theta-sweep"])
+def test_sweeps_are_sized_before_they_are_listed(capsys, argv):
+    # each sweep was listed whole first, which asked for 8 TB
+    assert run_cli(argv) == 1
+    assert "budget" in capsys.readouterr().err
+
+
+def test_a_negative_noise_seed_is_config_error(capsys, tmp_path):
+    # at epsilon_max = 0 the seed went unread, and above it numpy's error
+    # named no flag
+    cfg = tmp_path / "seed.json"
+    cfg.write_text(json.dumps({"noise_seed": -1}))
+    for argv in (["noise", "--dims", "2,2", "--noise-seed", "-1"],
+                 ["noise", "--dims", "2,2", "--noise-seed", "-1", "--epsilon-max", "0.1"],
+                 ["noise", "--dims", "2,2", "--config", str(cfg)]):
+        assert run_cli(argv) == 1
+        assert "noise_seed" in capsys.readouterr().err
+
+
 def test_unknown_method_is_usage_error():
     assert run_cli(["frobnicate"]) == 1
 

@@ -439,9 +439,10 @@ def test_parity_sectors_match_one_eigensolve(dims, gammas, frac):
 @pytest.mark.parametrize("dims, gammas, frac", SECTOR_CASES + [
     ([2, 2, 2], (1.0, 4.0, 2.0), 0.5), ([4, 4, 4], None, 0.65), ([6, 6], (1.0, 0.4), 0.3),
 ])
-def test_stacked_sector_eigensolves_match_one_call_per_sector(dims, gammas, frac):
-    # one stacked eig per sector shape (all 2^d sectors of an even cube
-    # share one) gives each sector the values and vectors of its own call
+def test_sector_eigensolves_fill_the_columns_in_product_order(dims, gammas, frac):
+    # the sectors' values and vectors take their columns in product order:
+    # a swap of two sectors' columns, which moves values and vectors alike,
+    # passes every other test
     spec = spec_of(dims, gammas, theta=frac * np.pi)
     values, vecs = eom._eig(spec, eom._hamiltonian(spec))
     want_values, want_vecs = sector_loop_eig(spec)

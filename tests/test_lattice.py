@@ -147,6 +147,17 @@ def test_noise_rejects_seeds_numpy_rejects(seed, error):
         sample_noise(spec, 0.05, seed)
 
 
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_noise_at_zero_epsilon_rejects_what_a_draw_rejects(seed, error):
+    # epsilon_max = 0 once returned the rates without reading the seed
+    spec = NetworkSpec(dims=(2, 3), gammas=(1.0, 2.0), theta=0.4)
+    with pytest.raises(error) as noisy:
+        sample_noise(spec, 0.05, seed)
+    with pytest.raises(error) as zero:
+        sample_noise(spec, 0.0, seed)
+    assert str(zero.value) == str(noisy.value)
+
+
 @pytest.mark.parametrize("epsilon", [np.nan, np.inf, -np.inf, -0.1])
 def test_noise_rejects_an_epsilon_that_is_not_finite_and_nonnegative(epsilon):
     # a NaN epsilon used to pass the check and never leave the rejection loop

@@ -39,14 +39,12 @@ significant digits as ``_sig`` rounds it.  Re and Im are formatted by
   ``float.__repr__(float(t))``, or ``NaN``, ``Infinity`` and
   ``-Infinity``).
 
-The index columns are written by ``%s``: a ``drop_spectrum``'s as the
-texts of 1..N_n gathered by the index unravelled from the sort order, so
-no index tuple is built; any other spectrum's tuples are gathered as
-ints.  ``config`` and
-``report`` go through ``json.dumps(indent=2)``, indented one level; a
-``bic`` report holds at most four violation rows per line.  The tests
-compare both formats byte for byte with that reference writer, on named
-cases and on arbitrary float64 values.
+The index columns are written by ``%s``, as the texts of 1..N_n
+gathered by the index unravelled from the sort order, so no index tuple
+is built.  ``config`` and ``report`` go through ``json.dumps(indent=2)``,
+indented one level; a ``bic`` report holds at most four violation rows
+per line.  The tests compare both formats byte for byte with that
+reference writer, on named cases and on arbitrary float64 values.
 
 The parser registers only the command being invoked (all ten when none
 is named), and names all ten in its usage, so ``--help``, usage and errors
@@ -129,6 +127,8 @@ class RunConfig:
             raise ConfigError("epsilon_max must be finite and >= 0")
         if self.noise_seed is not None and self.noise_seed < 0:
             raise ConfigError(f"noise_seed must be >= 0, got {self.noise_seed}")
+        if self.m_step == 0:
+            raise ConfigError("m_step must not be 0")
         for name in ("match_tol", "rank_tol", "solver_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -203,12 +203,16 @@ _Spectra = list[tuple[Spectrum, Optional[Sequence[int]]]]
 def _columns(s: Spectrum, k_labels: Optional[Sequence[int]]) -> tuple[
         np.ndarray, np.ndarray, Optional[list[np.ndarray]], list[np.ndarray]]:
     """Re and Im of the rates of a nonempty spectrum in (Re, Im) order, one
-    column per axis of its index tuples (None without tuples; texts for a
-    product enumeration, ints otherwise), and the columns that follow Re
-    and Im in a row: the axes, then the k labels if any."""
+    column per axis of its index tuples (None without tuples): the texts
+    of 1..N_n gathered by the unravelled index, so no int is built or
+    formatted per rate; and the columns that follow Re and Im in a row:
+    the axes, then the k labels if any."""
     order = _re_im_order(s.rates)
     rates = s.rates[order]
-    axes = _index_columns(s, order, texts=True) if s.has_tuples else None
+    axes = None
+    if s.has_tuples:
+        axes = [np.array([str(i) for i in range(1, n + 1)], dtype=object)[axis]
+                for n, axis in zip(s._shape, _index_columns(s, order))]
     ks = [] if k_labels is None else [np.asarray(k_labels, dtype=int)[order]]
     return rates.real, rates.imag, axes, [*(axes or ()), *ks]
 
@@ -274,8 +278,6 @@ def _json_row(re: str, im: str, axes: Optional[list], has_k: bool) -> str:
     the JSON document (json.dumps, indent=2)."""
     if axes is None:
         tuple_text = "null"
-    elif not axes:
-        tuple_text = "[]"
     else:
         tuple_text = "[" + ",".join(["\n            %s"] * len(axes)) + "\n          ]"
     return (f'        {{\n          "re": {re},\n          "im": {im},\n'

@@ -19,6 +19,7 @@ the EoM routes refine.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,53 +32,38 @@ from .errors import SizeMismatchError, _check_budget, _check_dense, _decimal
 from .lattice import NetworkSpec
 
 
-@dataclass(frozen=True, eq=False, init=False)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """A multiset of complex collective decay rates with provenance.
 
-    ``index_tuples`` is present only for Cartesian-sum spectra: entry k holds
-    the 1-based per-axis choices ``(s_1, ..., s_d)`` selecting which 1-D rate
-    each axis contributed to ``rates[k]``.  They must be distinct; only
-    :func:`drop_spectrum` skips that check: it passes no tuples but the
-    product shape ``_shape = (N_1, ..., N_d)``, whose enumeration (last axis
-    fastest) the tuples are.  That enumeration is built, and kept, only
-    when ``index_tuples`` is read; ``has_tuples`` and :func:`_index_columns`
-    (which unravels a product's indices from the sort order) never build it.
+    Cartesian-sum spectra alone carry index tuples, as the product shape
+    ``_shape = (N_1, ..., N_d)`` set by :func:`drop_spectrum`: entry k of
+    ``index_tuples``, built and kept when first read, holds the 1-based
+    per-axis choices ``(s_1, ..., s_d)`` summed into ``rates[k]``, in the
+    product enumeration (last axis fastest).
     """
 
     rates: np.ndarray
     method: str
-    _tuples: Optional[tuple[tuple[int, ...], ...]] = field(repr=False)
-    _shape: Optional[tuple[int, ...]] = field(repr=False)
+    _shape: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
-    def __init__(self, rates, method: str,
-                 index_tuples: Optional[tuple[tuple[int, ...], ...]] = None,
-                 _shape: Optional[tuple[int, ...]] = None) -> None:
-        rates = np.asarray(rates, dtype=complex)
+    def __post_init__(self) -> None:
+        rates = np.asarray(self.rates, dtype=complex)
         rates.setflags(write=False)
-        if _shape is not None and math.prod(_shape) != len(rates):
-            raise ValueError("the product shape must hold one index tuple per rate")
-        if index_tuples is not None:
-            if len(index_tuples) != len(rates):
-                raise ValueError("one index tuple per rate required")
-            if len(set(index_tuples)) != len(index_tuples):
-                raise ValueError("index tuples must be distinct")
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "method", method)
-        object.__setattr__(self, "_tuples", index_tuples)
-        object.__setattr__(self, "_shape", _shape)
+        if self._shape is not None and math.prod(self._shape) != len(rates):
+            raise ValueError("the product shape must hold one index tuple per rate")
 
-    @property
+    @functools.cached_property
     def index_tuples(self) -> Optional[tuple[tuple[int, ...], ...]]:
-        if self._tuples is None and self._shape is not None:
-            object.__setattr__(self, "_tuples", tuple(
-                itertools.product(*[range(1, n + 1) for n in self._shape])))
-        return self._tuples
+        if self._shape is None:
+            return None
+        return tuple(itertools.product(*[range(1, n + 1) for n in self._shape]))
 
     @property
     def has_tuples(self) -> bool:
         """Whether the rates carry index tuples, without building them."""
-        return self._shape is not None or self._tuples is not None
+        return self._shape is not None
 
     def __len__(self) -> int:
         return len(self.rates)
@@ -130,20 +116,10 @@ def drop_spectrum(spec: NetworkSpec) -> Spectrum:
     return Spectrum(rates=total, method="drop", _shape=spec.dims)
 
 
-def _index_columns(s: Spectrum, order: np.ndarray, texts: bool = False) -> list[np.ndarray]:
-    """One array per axis: entry i holds that axis's index in the tuple of
-    rate ``order[i]`` of ``s``, which has tuples and at least one rate.
-    A product enumeration is unravelled from ``order``, as ints or, with
-    ``texts``, as the texts of 1..N_n gathered by the unravelled index (an
-    object array, for the row writer: no int is built or formatted per
-    rate); any other tuples are gathered as ints."""
-    if s._shape is None:
-        return list(np.array(s._tuples, dtype=np.int64).reshape(len(s), -1)[order].T)
-    axes = np.unravel_index(order, s._shape)
-    if not texts:
-        return [axis + 1 for axis in axes]
-    return [np.array([str(i) for i in range(1, n + 1)], dtype=object)[axis]
-            for n, axis in zip(s._shape, axes)]
+def _index_columns(s: Spectrum, order: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Per axis, the 0-based index in the tuple of each rate ``order[i]``
+    of ``s``, which has tuples, unravelled by its product shape."""
+    return np.unravel_index(order, s._shape)
 
 
 def _distinct(values: np.ndarray) -> bool:

@@ -75,7 +75,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -441,8 +441,11 @@ class _EomSystem:
         excite -= np.multiply(e, deltas, out=work[0])
         ax_sq += _square_sums(excite)
         # the real and imaginary parts of each column are adjacent
-        return (np.sqrt(ax_sq.reshape(-1, 2).sum(axis=1) / x_sq.reshape(-1, 2).sum(axis=1))
-                / self.frobenius(deltas))
+        ax_sq, x_sq = ax_sq.reshape(-1, 2).sum(axis=1), x_sq.reshape(-1, 2).sum(axis=1)
+        frobenius = self.frobenius(deltas)
+        # an overflowed sum read 0 or NaN here: NaN, which fails every bound
+        finite = np.isfinite(ax_sq) & np.isfinite(x_sq) & np.isfinite(frobenius)
+        return np.where(finite, np.sqrt(ax_sq / x_sq) / frobenius, np.nan)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:
@@ -589,14 +592,14 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
 
 
 def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
-            method: str, error: type[Exception], bound: float = _CHECK_TOL) -> PoleSearchResult:
+            method: str, error: type[Exception],
+            bound: Optional[float] = _CHECK_TOL) -> PoleSearchResult:
     """The last step of every route: trace rule, (Re, Im) order, certificate.
 
     The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
-    S = sum_n N_n gamma_n, and every certificate must be at most ``bound``,
-    else ``error`` is raised; the trace rule is checked first.
-    ``residuals[k]`` is the certificate of pole k (NaN, uncertified, only
-    for ``validate="none"``).
+    S = sum_n N_n gamma_n, and every certificate must be at most ``bound``
+    (NaN fails), else ``error`` is raised; the trace rule is checked first.
+    A ``bound`` of None, only for ``validate="none"``, certifies nothing.
     """
     expected = float(spec.resolved_rates().sum())     # exact: the total per-qubit rate
     if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, spec.n_qubits * spec.rate_sum):
@@ -606,9 +609,9 @@ def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
         )
     order = _re_im_order(gammas)
     gammas, residuals = gammas[order], residuals[order]
-    failed = int(np.count_nonzero(residuals > bound))     # NaN: uncertified
+    failed = 0 if bound is None else int(np.count_nonzero(~(residuals <= bound)))
     if failed:
-        worst = int(np.argmax(np.nan_to_num(residuals)))
+        worst = int(np.argmax(np.nan_to_num(residuals, nan=np.inf)))
         raise error(
             f"{failed} of {len(gammas)} poles fail the certificate <= {bound:g}: reported "
             f"pole {gammas[worst]} fails the singularity check with certificate "
@@ -634,7 +637,8 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
     if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
-    return _eigen_route(spec, "eigen", ConditioningFailure, certify=validate != "none")
+    return _eigen_route(spec, "eigen", ConditioningFailure,
+                        None if validate == "none" else _CHECK_TOL)
 
 
 def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
@@ -652,14 +656,14 @@ def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
 
 
 def _eigen_route(spec: NetworkSpec, method: str, error: type[Exception],
-                 bound: float = _CHECK_TOL, certify: bool = True) -> PoleSearchResult:
+                 bound: Optional[float] = _CHECK_TOL) -> PoleSearchResult:
     """The body of the three all-poles routes: one eigensolve of H (which
     checks the budget first), one certificate pass over its N eigenvectors
-    (NaN, uncertified, without ``certify``), and :func:`_finish` under
+    (NaN, uncertified, when ``bound`` is None), and :func:`_finish` under
     ``method``, raising ``error`` past ``bound``."""
     values, vecs = _eig(spec, _hamiltonian(spec))
-    residuals = (_EomSystem(spec).certificates(values, vecs) if certify
-                 else np.full(len(values), np.nan))
+    residuals = (np.full(len(values), np.nan) if bound is None
+                 else _EomSystem(spec).certificates(values, vecs))
     return _finish(spec, 2j * values, residuals, method, error, bound)
 
 

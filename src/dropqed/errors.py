@@ -33,8 +33,8 @@ class ConditioningFailure(DropQedError):
 
     Raised in ``_finish``, the last step of every route, when a pole of
     ``all_poles_eig`` or ``all_poles_det_interp`` has a certificate
-    ``||A x|| / ||x|| / ||A||_F`` on the full system above 1e-9, or when
-    their poles break the trace rule.
+    ``||A x|| / ||x|| / ||A||_F`` on the full system above 1e-9 (or NaN,
+    from sums that overflowed), or when their poles break the trace rule.
     """
 
 
@@ -58,10 +58,15 @@ def _decimal(n: int) -> str:
 
 
 def _check_budget(need: int, what: str) -> None:
-    """Raise ConfigError when ``what`` needs more than the budget (``need`` bytes)."""
+    """Raise ConfigError when ``what`` needs more than the budget (``need``
+    bytes), written in GiB to three digits, or to 12 where those read as
+    no more than the budget."""
     if need > _MEMORY_BUDGET:
+        budget = _MEMORY_BUDGET / 2 ** 30
         gib = f"{need / 2 ** 30:.3g}" if need < 2 ** 1000 else _decimal(need >> 30)
-        raise ConfigError(f"{what} need {gib} GiB, over the {_MEMORY_BUDGET / 2 ** 30:g} GiB budget")
+        if float(gib) <= budget:
+            gib = f"{need / 2 ** 30:.12g}"
+        raise ConfigError(f"{what} need {gib} GiB, over the {budget:g} GiB budget")
 
 
 def _check_dense(rows: int, cols: int, what: str) -> None:

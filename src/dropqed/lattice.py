@@ -24,6 +24,8 @@ from typing import Optional
 
 import numpy as np
 
+from .errors import _check_budget, _decimal
+
 QubitIndex = tuple[int, ...]
 
 
@@ -215,6 +217,12 @@ def _stream_keys(seed: int, n_qubits: int, d: int) -> np.ndarray:
     return np.stack([halves[0] | halves[1] << 32, halves[2] | halves[3] << 32], axis=1)
 
 
+# Memory per (qubit, axis) noise stream while the field is drawn (its key,
+# hash words and rate): sample_noise's peak RSS rose 118, 114 and 113 bytes
+# a stream at 200x200, 300x300 and 60x60x60 (Python 3.11, numpy 2.4).
+_STREAM_BYTES = 160
+
+
 def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField:
     """Draw one Gaussian rate perturbation per (qubit, axis).
 
@@ -226,11 +234,14 @@ def sample_noise(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseField
     ``Generator(Philox(SeedSequence(entropy=seed, spawn_key=(i, n))))``.
     All keys are hashed in one vectorized pass and loaded into one Philox
     in turn; the last key is checked against numpy's own SeedSequence on
-    every call, and a mismatch raises RuntimeError.
+    every call, and a mismatch raises RuntimeError.  A field too large for
+    the memory budget raises ConfigError before any stream is keyed.
     """
     if not (math.isfinite(epsilon_max) and epsilon_max >= 0):
         raise ValueError("epsilon_max must be finite and >= 0")
     n_qubits, d = spec.n_qubits, spec.ndim
+    _check_budget(n_qubits * d * _STREAM_BYTES,
+                  f"the noise field's {_decimal(n_qubits * d)} streams")
     # numpy's own hash of the last key; it also rejects a seed numpy does
     # not take
     last = np.random.SeedSequence(entropy=seed, spawn_key=(n_qubits - 1, d - 1))

@@ -93,34 +93,6 @@ def plain_eig(spec) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.linalg.eig(eom._hamiltonian(spec)))
 
 
-def sector_loop_eig(spec) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit eigenvectors of a symmetric network's H by one
-    np.linalg.eig call per reflection-parity sector, in product order: the
-    reference for the order in which the library fills the sectors'
-    columns."""
-    dims, n = spec.dims, spec.n_qubits
-    grid = eom._hamiltonian(spec).reshape(dims + dims)
-    for axis in range(2 * len(dims)):
-        eom._fold(grid, axis)
-    values = np.empty(n, dtype=complex)
-    vectors = np.zeros((n, n), dtype=complex)
-    rows = vectors.reshape(dims + (n,))
-    start = 0
-    halves = [(slice(0, m - m // 2), slice(m - m // 2, m)) for m in dims]
-    for sector in itertools.product(*halves):
-        shape = tuple(s.stop - s.start for s in sector)
-        size = math.prod(shape)
-        if not size:
-            continue
-        cols = slice(start, start + size)
-        values[cols], block = np.linalg.eig(grid[sector + sector].reshape(size, size))
-        rows[sector + (cols,)] = block.reshape(shape + (size,))
-        start += size
-    for axis in range(len(dims)):
-        eom._fold(rows, axis)
-    return values, vectors
-
-
 def loop_noise(spec, epsilon_max, seed) -> np.ndarray:
     """(N, d) noisy rates with one SeedSequence, Philox and Generator per
     (qubit, axis) stream: the reference for the library's vectorized keys."""
@@ -383,11 +355,12 @@ def _sig12(x):
 def _reference_rows(s, k_labels):
     rows = []
     rates = np.asarray(s.rates, dtype=complex)
+    tuples = s.index_tuples
     for i in np.lexsort((rates.imag, rates.real)):
         rows.append({
             "re": _sig12(float(rates[i].real)),
             "im": _sig12(float(rates[i].imag)),
-            "tuple": list(s.index_tuples[i]) if s.index_tuples is not None else None,
+            "tuple": list(tuples[i]) if tuples is not None else None,
             "k": int(k_labels[i]) if k_labels is not None else None,
         })
     return rows

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -277,6 +279,45 @@ def test_a_negative_noise_seed_is_config_error(capsys, tmp_path):
                  ["noise", "--dims", "2,2", "--config", str(cfg)]):
         assert run_cli(argv) == 1
         assert "noise_seed" in capsys.readouterr().err
+
+
+def test_a_zero_m_step_is_config_error(capsys, tmp_path):
+    # range() refused it in a message that named no flag
+    cfg = tmp_path / "step.json"
+    cfg.write_text(json.dumps({"m_step": 0}))
+    sweep = ["scaling", "--d", "1", "--m-min", "10", "--m-max", "60"]
+    for argv in (sweep + ["--m-step", "0"], sweep + ["--config", str(cfg)]):
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:") and "m_step" in err
+
+
+def _need_and_budget(message):
+    return re.search(r"need (\S+) GiB, over the (\S+) GiB budget", message).groups()
+
+
+def test_budget_messages_show_a_need_above_the_budget(capsys, monkeypatch):
+    # rounded to three digits, a need just past the budget read as equal to
+    # it: "need 2 GiB, over the 2 GiB budget" at a chain of 5793
+    assert run_cli(["scaling", "--d", "1", "--m-min", "5790", "--m-max", "6000"]) == 1
+    need, budget = _need_and_budget(capsys.readouterr().err)
+    assert need != budget and float(need) > float(budget)
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 50_000)
+    with pytest.raises(errors.ConfigError) as refused:
+        errors._check_budget(50_001, "one byte more")
+    need, budget = _need_and_budget(str(refused.value))
+    assert need != budget and float(need) > float(budget)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("gammas", ["1e160,1", "1e300,1"])
+@pytest.mark.parametrize("command", ["eom-eig", "eom-cnm", "eom-det"])
+def test_overflowed_certificates_are_solver_errors(capsys, command, gammas):
+    # the overflowed certificates passed, and these runs exited 0
+    assert run_cli([command, "--dims", "2,2", "--gammas", gammas, "--theta-over-pi", "0.3"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "certificate nan" in captured.err
 
 
 def test_unknown_method_is_usage_error():
@@ -616,7 +657,7 @@ TEXT_BRANCHES = Spectrum(
         complex(-0.0, 0.0),              # signed zeros
         complex(np.nan, np.inf), complex(-np.inf, 0.0001),
     ]),
-    method="eigen", index_tuples=tuple((i, 9 - i) for i in range(9)))
+    method="eigen", _shape=(3, 3))
 
 
 # rows the JSON writer formats inline beside rows that take the text path
@@ -624,7 +665,7 @@ TEXT_BRANCHES = Spectrum(
 MIXED_ROWS = Spectrum(
     rates=np.array([0.1 + 2.5j, 3.0 - 0.25j, 0.5 + 0.0j, -1.25e-7 + 7.5j, 2.5e11 + 0.3j,
                     0.75 - 1.5e-200j, -0.3 - 0.7j, complex(np.nan, 0.2), 0.1 + 0.3j]),
-    method="eigen", index_tuples=tuple((i % 3, 20 - i) for i in range(9)))
+    method="eigen", _shape=(9, 1))
 # one column inline and the other on the text path, either way round
 # (exact zeros, an integral value, a subnormal)
 INLINE_RE_TEXT_IM = Spectrum(
@@ -632,7 +673,7 @@ INLINE_RE_TEXT_IM = Spectrum(
     method="eigen")
 TEXT_RE_INLINE_IM = Spectrum(
     rates=np.array([0.0 + 0.1j, -0.0 - 0.25j, 2.0 + 2.5j, 1e-320 + 7.5e-3j, 0.4 + 0.3j]),
-    method="eigen", index_tuples=tuple((i,) for i in range(5)))
+    method="eigen", _shape=(5,))
 
 
 def _handler_output(argv):
@@ -643,13 +684,6 @@ def _handler_output(argv):
 
 def _drop_of(argv):
     return _handler_output(argv)[0][0][0]
-
-
-def _reversed_tuples():
-    # a drop spectrum whose tuples are no product enumeration: only a
-    # gather of its tuples writes them
-    s = _drop_of(["drop", "--dims", "2,3", "--theta-over-pi", "0.3"])
-    return Spectrum(rates=s.rates, method="drop", index_tuples=s.index_tuples[::-1])
 
 
 # bic reports: violations on lines with and without transverse axes,
@@ -693,7 +727,6 @@ EMIT_CASES = {
         [(MIXED_ROWS, [4, 0, 2, 1, 3, 5, 8, 7, 6]), (MIXED_ROWS, None)], None),
     "one-column-on-the-text-path": lambda: (
         [(INLINE_RE_TEXT_IM, None), (TEXT_RE_INLINE_IM, [0, 1, 2, 3, 4])], None),
-    "drop-method-non-product-tuples": lambda: ([(_reversed_tuples(), None)], None),
     "bic-violations": lambda: _handler_output(
         ["bic", "--dims", "3,3,3", "--theta-over-pi", "2", "--m", "2"]),
     "bic-chain-no-transverse": lambda: _handler_output(
@@ -728,8 +761,6 @@ def test_emit_cases_take_the_paths_they_name():
     assert (at_zero.rates.imag == 0).all()
     assert kinds(MIXED_ROWS) == {0, 1, 2}
     assert kinds(INLINE_RE_TEXT_IM) == {0, 2} and kinds(TEXT_RE_INLINE_IM) == {0, 1}
-    reversed_tuples = _reversed_tuples()
-    assert reversed_tuples.method == "drop" and reversed_tuples._shape is None
     assert EMIT_CASES["bic-violations"]()[1]["violations"]
 
 
@@ -751,18 +782,16 @@ _FLOAT64 = st.one_of(
 
 @st.composite
 def _emitted_spectrum(draw):
-    axes = draw(st.sampled_from([None, 0, 2, 3]))
-    # distinct index tuples: only one rate can have an empty tuple
-    n = draw(st.integers(0, 1 if axes == 0 else 6))
+    # index tuples only as a product shape of one to three axes (an axis
+    # of zero qubits empties the spectrum); without tuples, any size
+    shape = draw(st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=1, max_size=3)))
+    n = draw(st.integers(0, 6)) if shape is None else math.prod(shape)
     values = draw(st.lists(st.tuples(_FLOAT64, _FLOAT64), min_size=n, max_size=n))
-    tuples = None
-    if axes is not None:
-        tuples = tuple(draw(st.lists(st.tuples(*[st.integers(0, 10**6)] * axes),
-                                     min_size=n, max_size=n, unique=True)))
     ks = draw(st.one_of(st.none(), st.lists(st.integers(-3, 10**6), min_size=n, max_size=n)))
     method = draw(st.sampled_from(["drop", "eigen", "cnm", "det-interp", "chain"]))
     rates = np.array([complex(re, im) for re, im in values], dtype=complex)
-    return Spectrum(rates=rates, method=method, index_tuples=tuples), ks
+    return Spectrum(rates=rates, method=method,
+                    _shape=None if shape is None else tuple(shape)), ks
 
 
 @settings(max_examples=150, deadline=None)

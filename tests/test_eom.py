@@ -1,4 +1,6 @@
+import itertools
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from dropqed import (
 from dropqed import analysis, chain1d, cli, drop, eom, lattice
 from dropqed.chain1d import _re_im_order
 from oracles import (dense_sigma_min, det_at, gather_hamiltonian, logdet_at, multiset_max_err,
-                     plain_eig, reduced, sector_loop_eig, splu_certificates)
+                     plain_eig, reduced, splu_certificates)
 
 
 def spec_of(dims, gammas=None, theta=0.5 * np.pi):
@@ -440,14 +442,37 @@ def test_parity_sectors_match_one_eigensolve(dims, gammas, frac):
     ([2, 2, 2], (1.0, 4.0, 2.0), 0.5), ([4, 4, 4], None, 0.65), ([6, 6], (1.0, 0.4), 0.3),
 ])
 def test_sector_eigensolves_fill_the_columns_in_product_order(dims, gammas, frac):
-    # the sectors' values and vectors take their columns in product order:
-    # a swap of two sectors' columns, which moves values and vectors alike,
-    # passes every other test
+    # the sectors' values and vectors take their columns in product order,
+    # each axis even before odd: a swap of two sectors' columns, which
+    # moves values and vectors alike, passes every other test.  Each
+    # sector's columns hold vectors of its parity and the eigenvalues of
+    # H projected on its reflection modes, built here without eom._fold.
     spec = spec_of(dims, gammas, theta=frac * np.pi)
-    values, vecs = eom._eig(spec, eom._hamiltonian(spec))
-    want_values, want_vecs = sector_loop_eig(spec)
-    assert np.array_equal(values, want_values)
-    assert np.array_equal(vecs, want_vecs)
+    h = eom._hamiltonian(spec)
+    values, vecs = eom._eig(spec, h.copy())
+    grid = vecs.reshape(tuple(dims) + (-1,))
+    start = 0
+    for parities in itertools.product((0, 1), repeat=len(dims)):
+        basis = reduce(np.kron, [_reflection_modes(m)[p] for m, p in zip(dims, parities)])
+        cols = slice(start, start + basis.shape[1])
+        start = cols.stop
+        want = np.linalg.eigvals(basis.T @ h @ basis)
+        assert multiset_max_err(values[cols], want) <= 1e-12 * spec.rate_sum
+        for axis, parity in enumerate(parities):
+            mirrored = np.flip(grid[..., cols], axis)
+            defect = np.abs(mirrored - (-1) ** parity * grid[..., cols])
+            assert defect.max(initial=0.0) <= 1e-12
+    assert start == spec.n_qubits
+
+
+def _reflection_modes(m):
+    """The even reflection modes (x_j + x_{m-1-j}) / sqrt 2 of an axis of m
+    qubits, with its middle qubit when m is odd, and its odd modes, as two
+    blocks of columns."""
+    eye, half = np.eye(m), m // 2
+    even = [(eye[j] + eye[m - 1 - j]) / np.sqrt(2) for j in range(half)] + list(eye[half:m - half])
+    odd = [(eye[j] - eye[m - 1 - j]) / np.sqrt(2) for j in range(half)]
+    return np.reshape(even, (-1, m)).T, np.reshape(odd, (-1, m)).T
 
 
 def test_noisy_networks_take_one_eigensolve():
@@ -965,3 +990,23 @@ def test_nullity_product_rule_sample():
         for dims, expected in cases:
             spec = spec_of(dims, theta=m * np.pi)
             assert nullity_at(spec, 0.0).nullity == expected, (dims, m)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("gammas", [(1e160, 1.0), (1e300, 1.0)])
+def test_overflowed_certificates_certify_no_pole(gammas):
+    # ||A||_F overflows: the certificate read exactly 0 at 1e160 and NaN at
+    # 1e300, and every route reported the poles as certified
+    spec = spec_of([2, 2], gammas, theta=0.3 * np.pi)
+    values, vecs = eom._eig(spec, eom._hamiltonian(spec))
+    assert np.isnan(eom._EomSystem(spec).certificates(values, vecs)).all()
+    for route in (all_poles_eig, all_poles_det_interp):
+        with pytest.raises(ConditioningFailure, match="certificate nan"):
+            route(spec)
+    with pytest.raises(MaxIterationsError, match="certificate nan"):
+        all_poles_cnm(spec)
+    with pytest.raises(MaxIterationsError):
+        find_pole(spec, values[0])
+    # validate="none" certifies nothing, so it still reports
+    assert np.isnan(all_poles_eig(spec, validate="none").residuals).all()

@@ -1,15 +1,18 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dropqed import (
+    ConfigError,
     NetworkSpec,
     enumerate_lines,
     enumerate_qubits,
     sample_noise,
 )
-from dropqed import lattice
+from dropqed import errors, lattice
 from dropqed.lattice import _lines
 from oracles import loop_noise
 
@@ -201,3 +204,34 @@ def test_n_qubits_is_exact_for_huge_dims():
     # int64 products wrap: (2**32, 2**32) gave 0 qubits
     assert NetworkSpec((2 ** 32, 2 ** 32), (1.0, 1.0), 0.5).n_qubits == 2 ** 64
     assert NetworkSpec((10 ** 7,) * 3, (1.0,) * 3, 0.5).n_qubits == 10 ** 21
+
+
+def test_noise_is_refused_past_the_budget(monkeypatch):
+    # (10^6, 10^6) asked numpy for 14.6 TiB of stream keys
+    def keys(*args, **kwargs):
+        raise AssertionError("streams keyed before the size check")
+    monkeypatch.setattr(lattice, "_stream_keys", keys)
+    monkeypatch.setattr(lattice.np.random, "SeedSequence", keys)
+    with pytest.raises(ConfigError, match="budget"):
+        sample_noise(make_spec([10 ** 6, 10 ** 6]), 0.05, seed=0)
+    # a 50 kB budget stands in: one stream more than it admits is refused
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 50_000)
+    admitted = 50_000 // lattice._STREAM_BYTES
+    with pytest.raises(ConfigError, match="budget"):
+        sample_noise(make_spec([admitted + 1]), 0.05, seed=0)
+    monkeypatch.undo()
+    monkeypatch.setattr(errors, "_MEMORY_BUDGET", 50_000)
+    assert sample_noise(make_spec([admitted]), 0.05, seed=0).rates.shape == (admitted, 1)
+
+
+@pytest.mark.parametrize("dims", [[60, 60], [20, 20, 20]])
+def test_noise_stays_within_its_per_stream_budget(dims):
+    spec = make_spec(dims)
+    sample_noise(make_spec([2, 2]), 0.05, seed=0)     # numpy's first-call allocations
+    tracemalloc.start()
+    try:
+        sample_noise(spec, 0.05, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spec.n_qubits * spec.ndim * lattice._STREAM_BYTES

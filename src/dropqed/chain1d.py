@@ -45,6 +45,7 @@ this route.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,8 +255,11 @@ def chain_rates(n: int, theta: float) -> ChainSpectrum:
     (:func:`_secular_rates`), which resolves the small real parts near
     theta = m pi relative to themselves (see the module notes).  A chain
     whose kernel and eigensolver copies would exceed the memory budget
-    raises ConfigError first: n <= 5792.
+    raises ConfigError first: n <= 5792.  A theta that is not finite
+    raises ValueError.
     """
+    if not math.isfinite(theta):
+        raise ValueError("theta must be finite")
     _check_chain(n)
     # the odd sector of one qubit is empty
     z = np.concatenate([_secular_rates(s, u) for s, u in _sectors(n, theta) if u.size])

@@ -46,10 +46,6 @@ indented one level; a ``bic`` report holds at most four violation rows
 per line.  The tests compare both formats byte for byte with that
 reference writer, on named cases and on arbitrary float64 values.
 
-The parser registers only the command being invoked (all ten when none
-is named), and names all ten in its usage, so ``--help``, usage and errors
-are those of the full tree.
-
 Each command is one handler in ``_COMMANDS`` returning its spectra and
 report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
 (a report with ``"passed": false``), 3 solver failure (a solver error, or
@@ -79,9 +75,6 @@ from .drop import (MatchReport, Spectrum, _check_rates, _index_columns, drop_spe
 from .errors import ConfigError, DropQedError, _check_budget, _decimal
 from .lattice import NetworkSpec, sample_noise
 from .render import render_scatter
-
-_METHODS = ("drop", "eom-eig", "eom-cnm", "eom-det", "chain", "compare",
-            "classify", "scaling", "noise", "bic")
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -497,12 +490,14 @@ def _bic(config: RunConfig) -> tuple[_Spectra, dict]:
     }
 
 
-# every command returns (spectra, report[, report for the SVG legend])
+# every command returns (spectra, report[, report for the SVG legend]); usage
+# lists them in this order
 _COMMANDS = {
-    "chain": _chain, "drop": _drop, "eom-eig": _eom, "eom-cnm": _eom,
-    "eom-det": _eom, "compare": _compare, "classify": _classify,
+    "drop": _drop, "eom-eig": _eom, "eom-cnm": _eom, "eom-det": _eom,
+    "chain": _chain, "compare": _compare, "classify": _classify,
     "scaling": _scaling, "noise": _noise, "bic": _bic,
 }
+_METHODS = tuple(_COMMANDS)
 
 
 def run(config: RunConfig) -> int:
@@ -635,29 +630,20 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--m", type=int, dest="bic_m", help="resonance order")
 
 
-def _build_parser(argv: Optional[Sequence[str]] = None) -> argparse.ArgumentParser:
-    """The parser for ``argv`` (``sys.argv[1:]`` when None).
-
-    When ``argv[0]`` names a command, only that command is registered:
-    argparse hands all later arguments to it alone, and the metavar lists
-    every command, so usage and errors are those of the full tree.  When
-    ``argv[0]`` names no command, every command is registered with its
-    flags.
-    """
-    if argv is None:
-        argv = sys.argv[1:]
-    invoked = argv[0] if argv and argv[0] in _METHODS else None
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every command and its flags."""
     parser = argparse.ArgumentParser(
         prog="dropqed",
         description="Collective decay rates of d-dimensional qubit networks.",
     )
-    # None keeps argparse's own metavar, and with it the full tree's
-    # "required: method" error
-    metavar = None if invoked is None else "{" + ",".join(_METHODS) + "}"
-    sub = parser.add_subparsers(dest="method", required=True, metavar=metavar)
-    for name in _METHODS if invoked is None else (invoked,):
+    sub = parser.add_subparsers(dest="method", required=True)
+    for name in _METHODS:
         _add_arguments(sub.add_parser(name), name)
     return parser
+
+
+# built once per process: parse_args keeps no state between calls
+_PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -678,9 +664,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser(argv)
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -442,10 +442,12 @@ class _EomSystem:
         ax_sq += _square_sums(excite)
         # the real and imaginary parts of each column are adjacent
         ax_sq, x_sq = ax_sq.reshape(-1, 2).sum(axis=1), x_sq.reshape(-1, 2).sum(axis=1)
-        frobenius = self.frobenius(deltas)
-        # an overflowed sum read 0 or NaN here: NaN, which fails every bound
-        finite = np.isfinite(ax_sq) & np.isfinite(x_sq) & np.isfinite(frobenius)
-        return np.where(finite, np.sqrt(ax_sq / x_sq) / frobenius, np.nan)
+        # an overflowed sum read 0 or NaN here: NaN, which fails every bound,
+        # so the overflow and the NaN it makes need no warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            frobenius = self.frobenius(deltas)
+            finite = np.isfinite(ax_sq) & np.isfinite(x_sq) & np.isfinite(frobenius)
+            return np.where(finite, np.sqrt(ax_sq / x_sq) / frobenius, np.nan)
 
 
 def _square_sums(a: np.ndarray) -> np.ndarray:

@@ -85,6 +85,14 @@ def test_chain_single_qubit():
         assert np.allclose(chain_rates(1, theta).z, [1.0])
 
 
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("n", [1, 3, 100])
+def test_chain_rejects_nonfinite_theta(n, theta):
+    # a NaN theta returned NaN rates, with no error
+    with pytest.raises(ValueError, match="theta must be finite"):
+        chain_rates(n, theta)
+
+
 def test_chain_examples_from_closed_forms():
     z = chain_rates(2, np.pi / 2).z
     assert multiset_max_err(z, [1 - 1j, 1 + 1j]) < 1e-12

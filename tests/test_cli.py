@@ -309,15 +309,38 @@ def test_budget_messages_show_a_need_above_the_budget(capsys, monkeypatch):
     assert need != budget and float(need) > float(budget)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gammas", ["1e160,1", "1e300,1"])
-@pytest.mark.parametrize("command", ["eom-eig", "eom-cnm", "eom-det"])
+@pytest.mark.parametrize("command", ["eom-eig", "eom-cnm", "eom-det", "compare"])
 def test_overflowed_certificates_are_solver_errors(capsys, command, gammas):
-    # the overflowed certificates passed, and these runs exited 0
+    # the overflowed certificates passed, and these runs exited 0; then
+    # they printed two RuntimeWarnings before the error
     assert run_cli([command, "--dims", "2,2", "--gammas", gammas, "--theta-over-pi", "0.3"]) == 3
     captured = capsys.readouterr()
-    assert captured.out == "" and "certificate nan" in captured.err
+    assert captured.out == ""
+    assert captured.err.startswith("error: solver:") and captured.err.count("\n") == 1
+    assert "certificate nan" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_overflowed_noise_study_fails_without_warnings(capsys):
+    # the refined poles' certificates overflow: none is recovered, and the
+    # study printed two RuntimeWarnings first
+    assert run_cli(["noise", "--dims", "2,2", "--epsilon-max", "1e300"]) == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["chain", "--n", "3"], ["drop", "--dims", "2,3"], ["scaling", "--d", "1"],
+], ids=["chain", "drop", "scaling"])
+def test_a_theta_that_overflows_is_config_error(capsys, argv):
+    # theta/pi = 1e308 is finite, but theta overflows to inf: chain printed
+    # three NaN rows and exited 0, after four RuntimeWarnings
+    assert run_cli(argv + ["--theta-over-pi", "1e308"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: config:") and captured.err.count("\n") == 1
 
 
 def test_unknown_method_is_usage_error():
@@ -351,24 +374,61 @@ _USAGE_ARGV = [[], ["--help"], ["bogus"]] + [
 
 @pytest.mark.parametrize("argv", _USAGE_ARGV, ids=lambda argv: " ".join(argv) or "no-command")
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
-    full = cli._build_parser([])   # names no command: every command has its flags
+    full = cli._build_parser()
     for name in cli._METHODS:
         assert full.parse_args([name, "--dims", "2"]).dims == "2"
     want = _parse_outcome(full, argv, capsys)
     assert want is not None and want[0] in (0, 2)
-    assert _parse_outcome(cli._build_parser(argv), argv, capsys) == want
     # main prints the same and maps argparse's exit 2 to the usage code
     code = run_cli(argv)
     assert (code, *capsys.readouterr()) == (0 if want[0] == 0 else 1, *want[1:])
 
 
-def test_parser_flags_only_the_invoked_command(capsys):
-    # the parser of one command registers no other
-    parser = cli._build_parser(["chain", "--n", "3"])
-    assert parser.parse_args(["chain", "--n", "3"]).chain_n == 3
-    with pytest.raises(SystemExit):
-        parser.parse_args(["drop", "--dims", "2"])
-    assert "invalid choice: 'drop'" in capsys.readouterr().err
+def test_a_command_refuses_the_flags_of_another(capsys):
+    assert run_cli(["chain", "--n", "3", "--eom-method", "cnm"]) == 1
+    assert capsys.readouterr().err.endswith(
+        "dropqed: error: unrecognized arguments: --eom-method cnm\n")
+    # every command takes --dims: chain reads it and still needs --n
+    assert run_cli(["chain", "--dims", "2"]) == 1
+    assert capsys.readouterr().err == "error: config: chain needs --n\n"
+
+
+def test_main_builds_no_parser(monkeypatch, capsys):
+    # the parser is built once, at import; main built one per call
+    def build():
+        raise AssertionError("main built a parser")
+    monkeypatch.setattr(cli, "_build_parser", build)
+    assert run_cli(["chain", "--n", "2"]) == 0
+    assert run_cli(["chain", "--bogus"]) == 1
+    assert run_cli(["--help"]) == 0
+
+
+# flags that one call sets and the next leaves out, and failing parses between
+_MIXED_ARGV = [
+    ["compare", "--dims", "2,3", "--eom-method", "cnm"],
+    ["compare", "--dims", "2,3"],
+    ["chain", "--bogus"],
+    ["drop", "--dims", "2,2", "--format", "csv"],
+    ["drop", "--dims", "2,2"],
+    [],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "2", "--m", "2"],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "2"],
+    ["compare", "--dims", "2", "--format", "xml"],
+    ["chain", "--n", "3"],
+]
+
+
+def test_main_calls_in_one_process_match_each_run_alone(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    # bytes, not text: the CSV rows end in \r\n
+    alone = [subprocess.run([sys.executable, "-m", "dropqed.cli", *argv], env=env,
+                            capture_output=True) for argv in _MIXED_ARGV]
+    for argv, proc in zip(_MIXED_ARGV, alone):
+        assert (run_cli(argv), *capsys.readouterr()) == (
+            proc.returncode, proc.stdout.decode(), proc.stderr.decode()), argv
+    compared = [json.loads(proc.stdout)["spectra"][1]["method"] for proc in alone[:2]]
+    assert compared == ["cnm", "eigen"]
 
 
 def test_module_entry_point_reads_sys_argv(capsys):
@@ -677,7 +737,7 @@ TEXT_RE_INLINE_IM = Spectrum(
 
 
 def _handler_output(argv):
-    config = cli._config_from_args(cli._build_parser(argv).parse_args(argv))
+    config = cli._config_from_args(cli._PARSER.parse_args(argv))
     spectra, report, *_ = cli._COMMANDS[config.method](config)
     return spectra, report
 

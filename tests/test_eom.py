@@ -992,12 +992,12 @@ def test_nullity_product_rule_sample():
             assert nullity_at(spec, 0.0).nullity == expected, (dims, m)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gammas", [(1e160, 1.0), (1e300, 1.0)])
 def test_overflowed_certificates_certify_no_pole(gammas):
     # ||A||_F overflows: the certificate read exactly 0 at 1e160 and NaN at
-    # 1e300, and every route reported the poles as certified
+    # 1e300, and every route reported the poles as certified; the overflow
+    # then warned twice before each route's own error
     spec = spec_of([2, 2], gammas, theta=0.3 * np.pi)
     values, vecs = eom._eig(spec, eom._hamiltonian(spec))
     assert np.isnan(eom._EomSystem(spec).certificates(values, vecs)).all()

@@ -47,9 +47,11 @@ per line.  The tests compare both formats byte for byte with that
 reference writer, on named cases and on arbitrary float64 values.
 
 Each command is one handler in ``_COMMANDS`` returning its spectra and
-report.  Exit codes: 0 success, 1 usage/config error, 2 validation failure
-(a report with ``"passed": false``), 3 solver failure (a solver error, or
-a ``LinAlgError`` from numpy or scipy).  The propagation
+report; on a network it passes ``RunConfig.network`` its route's budget
+check, run before noise is drawn.  A command takes only the flags (and
+config-file fields) it reads.  Exit codes: 0 success, 1 usage/config error,
+2 validation failure (a report with ``"passed": false``), 3 solver failure
+(a solver error, or a ``LinAlgError`` from numpy or scipy).  The propagation
 phase is always entered as a multiple of pi to avoid decimal transcription
 drift.
 """
@@ -64,7 +66,7 @@ import sys
 import tempfile
 import typing
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -122,6 +124,13 @@ class RunConfig:
             raise ConfigError(f"noise_seed must be >= 0, got {self.noise_seed}")
         if self.m_step == 0:
             raise ConfigError("m_step must not be 0")
+        if self.eom_method not in _EOM_METHODS:
+            raise ConfigError(f"unknown eom_method {self.eom_method!r}")
+        if self.svg_path and self.theta_sweep:
+            raise ConfigError("no spectra to render for --svg: a theta sweep emits none")
+        if self.output and self.svg_path and (
+                os.path.realpath(self.output) == os.path.realpath(self.svg_path)):
+            raise ConfigError("output and svg_path name the same file")
         for name in ("match_tol", "rank_tol", "solver_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -131,7 +140,8 @@ class RunConfig:
     def theta(self) -> float:
         return self.theta_over_pi * math.pi
 
-    def network(self) -> NetworkSpec:
+    def network(self, check: Callable[[NetworkSpec], None]) -> NetworkSpec:
+        """The network, its noise drawn once ``check`` (the route's budget) admits it."""
         if not self.dims:
             raise ConfigError("this command needs --dims")
         gammas = self.gammas or (1.0,) * len(self.dims)
@@ -146,20 +156,11 @@ class RunConfig:
         if self.epsilon_max:
             # drawing the field takes about 4.5 us per qubit and axis, so an
             # oversized network is refused first
-            self._check_budget(spec)
+            check(spec)
             spec = spec.with_noise(
                 sample_noise(spec, self.epsilon_max, self.noise_seed or 0)
             )
         return spec
-
-    def _check_budget(self, spec: NetworkSpec) -> None:
-        """The memory budget check of the command's route on ``spec``."""
-        if self.method in ("drop", "classify"):
-            _check_rates(spec)
-        elif self.method == "bic":
-            eom._check_svd(spec)
-        else:     # the EoM commands hold H
-            eom._check_h(spec)
 
     def as_dict(self) -> dict:
         return {
@@ -365,9 +366,7 @@ def _eom_spectrum(spec: NetworkSpec, method: str, solver_tol: float) -> Spectrum
         return eom.all_poles_eig(spec).poles
     if method == "cnm":
         return eom.all_poles_cnm(spec, tol=solver_tol).poles
-    if method == "det-interp":
-        return eom.all_poles_det_interp(spec).poles
-    raise ConfigError(f"unknown EoM method {method!r}")
+    return eom.all_poles_det_interp(spec).poles
 
 
 def _chain(config: RunConfig) -> tuple[_Spectra, None]:
@@ -378,12 +377,12 @@ def _chain(config: RunConfig) -> tuple[_Spectra, None]:
 
 
 def _drop(config: RunConfig) -> tuple[_Spectra, None]:
-    return [(drop_spectrum(config.network()), None)], None
+    return [(drop_spectrum(config.network(_check_rates)), None)], None
 
 
 def _eom(config: RunConfig) -> tuple[_Spectra, None]:
     method = {"eom-eig": "eigen", "eom-cnm": "cnm", "eom-det": "det-interp"}[config.method]
-    return [(_eom_spectrum(config.network(), method, config.solver_tol), None)], None
+    return [(_eom_spectrum(config.network(eom._check_h), method, config.solver_tol), None)], None
 
 
 def _match(config: RunConfig, spec: NetworkSpec) -> tuple[Spectrum, Spectrum, MatchReport]:
@@ -395,7 +394,7 @@ def _match(config: RunConfig, spec: NetworkSpec) -> tuple[Spectrum, Spectrum, Ma
 
 def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
     if not config.theta_sweep:
-        a, b, match = _match(config, config.network())
+        a, b, match = _match(config, config.network(eom._check_h))
         return [(a, None), (b, None)], {
             "max_abs_error": _sig(match.max_abs_error),
             "mean_abs_error": _sig(match.mean_abs_error),
@@ -404,7 +403,7 @@ def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
         }
     fracs = _parse_sweep(config.theta_sweep)
     # the noise field does not depend on theta: one draw serves every point
-    spec = config.network()
+    spec = config.network(eom._check_h)
     rows = []
     for frac in fracs:
         match = _match(config, replace(spec, theta=float(frac) * math.pi))[2]
@@ -421,7 +420,7 @@ def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
 
 
 def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.SuperradianceReport]:
-    spec = config.network()
+    spec = config.network(_check_rates)
     a = drop_spectrum(spec)
     cls = analysis.classify_superradiance(spec, a)
     expected = analysis.expected_cluster_counts(spec.dims)
@@ -438,18 +437,16 @@ def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.Superradiance
 
 
 def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
-    d = config.scaling_d if config.scaling_d is not None else (
-        len(config.dims) if config.dims else None)
-    if d is None:
+    if config.scaling_d is None:
         raise ConfigError("scaling needs --d")
     if (config.m_min is None) != (config.m_max is None):
         raise ConfigError("scaling needs both --m-min and --m-max, or neither")
     m_range = None
     if config.m_min is not None:
         m_range = range(config.m_min, config.m_max + 1, config.m_step)
-    fit = analysis.subradiance_scaling(d, config.theta, m_range)
+    fit = analysis.subradiance_scaling(config.scaling_d, config.theta, m_range)
     return [], {
-        "d": d,
+        "d": config.scaling_d,
         "sizes": list(fit.sizes),
         "min_rates": [_sig(v) for v in fit.min_rates],
         "slope": _sig(fit.slope),
@@ -458,7 +455,7 @@ def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
 
 
 def _noise(config: RunConfig) -> tuple[_Spectra, dict]:
-    spec = RunConfig(**{**config.__dict__, "epsilon_max": None}).network()
+    spec = replace(config, epsilon_max=None).network(eom._check_h)
     study = analysis.noise_study(spec, config.epsilon_max or 0.0,
                                  config.noise_seed or 0, tol=config.solver_tol)
     return [(study.drop_estimates, None), (study.refined_poles, None)], {
@@ -474,7 +471,7 @@ def _noise(config: RunConfig) -> tuple[_Spectra, dict]:
 
 
 def _bic(config: RunConfig) -> tuple[_Spectra, dict]:
-    bic = analysis.bic_condition_check(config.network(), m=config.bic_m,
+    bic = analysis.bic_condition_check(config.network(eom._check_svd), m=config.bic_m,
                                        rank_tol=config.rank_tol)
     return [], {
         "m": bic.m,
@@ -498,13 +495,12 @@ _COMMANDS = {
     "scaling": _scaling, "noise": _noise, "bic": _bic,
 }
 _METHODS = tuple(_COMMANDS)
+_EOM_METHODS = ("eigen", "cnm", "det-interp")
 
 
 def run(config: RunConfig) -> int:
     """Execute one configured command; returns the process exit code."""
     spectra, report, *svg_report = _COMMANDS[config.method](config)
-    if config.svg_path and not spectra:
-        raise ConfigError("no spectra to render for --svg")
     text = _emit(config, spectra, report)
     if config.output:
         _write_atomic(config.output, text)
@@ -578,7 +574,7 @@ def _config_value(path: str, key: str, value):
     raise ConfigError(f"config {path!r}: {key} must be {wanted}, got {value!r}")
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, fields: Sequence[str]) -> dict:
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -592,32 +588,39 @@ def _load_config_file(path: str) -> dict:
     for key, value in raw.items():
         if key == "method":
             continue
-        if key not in _CONFIG_TYPES:
+        if key not in fields:
             raise ConfigError(f"config {path!r}: unknown field {key!r}")
         out[key] = _config_value(path, key, value)
     return out
 
 
 def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
-    """The flags of command ``name``."""
+    """The flags command ``name`` reads, and only those."""
+    network = name not in ("chain", "scaling")
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--dims", help="qubits per axis, e.g. 5,3,4")
-    p.add_argument("--gammas", help="rate per axis, e.g. 1,4,2 (default all 1)")
+    if network:
+        p.add_argument("--dims", help="qubits per axis, e.g. 5,3,4")
+        p.add_argument("--gammas", help="rate per axis, e.g. 1,4,2 (default all 1)")
     p.add_argument("--theta-over-pi", type=float, help="phase as a multiple of pi")
-    p.add_argument("--epsilon-max", type=float, help="noise level for the rates")
-    p.add_argument("--noise-seed", type=int, help="noise RNG seed")
-    p.add_argument("--match-tol", type=float,
-                   help="relative match tolerance (times sum_n N_n gamma_n)")
-    p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
-    p.add_argument("--solver-tol", type=float,
-                   help="certificate bound of eom-cnm and noise (at most 1e-9)")
+    if network:
+        p.add_argument("--epsilon-max", type=float, help="noise level for the rates")
+        p.add_argument("--noise-seed", type=int, help="noise RNG seed")
+    if name == "compare":
+        p.add_argument("--match-tol", type=float,
+                       help="relative match tolerance (times sum_n N_n gamma_n)")
+    if name == "bic":
+        p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
+    if name in ("eom-cnm", "noise", "compare"):
+        p.add_argument("--solver-tol", type=float,
+                       help="certificate bound of eom-cnm and noise (at most 1e-9)")
     p.add_argument("--format", choices=("json", "csv"), dest="out_format")
     p.add_argument("--output", help="write results here (atomic)")
-    p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
+    if name not in ("bic", "scaling"):
+        p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
     if name == "chain":
         p.add_argument("--n", type=int, dest="chain_n", help="chain length")
     if name == "compare":
-        p.add_argument("--eom-method", choices=("eigen", "cnm", "det-interp"),
+        p.add_argument("--eom-method", choices=_EOM_METHODS,
                        help="EoM route to compare against (default eigen)")
         p.add_argument("--theta-sweep", metavar="START:STOP:COUNT",
                        help="validate over a sweep of theta/pi values")
@@ -647,12 +650,11 @@ _PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if getattr(args, "config", None):
-        values.update(_load_config_file(args.config))
+    fields = [key for key in _CONFIG_TYPES if key in vars(args)]   # the command's flags
+    values = _load_config_file(args.config, fields) if args.config else {}
     parsers = {"dims": _parse_dims, "gammas": _parse_gammas}
-    for key in _CONFIG_TYPES:
-        value = getattr(args, key, None)
+    for key in fields:
+        value = getattr(args, key)
         if key in parsers:
             value = parsers[key](value) if value else None
         if value is not None:

@@ -376,7 +376,8 @@ _USAGE_ARGV = [[], ["--help"], ["bogus"]] + [
 def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     full = cli._build_parser()
     for name in cli._METHODS:
-        assert full.parse_args([name, "--dims", "2"]).dims == "2"
+        if name not in ("chain", "scaling"):
+            assert full.parse_args([name, "--dims", "2"]).dims == "2"
     want = _parse_outcome(full, argv, capsys)
     assert want is not None and want[0] in (0, 2)
     # main prints the same and maps argparse's exit 2 to the usage code
@@ -388,9 +389,83 @@ def test_a_command_refuses_the_flags_of_another(capsys):
     assert run_cli(["chain", "--n", "3", "--eom-method", "cnm"]) == 1
     assert capsys.readouterr().err.endswith(
         "dropqed: error: unrecognized arguments: --eom-method cnm\n")
-    # every command takes --dims: chain reads it and still needs --n
+    # nor does chain take the flags of a network, which it never read
     assert run_cli(["chain", "--dims", "2"]) == 1
-    assert capsys.readouterr().err == "error: config: chain needs --n\n"
+    assert capsys.readouterr().err.endswith(
+        "dropqed: error: unrecognized arguments: --dims 2\n")
+
+
+# the flags each command takes, in the order its --help lists them
+_NETWORK_FLAGS = ["--config", "--dims", "--gammas", "--theta-over-pi", "--epsilon-max",
+                  "--noise-seed"]
+_OUTPUT_FLAGS = ["--format", "--output", "--svg"]
+_FLAGS = {
+    **{name: _NETWORK_FLAGS + _OUTPUT_FLAGS
+       for name in ("drop", "eom-eig", "eom-det", "classify")},
+    **{name: _NETWORK_FLAGS + ["--solver-tol"] + _OUTPUT_FLAGS for name in ("eom-cnm", "noise")},
+    "compare": _NETWORK_FLAGS + ["--match-tol", "--solver-tol"] + _OUTPUT_FLAGS
+    + ["--eom-method", "--theta-sweep"],
+    "bic": _NETWORK_FLAGS + ["--rank-tol", "--format", "--output", "--m"],
+    "chain": ["--config", "--theta-over-pi"] + _OUTPUT_FLAGS + ["--n"],
+    "scaling": ["--config", "--theta-over-pi", "--format", "--output", "--d", "--m-min",
+                "--m-max", "--m-step"],
+}
+# a run of each command that succeeds
+_VALID_ARGV = {
+    **{name: [name, "--dims", "2,2"] for name in cli._METHODS},
+    "chain": ["chain", "--n", "2"],
+    "scaling": ["scaling", "--d", "1"],
+    "classify": ["classify", "--dims", "2,2", "--theta-over-pi", "1"],
+    "bic": ["bic", "--dims", "2,3", "--theta-over-pi", "1"],
+}
+# each shared setting: its flag, its config-file field, and a value of each
+_SETTINGS = [("--dims", "dims", "2", [2]), ("--gammas", "gammas", "1", [1.0]),
+             ("--epsilon-max", "epsilon_max", "0.1", 0.1), ("--noise-seed", "noise_seed", "1", 1),
+             ("--match-tol", "match_tol", "1e-08", 1e-8), ("--rank-tol", "rank_tol", "1e-08", 1e-8),
+             ("--solver-tol", "solver_tol", "1e-10", 1e-10),
+             ("--svg", "svg_path", "x.svg", "x.svg")]
+_UNREAD = [(name, *setting) for name in cli._METHODS for setting in _SETTINGS
+           if setting[0] not in _FLAGS[name]]
+
+
+def test_each_command_takes_only_the_flags_it_reads(capsys):
+    # every command took all twelve shared flags: 128 (command, flag)
+    # pairs, 35 of them ignored
+    assert sum(map(len, _FLAGS.values())) == 93 and len(_UNREAD) == 35
+    for name in cli._METHODS:
+        assert run_cli(_VALID_ARGV[name]) == 0
+        capsys.readouterr()
+        assert run_cli([name, "--help"]) == 0
+        listed = re.findall(r"^  (?:-h, )?(--[a-z-]+)", capsys.readouterr().out, re.M)
+        assert listed == ["--help", *_FLAGS[name]], name
+
+
+@pytest.mark.parametrize("name, flag, dest, text, field", _UNREAD,
+                         ids=[f"{name} {flag}" for name, flag, *_ in _UNREAD])
+def test_a_flag_the_command_never_read_is_refused(tmp_path, capsys, monkeypatch, name, flag,
+                                                  dest, text, field):
+    # chain --n 2 --dims 2,2 --epsilon-max 0.3 exited 0, and its config
+    # block recorded a network and a noise level it never computed
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(_VALID_ARGV[name] + [flag, text]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"dropqed: error: unrecognized arguments: {flag} {text}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("name, flag, dest, text, field", _UNREAD,
+                         ids=[f"{name} {dest}" for name, _, dest, *_ in _UNREAD])
+def test_a_config_field_the_command_never_read_is_refused(tmp_path, capsys, monkeypatch, name,
+                                                          flag, dest, text, field):
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({dest: field}))
+    assert run_cli(_VALID_ARGV[name] + ["--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config: config {str(cfg)!r}: unknown field {dest!r}\n"
+    assert list(tmp_path.iterdir()) == [cfg]
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
@@ -498,17 +573,23 @@ def test_config_file_with_flag_override(tmp_path):
     assert doc["config"]["dims"] == [3, 3]
 
 
-def test_config_file_errors(tmp_path):
+def test_config_file_errors(tmp_path, capsys, monkeypatch):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert run_cli(["drop", "--config", str(bad)]) == 1
     unknown = tmp_path / "unknown.json"
     unknown.write_text(json.dumps({"dims": [2], "frobnicate": 1}))
     assert run_cli(["drop", "--config", str(unknown)]) == 1
-    # only the --eom-method choices name a route, also in a config file
+    # only the --eom-method choices name a route, also in a config file,
+    # where eom_method was checked only after the Cartesian sum
+    def sums(spec):
+        raise AssertionError("Cartesian sum built")
+    monkeypatch.setattr(cli, "drop_spectrum", sums)
     alias = tmp_path / "alias.json"
     alias.write_text(json.dumps({"eom_method": "det"}))
+    capsys.readouterr()
     assert run_cli(["compare", "--dims", "2,2", "--config", str(alias)]) == 1
+    assert capsys.readouterr().err == "error: config: unknown eom_method 'det'\n"
 
 
 @pytest.mark.parametrize("fields", [
@@ -565,8 +646,8 @@ def test_scaling_report_builds_no_index_tuples(monkeypatch, capsys):
 
 
 def test_scaling_zero_dimensions_is_config_error(capsys):
-    # --d 0 is no dimension to fit, not a fall-back to len(--dims)
-    assert run_cli(["scaling", "--d", "0", "--dims", "3,3", "--m-min", "3", "--m-max", "7"]) == 1
+    # --d 0 is no dimension to fit
+    assert run_cli(["scaling", "--d", "0", "--m-min", "3", "--m-max", "7"]) == 1
     assert capsys.readouterr().err.startswith("error: config:")
 
 
@@ -879,15 +960,46 @@ def test_json_numbers_match_json_dumps(x):
     ["compare", "--dims", "2,2", "--theta-sweep", "0.3:0.5:2"],
 ])
 @pytest.mark.parametrize("to_file", [False, True])
-def test_svg_without_spectra_fails_before_emitting(tmp_path, capsys, argv, to_file):
-    argv = argv + ["--svg", str(tmp_path / "x.svg")]
+def test_svg_without_spectra_fails_before_emitting(tmp_path, capsys, monkeypatch, argv, to_file):
+    # bic and scaling take no --svg; a swept compare is refused before its
+    # first match.  bic refused it only after the SVD: 21.7 s at 14x14x14
+    def computes(*args, **kwargs):
+        raise AssertionError("work done before the --svg check")
+    monkeypatch.setattr(cli, "_match", computes)
+    monkeypatch.setattr(eom, "nullity_at", computes)
+    svg = str(tmp_path / "x.svg")
+    argv = argv + ["--svg", svg]
     if to_file:
         argv += ["--output", str(tmp_path / "x.json")]
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: config: no spectra to render for --svg\n"
+    if argv[0] == "compare":
+        assert captured.err == (
+            "error: config: no spectra to render for --svg: a theta sweep emits none\n")
+    else:
+        assert captured.err.endswith(f"dropqed: error: unrecognized arguments: --svg {svg}\n")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("how", ["flags", "config", "relative"])
+def test_output_and_svg_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, how):
+    # the SVG was written over the document, and the run exited 0
+    monkeypatch.chdir(tmp_path)
+    path = str(tmp_path / "p")
+    argv = ["drop", "--dims", "2,2"]
+    if how == "flags":
+        argv += ["--output", path, "--svg", path]
+    elif how == "config":
+        (tmp_path / "cfg.json").write_text(json.dumps({"output": path, "svg_path": path}))
+        argv += ["--config", "cfg.json"]
+    else:
+        argv += ["--output", "p", "--svg", os.path.join(tmp_path, ".", "p")]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config: output and svg_path name the same file\n"
+    assert not (tmp_path / "p").exists() and not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.mark.parametrize("flag", ["--output", "--svg"])

@@ -539,7 +539,15 @@ def test_oversized_network_fails_before_any_allocation(monkeypatch):
     assert eom._hamiltonian(spec_of([10, 10, 10])).shape == (1000, 1000)
 
 
-def test_eom_det_budget_is_the_hamiltonians(monkeypatch):
+class _NoiseDrawn(Exception):
+    """Raised in place of drawing a noise field: the budget check passed."""
+
+
+def _draws_noise(*args):
+    raise _NoiseDrawn
+
+
+def test_eom_det_budget_is_the_hamiltonians(monkeypatch, capsys):
     # eom-det holds what every route on H holds: 17x17x17 (N = 4913) passes
     # the check and reaches the rates, 18x18x18 (N = 5832) is refused first,
     # in the route and in the CLI's check before noise is drawn
@@ -551,14 +559,16 @@ def test_eom_det_budget_is_the_hamiltonians(monkeypatch):
         all_poles_det_interp(admitted)
     with pytest.raises(ConfigError, match="budget"):
         all_poles_det_interp(refused)
-    for config in (cli.RunConfig(method="eom-det"),
-                   cli.RunConfig(method="compare", eom_method="det-interp")):
-        config._check_budget(admitted)
-        with pytest.raises(ConfigError, match="budget"):
-            config._check_budget(refused)
+    monkeypatch.setattr(cli, "sample_noise", _draws_noise)
+    for command in (["eom-det"], ["compare", "--eom-method", "det-interp"]):
+        noisy = [*command, "--epsilon-max", "0.05", "--dims"]
+        with pytest.raises(_NoiseDrawn):
+            cli.main(noisy + ["17,17,17"])
+        assert cli.main(noisy + ["18,18,18"]) == 1
+        assert "budget" in capsys.readouterr().err
 
 
-def test_bic_budget_is_the_svds(monkeypatch):
+def test_bic_budget_is_the_svds(monkeypatch, capsys):
     # nullity_at holds H and its full SVD, eight N x N arrays: 16x16x16
     # (N = 4096) passes the check and reaches the rates, 17x17x17 (N = 4913),
     # which H alone would admit, is refused before any N x N array, in the
@@ -572,10 +582,12 @@ def test_bic_budget_is_the_svds(monkeypatch):
         analysis.bic_condition_check(admitted)
     with pytest.raises(ConfigError, match="budget"):
         analysis.bic_condition_check(refused)
-    config = cli.RunConfig(method="bic")
-    config._check_budget(admitted)
-    with pytest.raises(ConfigError, match="budget"):
-        config._check_budget(refused)
+    monkeypatch.setattr(cli, "sample_noise", _draws_noise)
+    noisy = ["bic", "--theta-over-pi", "1", "--epsilon-max", "0.05", "--dims"]
+    with pytest.raises(_NoiseDrawn):
+        cli.main(noisy + ["16,16,16"])
+    assert cli.main(noisy + ["17,17,17"]) == 1
+    assert "budget" in capsys.readouterr().err
 
 
 def test_sparse_routes_never_build_h(monkeypatch):

@@ -22,7 +22,6 @@ from .analysis import (
 from .chain1d import ChainSpectrum, chain_rates
 from .drop import MatchReport, Spectrum, drop_spectrum, match_spectra
 from .eom import (
-    EomMatrix,
     NullSpaceResult,
     PoleSearchResult,
     all_poles_cnm,
@@ -60,7 +59,6 @@ __all__ = [
     "ConditioningFailure",
     "ConfigError",
     "DropQedError",
-    "EomMatrix",
     "LineId",
     "MatchReport",
     "MaxIterationsError",

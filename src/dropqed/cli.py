@@ -153,6 +153,8 @@ class RunConfig:
             spec = NetworkSpec(dims=self.dims, gammas=gammas, theta=self.theta)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        if self.epsilon_max is None and self.noise_seed is not None:
+            raise ConfigError("noise_seed needs epsilon_max: no noise is drawn without it")
         if self.epsilon_max:
             # drawing the field takes about 4.5 us per qubit and axis, so an
             # oversized network is refused first
@@ -455,7 +457,7 @@ def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
 
 
 def _noise(config: RunConfig) -> tuple[_Spectra, dict]:
-    spec = replace(config, epsilon_max=None).network(eom._check_h)
+    spec = replace(config, epsilon_max=None, noise_seed=None).network(eom._check_h)
     study = analysis.noise_study(spec, config.epsilon_max or 0.0,
                                  config.noise_seed or 0, tol=config.solver_tol)
     return [(study.drop_estimates, None), (study.refined_poles, None)], {
@@ -610,7 +612,7 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
                        help="relative match tolerance (times sum_n N_n gamma_n)")
     if name == "bic":
         p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
-    if name in ("eom-cnm", "noise", "compare"):
+    if name in ("eom-cnm", "noise"):
         p.add_argument("--solver-tol", type=float,
                        help="certificate bound of eom-cnm and noise (at most 1e-9)")
     p.add_argument("--format", choices=("json", "csv"), dest="out_format")
@@ -633,9 +635,16 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
         p.add_argument("--m", type=int, dest="bic_m", help="resonance order")
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, but a usage error is one stderr line, without the usage block."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     """The parser of every command and its flags."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dropqed",
         description="Collective decay rates of d-dimensional qubit networks.",
     )

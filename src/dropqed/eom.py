@@ -55,9 +55,9 @@ straight from the relations above over all (2d+1)N rows, never from H, so
 a wrong H fails it.  One fused pass per axis and block of poles forms that
 axis's fields, adds their squares to ||x||^2 and those of its mover rows
 to ||A x||^2, and sums its terms of the excitation rows; no array of
-(2d+1)N rows is formed.  The Lanczos :func:`sigma_min` and
-:func:`assemble`, which take the explicit nonzeros, are for users and
-tests; no solve path calls them.
+(2d+1)N rows is formed.  The Lanczos :func:`sigma_min` and :func:`assemble`
+(which returns A(Delta) as a dense array) take the explicit nonzeros, for
+users and tests; no solve path calls them.
 
 Seeded refinement (:func:`find_pole` and the noise study) is one call of
 :func:`_refine` on the network: one eigensolve of H by :func:`_eig`, which
@@ -82,25 +82,7 @@ import numpy as np
 from .chain1d import _re_im_order
 from .drop import Spectrum
 from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
-from .lattice import NetworkSpec, _lines, enumerate_lines, enumerate_qubits
-
-
-@dataclass(frozen=True, eq=False)
-class EomMatrix:
-    """The assembled square system at one detuning.
-
-    ``index_map`` sends each unknown to its column: ``("e", coords)`` for
-    excitation amplitudes, ``("t", axis, transverse, j)`` and
-    ``("r", axis, transverse, j)`` for the surviving field amplitudes on the
-    line identified by its axis and transverse coordinates (t carries
-    j = 2..M+1, r carries j = 1..M, after the zero-input boundary
-    elimination).  ``rates[i, n]`` is the per-qubit rate actually used.
-    """
-
-    a: np.ndarray
-    index_map: dict
-    delta: complex
-    rates: np.ndarray
+from .lattice import NetworkSpec, _lines
 
 
 @dataclass(frozen=True, eq=False)
@@ -458,8 +440,12 @@ def _square_sums(a: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->j", parts, parts)
 
 
-def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
-    """Build the (2d+1)N system matrix at one complex detuning."""
+def assemble(spec: NetworkSpec, delta: complex) -> np.ndarray:
+    """The (2d+1)N system matrix A(Delta) at one detuning, as a dense array.
+
+    In the layout of ``_EomSystem.entries``: rows are the right-mover, then
+    the left-mover, then the N excitation relations; columns are e in qubit
+    order, then per axis and line t_2..t_{M+1} and r_1..r_M."""
     size = (2 * spec.ndim + 1) * spec.n_qubits
     _check_dense(size, size, "the dense full system")
     system = _EomSystem(spec)
@@ -467,16 +453,7 @@ def assemble(spec: NetworkSpec, delta: complex) -> EomMatrix:
     rows, cols, vals = system.entries()
     a[rows, cols] = vals
     a[np.arange(size - system.n_poles, size), np.arange(system.n_poles)] -= delta
-    # names for the columns, in the order _EomSystem lays them out
-    index_map: dict = {("e", q): i for i, q in enumerate(enumerate_qubits(spec))}
-    start = system.n_poles
-    for axis, m in enumerate(spec.dims):
-        for line in enumerate_lines(spec, axis):
-            index_map.update({("t", axis, line.transverse, j + 2): start + j for j in range(m)})
-            index_map.update({("r", axis, line.transverse, j + 1): start + m + j for j in range(m)})
-            start += 2 * m
-    return EomMatrix(a=a, index_map=index_map, delta=complex(delta),
-                     rates=spec.resolved_rates())
+    return a
 
 
 def sigma_min(spec: NetworkSpec, delta: complex) -> float:

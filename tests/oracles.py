@@ -185,7 +185,7 @@ def loop_bic_report(spec, m: int = 1, rank_tol: float = 1e-8):
 def logdet_at(spec, delta) -> tuple[complex, float]:
     """(unit-modulus phase, log|det|) of the dense assembled A(Delta) by
     pivoted LU; overflow-safe."""
-    phase, logabs = np.linalg.slogdet(assemble(spec, delta).a)
+    phase, logabs = np.linalg.slogdet(assemble(spec, delta))
     return complex(phase), float(logabs)
 
 

@@ -189,6 +189,40 @@ def test_nonfinite_settings_are_config_errors(capsys, argv):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("name", ["drop", "eom-eig", "eom-cnm", "eom-det", "compare",
+                                  "classify", "bic"])
+def test_noise_seed_without_epsilon_max_is_refused_before_any_work(tmp_path, capsys,
+                                                                   monkeypatch, name, via):
+    # drop --dims 2,2 --noise-seed 5 exited 0 with "noise": null
+    def works(*args):
+        raise AssertionError("work started before the seed was refused")
+    monkeypatch.setattr(cli, "drop_spectrum", works)
+    monkeypatch.setattr(eom, "_hamiltonian", works)
+    monkeypatch.chdir(tmp_path)
+    argv = [name, "--dims", "2,2"]
+    if via == "flag":
+        argv += ["--noise-seed", "5"]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps({"noise_seed": 5}))
+        argv += ["--config", "cfg.json"]
+    assert run_cli(argv + ["--output", "out.json"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: config:") and "noise_seed" in err
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_noise_seed_stands_at_epsilon_max_zero_and_for_noise(capsys):
+    assert run_cli(["drop", "--dims", "2,2", "--epsilon-max", "0", "--noise-seed", "5"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["noise"] == {"epsilon_max": 0.0,
+                                                                      "seed": 5}
+    # noise studies epsilon_max = 0 without --epsilon-max, and reports its seed
+    assert run_cli(["noise", "--dims", "2,2", "--noise-seed", "5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["report"]["seed"] == 5 and doc["config"]["noise"] is None
+
+
 def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
     # refused by the memory budget before anything is assembled
     def allocates(self):
@@ -385,6 +419,18 @@ def test_help_and_usage_errors_match_the_full_parser(capsys, argv):
     assert (code, *capsys.readouterr()) == (0 if want[0] == 0 else 1, *want[1:])
 
 
+_USAGE_ERRORS = [argv for argv in _USAGE_ARGV if "--help" not in argv]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ERRORS, ids=lambda argv: " ".join(argv) or "no-command")
+def test_usage_errors_are_one_stderr_line(capsys, argv):
+    # argparse wrote its usage block first: four lines for one error
+    assert run_cli(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("\n") and len(err.splitlines()) == 1
+    assert err.startswith("dropqed") and ": error: " in err
+
+
 def test_a_command_refuses_the_flags_of_another(capsys):
     assert run_cli(["chain", "--n", "3", "--eom-method", "cnm"]) == 1
     assert capsys.readouterr().err.endswith(
@@ -403,7 +449,7 @@ _FLAGS = {
     **{name: _NETWORK_FLAGS + _OUTPUT_FLAGS
        for name in ("drop", "eom-eig", "eom-det", "classify")},
     **{name: _NETWORK_FLAGS + ["--solver-tol"] + _OUTPUT_FLAGS for name in ("eom-cnm", "noise")},
-    "compare": _NETWORK_FLAGS + ["--match-tol", "--solver-tol"] + _OUTPUT_FLAGS
+    "compare": _NETWORK_FLAGS + ["--match-tol"] + _OUTPUT_FLAGS
     + ["--eom-method", "--theta-sweep"],
     "bic": _NETWORK_FLAGS + ["--rank-tol", "--format", "--output", "--m"],
     "chain": ["--config", "--theta-over-pi"] + _OUTPUT_FLAGS + ["--n"],
@@ -430,8 +476,9 @@ _UNREAD = [(name, *setting) for name in cli._METHODS for setting in _SETTINGS
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):
     # every command took all twelve shared flags: 128 (command, flag)
-    # pairs, 35 of them ignored
-    assert sum(map(len, _FLAGS.values())) == 93 and len(_UNREAD) == 35
+    # pairs, 36 of them ignored (compare read --solver-tol only under
+    # --eom-method cnm, at its default)
+    assert sum(map(len, _FLAGS.values())) == 92 and len(_UNREAD) == 36
     for name in cli._METHODS:
         assert run_cli(_VALID_ARGV[name]) == 0
         capsys.readouterr()

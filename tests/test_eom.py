@@ -36,26 +36,51 @@ def spec_of(dims, gammas=None, theta=0.5 * np.pi):
 
 # ---------------------------------------------------------------- assembly
 
+def _layout_pattern(spec):
+    """Where A(Delta) may be nonzero, from the layout arithmetic of
+    ``_EomSystem.entries``: rows are the right-mover, then the left-mover,
+    then the N excitation relations; columns are e in qubit order, then per
+    axis and line (in enumerate_lines order) t_2..t_{M+1} and r_1..r_M."""
+    n, d = spec.n_qubits, spec.ndim
+    want = np.zeros(((2 * d + 1) * n,) * 2, dtype=bool)
+    want[2 * d * n + np.arange(n), np.arange(n)] = True     # -Delta e
+    for axis, m in enumerate(spec.dims):
+        for k, line in enumerate(lattice.enumerate_lines(spec, axis)):
+            first = n * (1 + 2 * axis) + 2 * m * k
+            for j in range(m):
+                coords = [c - 1 for c in line.transverse]
+                q = np.ravel_multi_index(coords[:axis] + [j] + coords[axis:], spec.dims)
+                right, left = axis * n + k * m + j, (d + axis) * n + k * m + j
+                t_next, r_here = first + j, first + m + j
+                want[right, [q, t_next]] = True
+                want[left, [q, r_here]] = True
+                want[2 * d * n + q, r_here] = True
+                if j:
+                    want[right, t_next - 1] = True
+                    want[left - 1, r_here] = True
+                    want[2 * d * n + q, t_next - 1] = True
+    return want
+
+
 @pytest.mark.parametrize("dims, size", [
     ([1], 3),
     ([2, 2], 20),
     ([5, 3, 4], 420),
 ])
 def test_system_size(dims, size):
-    m = assemble(spec_of(dims), delta=0.1 + 0.2j)
-    assert m.a.shape == (size, size)
-    assert len(m.index_map) == size
-    assert sorted(m.index_map.values()) == list(range(size))
+    spec = spec_of(dims)
+    a = assemble(spec, delta=0.1 + 0.2j)
+    assert a.shape == (size, size) and a.dtype == complex
+    assert np.array_equal(a != 0, _layout_pattern(spec))
 
 
 def test_single_qubit_matrix_entries():
     theta, gamma = 0.7, 1.3
     delta = 0.2 - 0.4j
-    m = assemble(spec_of([1], [gamma], theta), delta)
+    a = assemble(spec_of([1], [gamma], theta), delta)
     q = np.sqrt(gamma / 2)
-    col_e = m.index_map[("e", (1,))]
-    col_t = m.index_map[("t", 0, (), 2)]
-    col_r = m.index_map[("r", 0, (), 1)]
+    # columns e, t_2, r_1; rows right mover, left mover, excitation
+    col_e, col_t, col_r = 0, 1, 2
     expected = np.zeros((3, 3), complex)
     expected[0, col_t] = np.exp(-1j * theta)
     expected[0, col_e] = 1j * q
@@ -63,38 +88,44 @@ def test_single_qubit_matrix_entries():
     expected[1, col_e] = -1j * q
     expected[2, col_r] = q
     expected[2, col_e] = -delta
-    assert np.allclose(m.a, expected, atol=1e-15)
+    assert np.array_equal(a != 0, expected != 0)
+    assert np.allclose(a, expected, atol=1e-15)
 
 
 def test_delta_enters_linearly_on_excitation_rows():
     spec = spec_of([2, 3])
-    a0 = assemble(spec, 0.0).a
-    a1 = assemble(spec, 1.0).a
+    a0 = assemble(spec, 0.0)
+    a1 = assemble(spec, 1.0)
     diff = a1 - a0
     assert np.count_nonzero(diff) == spec.n_qubits
     assert np.allclose(diff[diff != 0], -1.0)
 
 
 @pytest.mark.parametrize("dims", [[2, 3], [2, 2, 3]])
-def test_index_map_puts_each_line_in_consecutive_columns(dims):
+def test_each_line_takes_consecutive_columns(dims):
     # the N excitation columns in qubit order, then per axis and line, in
     # enumerate_lines order, t_2..t_{M+1} and r_1..r_M
-    spec = spec_of(dims)
-    index_map = assemble(spec, 0.1).index_map
-    want = {("e", q): i for i, q in enumerate(lattice.enumerate_qubits(spec))}
-    for axis, m in enumerate(dims):
-        for line in lattice.enumerate_lines(spec, axis):
-            for name, first in (("t", 2), ("r", 1)):
-                for j in range(first, first + m):
-                    want[(name, axis, line.transverse, j)] = len(want)
-    assert index_map == want
+    spec = spec_of(dims, [1.0 + axis for axis in range(len(dims))], theta=0.3 * np.pi)
+    assert np.array_equal(assemble(spec, 0.1) != 0, _layout_pattern(spec))
+
+
+@pytest.mark.parametrize("case", ["5x3x4", "3x2x6-noisy"])
+def test_assemble_is_the_dense_fill_of_the_entries(case):
+    spec = PENCIL_CASES[case]()
+    n, delta = spec.n_qubits, 0.3 - 0.7j
+    size = (2 * spec.ndim + 1) * n
+    want = np.zeros((size, size), dtype=complex)
+    rows, cols, vals = eom._EomSystem(spec).entries()
+    np.add.at(want, (rows, cols), vals)
+    want[size - n + np.arange(n), np.arange(n)] -= delta
+    assert np.array_equal(assemble(spec, delta), want)
 
 
 def test_noise_aware_assembly():
     spec = spec_of([2, 2])
     noisy = spec.with_noise(sample_noise(spec, 0.1, seed=3))
-    a_sym = assemble(spec, 0.3).a
-    a_noisy = assemble(noisy, 0.3).a
+    a_sym = assemble(spec, 0.3)
+    a_noisy = assemble(noisy, 0.3)
     assert not np.allclose(a_sym, a_noisy)
 
 
@@ -143,7 +174,7 @@ def test_log_det_landscape_dips_at_every_pole():
 def test_sigma_min_vanishes_at_pole():
     # theta = pi, Delta = 0 is a bound-state pole: A is exactly singular
     spec = spec_of([2, 2], theta=np.pi)
-    a = assemble(spec, 0.0).a
+    a = assemble(spec, 0.0)
     assert sigma_min(spec, 0.0) <= 1e-10 * np.linalg.norm(a)
     assert sigma_min(spec, 0.0) >= dense_sigma_min(a) - 1e-12 * np.linalg.norm(a)
 
@@ -179,7 +210,7 @@ OFF_POLE = (0.123 + 0.456j, -0.3 - 0.2j, 0.05j, 2.0 - 1.0j)
 def test_sigma_min_matches_dense_svd_off_poles(case):
     spec = SIGMA_MIN_CASES[case]()
     for delta in OFF_POLE:
-        a = assemble(spec, delta).a
+        a = assemble(spec, delta)
         want = dense_sigma_min(a)
         got = sigma_min(spec, delta)
         assert abs(got - want) <= 1e-8 * want, (delta, got, want)
@@ -212,7 +243,7 @@ def test_sigma_min_singular_factor_reports_zero(monkeypatch):
 def test_sigma_min_unconverged_lanczos_stays_an_upper_bound(monkeypatch, converged):
     spec = spec_of([2, 3], (1.0, 0.4), theta=0.65 * np.pi)
     delta = 0.123 + 0.456j
-    a = assemble(spec, delta).a
+    a = assemble(spec, delta)
     rough = np.random.default_rng(1).standard_normal((len(a), converged)) + 0j
 
     def no_convergence(*args, **kwargs):
@@ -255,7 +286,7 @@ def test_closed_form_frobenius_matches_the_entries(case):
     vals = system.entries()[2]
     assert system.frobenius(0.0) ** 2 == pytest.approx(np.vdot(vals, vals).real, rel=1e-15)
     delta = 0.3 - 0.7j
-    assert system.frobenius(delta) == pytest.approx(np.linalg.norm(assemble(spec, delta).a),
+    assert system.frobenius(delta) == pytest.approx(np.linalg.norm(assemble(spec, delta)),
                                                     rel=1e-15)
 
 
@@ -321,7 +352,7 @@ def test_certificate_never_undercuts_dense_sigma_min(case):
     spec = SIGMA_MIN_CASES[case]()
     result = all_poles_eig(spec)
     for gamma, resid in zip(result.poles.rates, result.residuals):
-        a = assemble(spec, gamma / 2j).a
+        a = assemble(spec, gamma / 2j)
         norm = np.linalg.norm(a)
         assert resid <= 1e-9
         assert resid * norm >= dense_sigma_min(a) - 1e-12 * norm, gamma
@@ -518,7 +549,7 @@ def test_array_holding_results_compare_by_identity_and_hash():
         noise = sample_noise(spec, 0.05, seed=1)
         return [drop_spectrum(spec), chain_rates(3, spec.theta), all_poles_eig(spec),
                 nullity_at(spec_of([2, 3], theta=np.pi), 0.0), noise,
-                noise_study(spec, 0.05, seed=1), assemble(spec, 0.1), spec.with_noise(noise)]
+                noise_study(spec, 0.05, seed=1), spec.with_noise(noise)]
     for a, b in zip(build(), build()):
         assert (a == a) is True and (a == b) is False and (a != b) is True, type(a)
         assert hash(a) == hash(a), type(a)
@@ -596,7 +627,7 @@ def test_sparse_routes_never_build_h(monkeypatch):
     monkeypatch.setattr(eom, "_hamiltonian", builds_h)
     spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
     assert sigma_min(spec, 0.123 + 0.456j) > 0.0
-    assert assemble(spec, 0.1).a.shape == (30, 30)
+    assert assemble(spec, 0.1).shape == (30, 30)
 
 
 # --------------------------------------------------------------- find_pole
@@ -833,17 +864,10 @@ def test_seeded_routes_certify_at_the_routes_bound(monkeypatch):
         all_poles_cnm(spec.with_noise(sample_noise(spec, 0.05, seed=1)), tol=1e-6)
 
 
-def test_solve_routes_never_enumerate_qubits_or_lines(monkeypatch):
-    # the named column map is built by assemble alone
-    def enumerates(*args):
-        raise AssertionError("qubits or lines enumerated")
-    monkeypatch.setattr(eom, "enumerate_qubits", enumerates)
-    monkeypatch.setattr(eom, "enumerate_lines", enumerates)
-    spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
-    for route in (all_poles_eig, all_poles_cnm, all_poles_det_interp):
-        assert np.all(route(spec).residuals <= 1e-9)
-    find_pole(spec, drop_spectrum(spec).rates[0] / 2j)
-    assert noise_study(spec, 0.05, seed=1).recovered_count == 6
+def test_eom_binds_neither_enumerator():
+    # the column layout is defined once, by _EomSystem.entries; no named
+    # column map is built from the qubit or line enumerations
+    assert not hasattr(eom, "enumerate_qubits") and not hasattr(eom, "enumerate_lines")
 
 
 def test_noise_study_checks_the_budget_before_drawing_noise(monkeypatch):

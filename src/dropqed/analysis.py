@@ -113,12 +113,17 @@ def expected_cluster_counts(dims: Sequence[int]) -> dict[int, int]:
     return counts
 
 
-def _distance_to_resonance(theta: float) -> float:
-    return abs(theta / math.pi - round(theta / math.pi)) * math.pi
-
-
 _RESONANCE_WINDOW = 0.05 * math.pi   # classification needs theta this near m*pi
 _REPORT_TOL = 1e-8                   # bound-state line sums above this are violations
+
+
+def _check_resonance_window(theta: float) -> None:
+    """Raise ThetaOutOfRange unless theta is within the classification window."""
+    distance = abs(theta / math.pi - round(theta / math.pi)) * math.pi
+    if distance > _RESONANCE_WINDOW:
+        raise ThetaOutOfRange(f"theta = {theta:.6g} is {distance:.3g} rad from the nearest "
+                              f"multiple of pi; clusters are ill-defined beyond "
+                              f"{_RESONANCE_WINDOW:.3g}")
 
 
 def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> SuperradianceReport:
@@ -129,12 +134,7 @@ def classify_superradiance(spec: NetworkSpec, drop_spec: Spectrum) -> Superradia
     the axes whose index tuple entry selects that rate.  The partition needs
     the index tuples: it is not readable off the rate values alone.
     """
-    if _distance_to_resonance(spec.theta) > _RESONANCE_WINDOW:
-        raise ThetaOutOfRange(
-            f"theta = {spec.theta:.6g} is {_distance_to_resonance(spec.theta):.3g} rad "
-            f"from the nearest multiple of pi; clusters are ill-defined beyond "
-            f"{_RESONANCE_WINDOW:.3g}"
-        )
+    _check_resonance_window(spec.theta)
     if not drop_spec.has_tuples:
         raise ValueError("classification requires a Cartesian-sum spectrum with index tuples")
     # Re of a Cartesian-sum rate is sum_n gamma_n Re z_n with every

@@ -49,11 +49,13 @@ reference writer, on named cases and on arbitrary float64 values.
 Each command is one handler in ``_COMMANDS`` returning its spectra and
 report; on a network it passes ``RunConfig.network`` its route's budget
 check, run before noise is drawn.  A command takes only the flags (and
-config-file fields) it reads.  Exit codes: 0 success, 1 usage/config error,
-2 validation failure (a report with ``"passed": false``), 3 solver failure
-(a solver error, or a ``LinAlgError`` from numpy or scipy).  The propagation
-phase is always entered as a multiple of pi to avoid decimal transcription
-drift.
+config-file fields) it reads, listed once in ``_FIELDS``; its ``config``
+block records each of them, so the block is a config file that repeats the
+run.  Exit codes: 0 success, 1 usage/config error (a phase outside an
+analysis window too), 2 validation failure (a report with ``"passed":
+false``), 3 solver failure (a solver error, or a ``LinAlgError`` from numpy
+or scipy).  The propagation phase is always entered as a multiple of pi to
+avoid decimal transcription drift.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ from . import analysis, eom
 from .chain1d import _re_im_order, chain_rates
 from .drop import (MatchReport, Spectrum, _check_rates, _index_columns, drop_spectrum,
                    match_spectra)
-from .errors import ConfigError, DropQedError, _check_budget, _decimal
+from .errors import ConfigError, DropQedError, ThetaOutOfRange, _check_budget, _decimal
 from .lattice import NetworkSpec, sample_noise
 from .render import render_scatter
 
@@ -128,6 +130,8 @@ class RunConfig:
             raise ConfigError(f"unknown eom_method {self.eom_method!r}")
         if self.svg_path and self.theta_sweep:
             raise ConfigError("no spectra to render for --svg: a theta sweep emits none")
+        if self.out_format == "csv" and self.theta_sweep:
+            raise ConfigError("no rates to write for --format csv: a theta sweep emits none")
         if self.output and self.svg_path and (
                 os.path.realpath(self.output) == os.path.realpath(self.svg_path)):
             raise ConfigError("output and svg_path name the same file")
@@ -165,24 +169,16 @@ class RunConfig:
         return spec
 
     def as_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "dims": list(self.dims),
-            "gammas": [_sig(g) for g in (self.gammas or ())],
-            "theta_over_pi": _sig(self.theta_over_pi),
-            "noise": None if self.epsilon_max is None else
-                {"epsilon_max": _sig(self.epsilon_max), "seed": self.noise_seed or 0},
-            "tolerances": {
-                "match_tol": _sig(self.match_tol),
-                "rank_tol": _sig(self.rank_tol),
-                "solver_tol": _sig(self.solver_tol),
-            },
-            "output": {
-                "format": self.out_format,
-                "path": self.output,
-                "svg_path": self.svg_path,
-            },
-        }
+        """``method`` and every setting the command takes, under its config-file
+        name: a config file that repeats the run."""
+        return {"method": self.method,
+                **{key: _recorded(getattr(self, key)) for key in _FIELDS[self.method]}}
+
+
+def _recorded(value):
+    """A setting as its config file holds it: floats to 12 significant digits."""
+    return ([_recorded(v) for v in value] if isinstance(value, tuple)
+            else _sig(value) if isinstance(value, float) else value)
 
 
 def _sig(x: float) -> float:
@@ -423,6 +419,7 @@ def _compare(config: RunConfig) -> tuple[_Spectra, dict]:
 
 def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.SuperradianceReport]:
     spec = config.network(_check_rates)
+    analysis._check_resonance_window(spec.theta)   # before the sum is built
     a = drop_spectrum(spec)
     cls = analysis.classify_superradiance(spec, a)
     expected = analysis.expected_cluster_counts(spec.dims)
@@ -441,8 +438,11 @@ def _classify(config: RunConfig) -> tuple[_Spectra, dict, analysis.Superradiance
 def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
     if config.scaling_d is None:
         raise ConfigError("scaling needs --d")
-    if (config.m_min is None) != (config.m_max is None):
-        raise ConfigError("scaling needs both --m-min and --m-max, or neither")
+    defaults = sorted(analysis._DEFAULT_SWEEPS)   # the d with a default sweep
+    if (config.m_min is None) != (config.m_max is None) or (
+            config.m_min is None and config.scaling_d not in defaults):
+        raise ConfigError("scaling needs both --m-min and --m-max, or neither at --d in "
+                          f"{defaults}")
     m_range = None
     if config.m_min is not None:
         m_range = range(config.m_min, config.m_max + 1, config.m_step)
@@ -515,19 +515,12 @@ def run(config: RunConfig) -> int:
     return EXIT_VALIDATION if report and report.get("passed") is False else EXIT_OK
 
 
-def _parse_dims(text: str) -> tuple[int, ...]:
+def _parse_list(key: str, text: str) -> tuple:
+    """The comma-separated flag of the tuple field ``key`` (dims, gammas)."""
     try:
-        dims = tuple(int(v) for v in text.split(","))
+        return tuple(map(typing.get_args(_CONFIG_TYPES[key])[0], text.split(",")))
     except ValueError as exc:
-        raise ConfigError(f"bad dims {text!r}: {exc}") from exc
-    return dims
-
-
-def _parse_gammas(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(v) for v in text.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"bad gammas {text!r}: {exc}") from exc
+        raise ConfigError(f"bad {key} {text!r}: {exc}") from exc
 
 
 # bytes one theta sweep point holds: its report row as a dict, json pieces and
@@ -615,9 +608,11 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
     if name in ("eom-cnm", "noise"):
         p.add_argument("--solver-tol", type=float,
                        help="certificate bound of eom-cnm and noise (at most 1e-9)")
-    p.add_argument("--format", choices=("json", "csv"), dest="out_format")
+    spectra = name not in ("bic", "scaling")   # the rates of CSV rows and SVG glyphs
+    if spectra:
+        p.add_argument("--format", choices=("json", "csv"), dest="out_format")
     p.add_argument("--output", help="write results here (atomic)")
-    if name not in ("bic", "scaling"):
+    if spectra:
         p.add_argument("--svg", dest="svg_path", help="also render an SVG scatter")
     if name == "chain":
         p.add_argument("--n", type=int, dest="chain_n", help="chain length")
@@ -642,15 +637,22 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+# each command's settings, read and recorded alike: the RunConfig fields
+# its flags set, in field order (filled in by _build_parser)
+_FIELDS: dict[str, tuple[str, ...]] = {}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    """The parser of every command and its flags."""
+    """The parser of every command and its flags; fills in ``_FIELDS``."""
     parser = _Parser(
         prog="dropqed",
         description="Collective decay rates of d-dimensional qubit networks.",
     )
     sub = parser.add_subparsers(dest="method", required=True)
     for name in _METHODS:
-        _add_arguments(sub.add_parser(name), name)
+        p = sub.add_parser(name)
+        _add_arguments(p, name)
+        _FIELDS[name] = tuple(key for key in _CONFIG_TYPES if key in {a.dest for a in p._actions})
     return parser
 
 
@@ -659,19 +661,15 @@ _PARSER = _build_parser()
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    fields = [key for key in _CONFIG_TYPES if key in vars(args)]   # the command's flags
+    fields = _FIELDS[args.method]
     values = _load_config_file(args.config, fields) if args.config else {}
-    parsers = {"dims": _parse_dims, "gammas": _parse_gammas}
     for key in fields:
         value = getattr(args, key)
-        if key in parsers:
-            value = parsers[key](value) if value else None
+        if key in ("dims", "gammas"):
+            value = _parse_list(key, value) if value else None
         if value is not None:
             values[key] = value
-    try:
-        return RunConfig(method=args.method, **values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(method=args.method, **values)   # every value type-checked
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -682,7 +680,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         config = _config_from_args(args)
         return run(config)
-    except ConfigError as exc:
+    except (ConfigError, ThetaOutOfRange) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DropQedError, np.linalg.LinAlgError) as exc:

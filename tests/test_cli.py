@@ -152,11 +152,34 @@ def test_usage_error_exit_code(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_solver_error_exit_code(capsys):
-    # bound-state check off resonance is a solver-domain failure
-    assert run_cli(["bic", "--dims", "2", "--theta-over-pi", "0.5"]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: solver:")
+def test_solver_error_exit_code(capsys, monkeypatch):
+    # a solver's own error, which ThetaOutOfRange shares a base class with
+    def fails(spec):
+        raise errors.ConditioningFailure("no pole certified")
+    monkeypatch.setattr(eom, "all_poles_eig", fails)
+    assert run_cli(["eom-eig", "--dims", "2"]) == 3
+    assert capsys.readouterr().err == "error: solver: no pole certified\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "--dims", "2,3", "--theta-over-pi", "0.5"],
+    ["classify", "--dims", "2,3", "--theta-over-pi", "0.9"],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "0.5"],
+    ["bic", "--dims", "2", "--theta-over-pi", "1", "--m", "2"],
+], ids=["classify-0.5", "classify-0.9", "bic-0.5", "bic-m2"])
+def test_a_phase_outside_the_analysis_window_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                                argv):
+    # both printed "error: solver:" and exited 3, though no solver ran, and
+    # classify built the whole Cartesian sum first
+    def builds(spec):
+        raise AssertionError("Cartesian sum built before the window check")
+    monkeypatch.setattr(cli, "drop_spectrum", builds)
+    out = tmp_path / "out.json"
+    assert run_cli(argv + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: config: ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
 
 
 _TOLERANCES = ("match_tol", "rank_tol", "solver_tol")
@@ -215,12 +238,13 @@ def test_noise_seed_without_epsilon_max_is_refused_before_any_work(tmp_path, cap
 
 def test_noise_seed_stands_at_epsilon_max_zero_and_for_noise(capsys):
     assert run_cli(["drop", "--dims", "2,2", "--epsilon-max", "0", "--noise-seed", "5"]) == 0
-    assert json.loads(capsys.readouterr().out)["config"]["noise"] == {"epsilon_max": 0.0,
-                                                                      "seed": 5}
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert (config["epsilon_max"], config["noise_seed"]) == (0.0, 5)
     # noise studies epsilon_max = 0 without --epsilon-max, and reports its seed
     assert run_cli(["noise", "--dims", "2,2", "--noise-seed", "5"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["report"]["seed"] == 5 and doc["config"]["noise"] is None
+    assert doc["report"]["seed"] == 5
+    assert (doc["config"]["epsilon_max"], doc["config"]["noise_seed"]) == (None, 5)
 
 
 def test_oversized_eom_network_is_config_error(capsys, monkeypatch):
@@ -451,10 +475,10 @@ _FLAGS = {
     **{name: _NETWORK_FLAGS + ["--solver-tol"] + _OUTPUT_FLAGS for name in ("eom-cnm", "noise")},
     "compare": _NETWORK_FLAGS + ["--match-tol"] + _OUTPUT_FLAGS
     + ["--eom-method", "--theta-sweep"],
-    "bic": _NETWORK_FLAGS + ["--rank-tol", "--format", "--output", "--m"],
+    "bic": _NETWORK_FLAGS + ["--rank-tol", "--output", "--m"],
     "chain": ["--config", "--theta-over-pi"] + _OUTPUT_FLAGS + ["--n"],
-    "scaling": ["--config", "--theta-over-pi", "--format", "--output", "--d", "--m-min",
-                "--m-max", "--m-step"],
+    "scaling": ["--config", "--theta-over-pi", "--output", "--d", "--m-min", "--m-max",
+                "--m-step"],
 }
 # a run of each command that succeeds
 _VALID_ARGV = {
@@ -469,16 +493,17 @@ _SETTINGS = [("--dims", "dims", "2", [2]), ("--gammas", "gammas", "1", [1.0]),
              ("--epsilon-max", "epsilon_max", "0.1", 0.1), ("--noise-seed", "noise_seed", "1", 1),
              ("--match-tol", "match_tol", "1e-08", 1e-8), ("--rank-tol", "rank_tol", "1e-08", 1e-8),
              ("--solver-tol", "solver_tol", "1e-10", 1e-10),
-             ("--svg", "svg_path", "x.svg", "x.svg")]
+             ("--format", "out_format", "csv", "csv"), ("--svg", "svg_path", "x.svg", "x.svg")]
 _UNREAD = [(name, *setting) for name in cli._METHODS for setting in _SETTINGS
            if setting[0] not in _FLAGS[name]]
 
 
 def test_each_command_takes_only_the_flags_it_reads(capsys):
     # every command took all twelve shared flags: 128 (command, flag)
-    # pairs, 36 of them ignored (compare read --solver-tol only under
-    # --eom-method cnm, at its default)
-    assert sum(map(len, _FLAGS.values())) == 92 and len(_UNREAD) == 36
+    # pairs, 38 of them ignored (compare read --solver-tol only under
+    # --eom-method cnm, at its default, and bic and scaling, which emit
+    # no rates, wrote a bare CSV header under --format csv)
+    assert sum(map(len, _FLAGS.values())) == 90 and len(_UNREAD) == 38
     for name in cli._METHODS:
         assert run_cli(_VALID_ARGV[name]) == 0
         capsys.readouterr()
@@ -513,6 +538,93 @@ def test_a_config_field_the_command_never_read_is_refused(tmp_path, capsys, monk
     assert captured.out == ""
     assert captured.err == f"error: config: config {str(cfg)!r}: unknown field {dest!r}\n"
     assert list(tmp_path.iterdir()) == [cfg]
+
+
+# the config-file field of each flag whose name is not the field's
+_FIELD_OF = {"--format": "out_format", "--svg": "svg_path", "--n": "chain_n", "--d": "scaling_d",
+             "--m": "bic_m"}
+
+
+@pytest.mark.parametrize("name", cli._METHODS)
+def test_the_config_block_records_the_settings_the_command_takes(capsys, name):
+    # chain --n 2 recorded dims [], gammas [] and three tolerances it never
+    # read, and left out n; scaling left out --d and its sweep
+    assert run_cli(_VALID_ARGV[name]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config) == ["method", *[_FIELD_OF.get(flag, flag[2:].replace("-", "_"))
+                                        for flag in _FLAGS[name] if flag != "--config"]]
+    if name == "chain":
+        assert config == {"method": "chain", "theta_over_pi": 0.5, "out_format": "json",
+                          "output": None, "svg_path": None, "chain_n": 2}
+
+
+# each command, and a noisy network, a sweep, scaling's default sweep and
+# a run that writes its document and an SVG to files (both recorded)
+_RECORDED_ARGV = [
+    ["drop", "--dims", "2,3", "--gammas", "1,4", "--theta-over-pi", "0.65"],
+    ["eom-eig", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65"],
+    ["eom-cnm", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65",
+     "--solver-tol", "1e-11"],
+    ["eom-det", "--dims", "3,3", "--gammas", "1,4", "--theta-over-pi", "0.9999"],
+    ["chain", "--n", "5", "--theta-over-pi", "0.3"],
+    ["compare", "--dims", "2,3", "--gammas", "1,0.4", "--match-tol", "1e-7"],
+    ["classify", "--dims", "2,3", "--theta-over-pi", "1"],
+    ["scaling", "--d", "1", "--theta-over-pi", "0.9999", "--m-min", "10", "--m-max", "60",
+     "--m-step", "10"],
+    ["noise", "--dims", "2,3", "--gammas", "1,0.4", "--theta-over-pi", "0.65",
+     "--epsilon-max", "0.05", "--noise-seed", "2"],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--m", "1", "--rank-tol", "1e-9"],
+    ["eom-eig", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65",
+     "--epsilon-max", "0.05", "--noise-seed", "7"],
+    ["compare", "--dims", "3,3", "--gammas", "1,0.4", "--eom-method", "cnm",
+     "--theta-sweep", "0.1:0.9:3"],
+    ["scaling", "--d", "2"],
+    ["drop", "--dims", "2,3", "--theta-over-pi", "0.3", "--output", "out.json",
+     "--svg", "out.svg"],
+]
+
+
+@pytest.mark.parametrize("argv", _RECORDED_ARGV, ids=[
+    *cli._METHODS, "eom-eig-noisy", "compare-sweep", "scaling-default", "drop-output"])
+def test_the_config_block_repeats_the_run(tmp_path, capsys, monkeypatch, argv):
+    # every block was refused as a config file, with unknown field 'noise'
+    monkeypatch.chdir(tmp_path)
+    files = [tmp_path / "out.json", tmp_path / "out.svg"]
+
+    def run(args):
+        code = run_cli(args)
+        out = capsys.readouterr().out
+        written = [f.read_bytes() for f in files if f.exists()]
+        for f in files:
+            f.unlink(missing_ok=True)
+        return code, out, written
+    first = run(argv)
+    text = first[1] or first[2][0].decode()
+    Path("cfg.json").write_text(json.dumps(json.loads(text)["config"]))
+    assert run([argv[0], "--config", "cfg.json"]) == first
+    assert len(first[2]) == (2 if "--output" in argv else 0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--d", "1", "--format", "csv"],
+    ["bic", "--dims", "2,3", "--theta-over-pi", "1", "--format", "csv"],
+    ["compare", "--dims", "2,2", "--theta-sweep", "0.1:0.9:3", "--format", "csv"],
+], ids=["scaling", "bic", "compare-sweep"])
+def test_csv_without_spectra_is_refused(tmp_path, capsys, monkeypatch, argv):
+    # each exited 0 with a bare CSV header: the slope, the nullity and the
+    # sweep rows were lost
+    def builds(spec):
+        raise AssertionError("work done before the --format check")
+    monkeypatch.setattr(cli, "drop_spectrum", builds)
+    out = tmp_path / "out.csv"
+    assert run_cli(argv + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and len(captured.err.splitlines()) == 1
+    if argv[0] == "compare":
+        assert captured.err.startswith("error: config: ")
+    else:
+        assert captured.err.endswith("unrecognized arguments: --format csv\n")
+    assert not out.exists()
 
 
 def test_main_builds_no_parser(monkeypatch, capsys):
@@ -698,6 +810,17 @@ def test_scaling_zero_dimensions_is_config_error(capsys):
     assert capsys.readouterr().err.startswith("error: config:")
 
 
+def test_scaling_without_a_default_sweep_names_the_flags(capsys, monkeypatch):
+    # scaling --d 4 said "pass m_range", a library parameter no flag sets
+    def fits(*args):
+        raise AssertionError("the library was called")
+    monkeypatch.setattr(analysis, "subradiance_scaling", fits)
+    assert run_cli(["scaling", "--d", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:") and "--m-min" in err and "--m-max" in err
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("bound", [["--m-min", "4"], ["--m-max", "12"]])
 def test_scaling_lone_sweep_bound_is_config_error(capsys, bound):
     assert run_cli(["scaling", "--d", "2"] + bound) == 1
@@ -747,21 +870,24 @@ def test_eom_cnm_command(tmp_path, dims, gammas, frac):
     ["--dims", "2,2", "--gammas", "1,0.4", "--theta-over-pi", "1"],
 ], ids=["3x4", "3x2x6-noisy", "2x2-pi"])
 def test_eom_cnm_is_eom_eig_relabelled(capsys, argv):
-    # the same eigensolve: only the command and the route's label differ,
-    # for eom-cnm and eom-det, and for compare's det-interp route (whose
-    # noisy case fails its match, exit 2, on both routes)
+    # the same eigensolve: only the command, the route's label and the
+    # settings recorded in the config block differ, for eom-cnm and
+    # eom-det, and for compare's det-interp route (whose noisy case fails
+    # its match, exit 2, on both routes)
     def run(args):
         code = run_cli(args + argv)
-        return code, capsys.readouterr().out
-    code, eig = run(["eom-eig"])
+        text = capsys.readouterr().out
+        return code, json.loads(text)["config"], text[text.index('\n  "spectra": '):]
+    code, eig_config, eig = run(["eom-eig"])
     assert code == 0 and eig.count('"eigen"') == 1
-    for command, label in (("eom-cnm", "cnm"), ("eom-det", "det-interp")):
-        assert run([command]) == (0, eig.replace('"eom-eig"', f'"{command}"').replace(
-            '"eigen"', f'"{label}"'))
-    code, compare = run(["compare"])
-    assert code in (0, 2) and compare.count('"eigen"') == 1
+    for command, label, settings in (("eom-cnm", "cnm", {"solver_tol": 1e-10}),
+                                     ("eom-det", "det-interp", {})):
+        assert run([command]) == (0, {**eig_config, "method": command, **settings},
+                                  eig.replace('"eigen"', f'"{label}"'))
+    code, config, compare = run(["compare"])
+    assert code in (0, 2) and compare.count('"eigen"') == 1 and config["eom_method"] == "eigen"
     assert run(["compare", "--eom-method", "det-interp"]) == (
-        code, compare.replace('"eigen"', '"det-interp"'))
+        code, {**config, "eom_method": "det-interp"}, compare.replace('"eigen"', '"det-interp"'))
 
 
 def test_zero_floor_is_gone(tmp_path, capsys):

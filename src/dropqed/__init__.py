@@ -36,7 +36,6 @@ from .errors import (
     ConditioningFailure,
     ConfigError,
     DropQedError,
-    MaxIterationsError,
     SizeMismatchError,
     ThetaOutOfRange,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "DropQedError",
     "LineId",
     "MatchReport",
-    "MaxIterationsError",
     "NetworkSpec",
     "NoiseField",
     "NoiseStudyResult",

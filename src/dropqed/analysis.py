@@ -269,8 +269,7 @@ def _nan_median(values: np.ndarray) -> float:
     return float(ordered[mid] if len(ordered) % 2 else (ordered[mid - 1] + ordered[mid]) / 2)
 
 
-def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
-                tol: float = 1e-10) -> NoiseStudyResult:
+def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int) -> NoiseStudyResult:
     """Perturb the per-qubit rates, then refine Cartesian-sum estimates.
 
     Samples one noise field, forms estimates from the qubit-averaged rates,
@@ -279,19 +278,15 @@ def noise_study(spec: NetworkSpec, epsilon_max: float, seed: int,
     closer to it claimed it first (the claim rule of
     :func:`~dropqed.eom._refine`).  Reports per-seed displacements, the
     number of poles recovered (a pole of multiplicity m counts m times), and
-    which seeds (if any) have a pole that failed its certificate at
-    min(tol, 1e-9), the bound of :func:`~dropqed.eom.all_poles_cnm`.  A
-    network too large for the memory budget raises ConfigError, and a
-    ``tol`` that is not finite and positive ValueError, before the noise is
-    drawn.
+    which seeds (if any) have a pole that failed its certificate, at the
+    1e-10 of every pole route.  A network too large for the memory budget
+    raises ConfigError before the noise is drawn.
     """
     eom._check_h(spec)
-    eom._check_tol(tol)
     field = sample_noise(spec, epsilon_max, seed)
     noisy = spec.with_noise(field)
     estimates = drop_spectrum(noisy)
-    poles, _ = eom._refine(noisy, estimates.rates / 2j, tol)
-    refined = 2j * poles
+    refined = 2j * eom._refine(noisy, estimates.rates / 2j)
     displacements = np.abs(refined - estimates.rates)
     ok = ~np.isnan(displacements)
     return NoiseStudyResult(

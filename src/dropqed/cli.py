@@ -98,7 +98,6 @@ class RunConfig:
     noise_seed: Optional[int] = None
     match_tol: float = 1e-8          # relative to sum_n N_n gamma_n
     rank_tol: float = 1e-8
-    solver_tol: float = 1e-10
     out_format: str = "json"
     output: Optional[str] = None
     svg_path: Optional[str] = None
@@ -135,7 +134,7 @@ class RunConfig:
         if self.output and self.svg_path and (
                 os.path.realpath(self.output) == os.path.realpath(self.svg_path)):
             raise ConfigError("output and svg_path name the same file")
-        for name in ("match_tol", "rank_tol", "solver_tol"):
+        for name in ("match_tol", "rank_tol"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
@@ -359,12 +358,9 @@ def _write_atomic(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
-def _eom_spectrum(spec: NetworkSpec, method: str, solver_tol: float) -> Spectrum:
-    if method == "eigen":
-        return eom.all_poles_eig(spec).poles
-    if method == "cnm":
-        return eom.all_poles_cnm(spec, tol=solver_tol).poles
-    return eom.all_poles_det_interp(spec).poles
+def _eom_spectrum(spec: NetworkSpec, method: str) -> Spectrum:
+    return {"eigen": eom.all_poles_eig, "cnm": eom.all_poles_cnm,
+            "det-interp": eom.all_poles_det_interp}[method](spec).poles
 
 
 def _chain(config: RunConfig) -> tuple[_Spectra, None]:
@@ -380,13 +376,13 @@ def _drop(config: RunConfig) -> tuple[_Spectra, None]:
 
 def _eom(config: RunConfig) -> tuple[_Spectra, None]:
     method = {"eom-eig": "eigen", "eom-cnm": "cnm", "eom-det": "det-interp"}[config.method]
-    return [(_eom_spectrum(config.network(eom._check_h), method, config.solver_tol), None)], None
+    return [(_eom_spectrum(config.network(eom._check_h), method), None)], None
 
 
 def _match(config: RunConfig, spec: NetworkSpec) -> tuple[Spectrum, Spectrum, MatchReport]:
     """Cartesian-sum and EoM spectra of ``spec`` and their optimal pairing."""
     a = drop_spectrum(spec)
-    b = _eom_spectrum(spec, config.eom_method, config.solver_tol)
+    b = _eom_spectrum(spec, config.eom_method)
     return a, b, match_spectra(a, b, config.match_tol * spec.rate_sum)
 
 
@@ -458,8 +454,7 @@ def _scaling(config: RunConfig) -> tuple[_Spectra, dict]:
 
 def _noise(config: RunConfig) -> tuple[_Spectra, dict]:
     spec = replace(config, epsilon_max=None, noise_seed=None).network(eom._check_h)
-    study = analysis.noise_study(spec, config.epsilon_max or 0.0,
-                                 config.noise_seed or 0, tol=config.solver_tol)
+    study = analysis.noise_study(spec, config.epsilon_max or 0.0, config.noise_seed or 0)
     return [(study.drop_estimates, None), (study.refined_poles, None)], {
         "epsilon_max": _sig(study.epsilon_max),
         "seed": study.seed,
@@ -569,7 +564,7 @@ def _config_value(path: str, key: str, value):
     raise ConfigError(f"config {path!r}: {key} must be {wanted}, got {value!r}")
 
 
-def _load_config_file(path: str, fields: Sequence[str]) -> dict:
+def _load_config_file(path: str, method: str, fields: Sequence[str]) -> dict:
     try:
         with open(path) as handle:
             raw = json.load(handle)
@@ -582,6 +577,9 @@ def _load_config_file(path: str, fields: Sequence[str]) -> dict:
     out = {}
     for key, value in raw.items():
         if key == "method":
+            if value != method:
+                raise ConfigError(f"config {path!r}: method {value!r} is not the command "
+                                  f"{method!r}")
             continue
         if key not in fields:
             raise ConfigError(f"config {path!r}: unknown field {key!r}")
@@ -605,9 +603,6 @@ def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
                        help="relative match tolerance (times sum_n N_n gamma_n)")
     if name == "bic":
         p.add_argument("--rank-tol", type=float, help="null-space rank tolerance")
-    if name in ("eom-cnm", "noise"):
-        p.add_argument("--solver-tol", type=float,
-                       help="certificate bound of eom-cnm and noise (at most 1e-9)")
     spectra = name not in ("bic", "scaling")   # the rates of CSV rows and SVG glyphs
     if spectra:
         p.add_argument("--format", choices=("json", "csv"), dest="out_format")
@@ -662,7 +657,7 @@ _PARSER = _build_parser()
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     fields = _FIELDS[args.method]
-    values = _load_config_file(args.config, fields) if args.config else {}
+    values = _load_config_file(args.config, args.method, fields) if args.config else {}
     for key in fields:
         value = getattr(args, key)
         if key in ("dims", "gammas"):

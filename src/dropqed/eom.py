@@ -28,12 +28,12 @@ by :func:`_hamiltonian`; for a symmetric network it is the Kronecker sum
 of the per-axis chain matrices (see :mod:`dropqed.drop`).  H is the one
 matrix every route solves, so every route reports its eigenvalues.
 :func:`all_poles_eig` diagonalizes H (the bulk method) by one eigensolve,
-:func:`_eig`; :func:`all_poles_cnm` is that route certified at
-min(tol, 1e-9), and :func:`all_poles_det_interp` is it under another
-label, all three one body, :func:`_eigen_route`.  Without noise H commutes
-with the reversal of every axis, so :func:`_eig` changes each axis to its
-even/odd reflection basis and diagonalizes the 2^d parity sectors apart,
-each about N / 2^d by one dense eig; a noisy H is one sector, one eig.
+:func:`_eig`; :func:`all_poles_cnm` and :func:`all_poles_det_interp` are
+it under other labels, all three one body, :func:`_eigen_route`.  Without
+noise H commutes with the reversal of every axis, so :func:`_eig` changes
+each axis to its even/odd reflection basis and diagonalizes the 2^d
+parity sectors apart, each about N / 2^d by one dense eig; a noisy H is
+one sector, one eig.
 ``_EomSystem`` applies the line relations above, without H and without
 storing the system's nonzeros, and holds the certificate below.
 Every route checks the memory budget of :mod:`dropqed.errors`, before
@@ -48,11 +48,12 @@ step: the trace rule (the poles sum to the total per-qubit rate within
 certificate bound.  For the pole's eigenvector e of H, x = (e, w) with
 the field amplitudes w that solve the bulk (field) rows, which the line
 recurrences give in closed form as two prefix sums per axis;
-||A x|| / ||x|| / ||A||_F at the pole must be at most 1e-9.  That bounds
-sigma_min(A)/||A||_F from above for any x, so no pole passes that an exact
-SVD would fail (a wrong w can only fail a pole), and A x is applied
-straight from the relations above over all (2d+1)N rows, never from H, so
-a wrong H fails it.  One fused pass per axis and block of poles forms that
+||A x|| / ||x|| / ||A||_F at the pole must be at most 1e-10 on every
+route, else it raises ConditioningFailure.  That bounds sigma_min(A) /
+||A||_F from above for any x, so no pole passes that an exact SVD would
+fail (a wrong w can only fail a pole), and A x is applied straight from
+the relations above over all (2d+1)N rows, never from H, so a wrong H
+fails it.  One fused pass per axis and block of poles forms that
 axis's fields, adds their squares to ||x||^2 and those of its mover rows
 to ||A x||^2, and sums its terms of the excitation rows; no array of
 (2d+1)N rows is formed.  The Lanczos :func:`sigma_min` and :func:`assemble`
@@ -62,8 +63,8 @@ users and tests; no solve path calls them.
 Seeded refinement (:func:`find_pole` and the noise study) is one call of
 :func:`_refine` on the network: one eigensolve of H by :func:`_eig`, which
 gives each seed its nearest eigenvalue not yet claimed by a seed closer to
-its own, and one certificate per pole at min(tol, 1e-9).  It reports that
-eigenvalue, never the seed itself.
+its own, and one certificate per pole at the same bound.  It reports
+that eigenvalue, never the seed itself.
 
 Only :func:`sigma_min`, which factors the sparse pencil, imports scipy,
 inside the function: every pole route and :func:`nullity_at` run on numpy
@@ -75,13 +76,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .chain1d import _re_im_order
 from .drop import Spectrum
-from .errors import ConditioningFailure, MaxIterationsError, _check_budget, _check_dense
+from .errors import ConditioningFailure, _check_budget, _check_dense
 from .lattice import NetworkSpec, _lines
 
 
@@ -495,12 +496,12 @@ def sigma_min(spec: NetworkSpec, delta: complex) -> float:
     return float(np.linalg.norm(a @ v) / np.linalg.norm(v))
 
 
-_CHECK_TOL = 1e-9        # certificate of every reported pole, at most
+_CHECK_TOL = 1e-10       # certificate of every reported pole, at most
 
 
-def _check_tol(tol: float, name: str = "tol") -> None:
-    """Raise ValueError unless ``tol`` is finite and positive: a NaN bound
-    would pass every certificate, since no residual compares above it."""
+def _check_tol(tol: float, name: str) -> None:
+    """Raise ValueError unless ``tol`` is finite and positive: no value
+    compares below or above a NaN bound."""
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"{name} must be finite and > 0, got {tol!r}")
 
@@ -511,31 +512,25 @@ def _check_tol(tol: float, name: str = "tol") -> None:
 _CERT_BLOCK = 64
 
 
-def find_pole(spec: NetworkSpec, seed: complex, tol: float = 1e-10) -> complex:
+def find_pole(spec: NetworkSpec, seed: complex) -> complex:
     """The pole of A(Delta) nearest a seed.
 
     Takes the eigenvalue of H nearest the seed, and requires its
     certificate on the full system (see the module docstring) to be at most
-    min(tol, 1e-9).
-
-    Raises MaxIterationsError when the pole fails the certificate, and
-    ValueError when ``tol`` is not finite and positive.
+    1e-10, else raises ConditioningFailure.
     """
-    _check_tol(tol)
     seed = complex(seed)
-    poles, _ = _refine(spec, [seed], tol)
-    pole = complex(poles[0])
+    pole = complex(_refine(spec, [seed])[0])
     if np.isnan(pole):
-        raise MaxIterationsError(f"the pole nearest seed {seed} fails the certificate "
-                                 f"<= {min(tol, _CHECK_TOL):g}")
+        raise ConditioningFailure(f"the pole nearest seed {seed} fails the certificate "
+                                  f"<= {_CHECK_TOL:g}")
     return pole
 
 
-def _refine(spec: NetworkSpec, seeds: Sequence[complex],
-            tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _refine(spec: NetworkSpec, seeds: Sequence[complex]) -> np.ndarray:
     """Give each of at most N seeds its own pole of the network; NaN where
-    it fails the certificate at min(tol, 1e-9).  The one seeded entry:
-    it builds H, which checks the budget first.
+    it fails the certificate.  The one seeded entry: it builds H, which
+    checks the budget first.
 
     The poles are the eigenvalues of H, one slot per eigenvalue as often as
     its algebraic multiplicity, so a pole of multiplicity m goes to exactly
@@ -545,7 +540,7 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
     unclaimed.
 
     Each claimed eigenvalue is certified once and reported if it passes,
-    else NaN.  Returns the reported poles and their certificates.
+    else NaN.
     """
     seeds = np.asarray(seeds, dtype=complex)
     if not np.all(np.isfinite(seeds)):
@@ -567,32 +562,32 @@ def _refine(spec: NetworkSpec, seeds: Sequence[complex],
         free[slot[i]] = False
     poles = values[slot]
     residuals = _EomSystem(spec).certificates(poles, vectors[:, slot])
-    return np.where(residuals <= min(tol, _CHECK_TOL), poles, complex(np.nan, np.nan)), residuals
+    return np.where(residuals <= _CHECK_TOL, poles, complex(np.nan, np.nan))
 
 
-def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray,
-            method: str, error: type[Exception],
-            bound: Optional[float] = _CHECK_TOL) -> PoleSearchResult:
+def _finish(spec: NetworkSpec, gammas: np.ndarray, residuals: np.ndarray, method: str,
+            certify: bool = True) -> PoleSearchResult:
     """The last step of every route: trace rule, (Re, Im) order, certificate.
 
     The poles must sum to the total per-qubit rate within 1e-9 max(1, N S),
-    S = sum_n N_n gamma_n, and every certificate must be at most ``bound``
-    (NaN fails), else ``error`` is raised; the trace rule is checked first.
-    A ``bound`` of None, only for ``validate="none"``, certifies nothing.
+    S = sum_n N_n gamma_n, and, unless ``certify`` is False (only for
+    ``validate="none"``), every certificate must be at most 1e-10 (NaN
+    fails), else ConditioningFailure is raised; the trace rule is checked
+    first.
     """
     expected = float(spec.resolved_rates().sum())     # exact: the total per-qubit rate
     if not abs(gammas.sum() - expected) <= 1e-9 * max(1.0, spec.n_qubits * spec.rate_sum):
-        raise error(
+        raise ConditioningFailure(
             f"{method} pole multiset violates the trace rule: sum {gammas.sum():.6g} "
             f"vs expected {expected:.6g}; duplicates or missed poles likely"
         )
     order = _re_im_order(gammas)
     gammas, residuals = gammas[order], residuals[order]
-    failed = 0 if bound is None else int(np.count_nonzero(~(residuals <= bound)))
+    failed = int(np.count_nonzero(~(residuals <= _CHECK_TOL))) if certify else 0
     if failed:
         worst = int(np.argmax(np.nan_to_num(residuals, nan=np.inf)))
-        raise error(
-            f"{failed} of {len(gammas)} poles fail the certificate <= {bound:g}: reported "
+        raise ConditioningFailure(
+            f"{failed} of {len(gammas)} poles fail the certificate <= {_CHECK_TOL:g}: reported "
             f"pole {gammas[worst]} fails the singularity check with certificate "
             f"{residuals[worst]:.3e}"
         )
@@ -616,34 +611,29 @@ def all_poles_eig(spec: NetworkSpec, validate: str = "sample") -> PoleSearchResu
     if validate not in ("sample", "all", "none"):
         raise ValueError(
             f"validate must be 'sample', 'all' or 'none', got {validate!r}")
-    return _eigen_route(spec, "eigen", ConditioningFailure,
-                        None if validate == "none" else _CHECK_TOL)
+    return _eigen_route(spec, "eigen", validate != "none")
 
 
-def all_poles_cnm(spec: NetworkSpec, tol: float = 1e-10) -> PoleSearchResult:
-    """All N poles as the eigenvalues of H, certified at min(tol, 1e-9).
+def all_poles_cnm(spec: NetworkSpec) -> PoleSearchResult:
+    """All N poles as the eigenvalues of H, under the "cnm" label.
 
-    The route of :func:`all_poles_eig`, one eigensolve of H and one
-    certificate per pole, reported under the "cnm" label: a run whose poles
-    break the trace rule, or fail the certificate at min(tol, 1e-9), raises
-    MaxIterationsError; a ``tol`` that is not finite and positive raises
-    ValueError.  Its name and label are kept because the ``eom-cnm``
-    command and ``--eom-method cnm`` select it.
+    The route of :func:`all_poles_eig`: one eigensolve of H, one certificate
+    per pole, and a run whose poles break the trace rule or fail the
+    certificate raises ConditioningFailure.  Its name and label are kept
+    because the ``eom-cnm`` command and ``--eom-method cnm`` select it.
     """
-    _check_tol(tol)
-    return _eigen_route(spec, "cnm", MaxIterationsError, min(tol, _CHECK_TOL))
+    return _eigen_route(spec, "cnm")
 
 
-def _eigen_route(spec: NetworkSpec, method: str, error: type[Exception],
-                 bound: Optional[float] = _CHECK_TOL) -> PoleSearchResult:
+def _eigen_route(spec: NetworkSpec, method: str, certify: bool = True) -> PoleSearchResult:
     """The body of the three all-poles routes: one eigensolve of H (which
     checks the budget first), one certificate pass over its N eigenvectors
-    (NaN, uncertified, when ``bound`` is None), and :func:`_finish` under
-    ``method``, raising ``error`` past ``bound``."""
+    (NaN, uncertified, when ``certify`` is False), and :func:`_finish`
+    under ``method``."""
     values, vecs = _eig(spec, _hamiltonian(spec))
-    residuals = (np.full(len(values), np.nan) if bound is None
-                 else _EomSystem(spec).certificates(values, vecs))
-    return _finish(spec, 2j * values, residuals, method, error, bound)
+    residuals = (_EomSystem(spec).certificates(values, vecs) if certify
+                 else np.full(len(values), np.nan))
+    return _finish(spec, 2j * values, residuals, method, certify)
 
 
 def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
@@ -656,7 +646,7 @@ def all_poles_det_interp(spec: NetworkSpec) -> PoleSearchResult:
     this route was before, kept because the ``eom-det`` command and
     ``--eom-method det-interp`` select it.
     """
-    return _eigen_route(spec, "det-interp", ConditioningFailure)
+    return _eigen_route(spec, "det-interp")
 
 
 def nullity_at(spec: NetworkSpec, delta: complex, rank_tol: float = 1e-8) -> NullSpaceResult:

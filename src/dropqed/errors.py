@@ -17,24 +17,14 @@ class SizeMismatchError(DropQedError):
     """Two spectra of different cardinality were compared."""
 
 
-class MaxIterationsError(DropQedError):
-    """A tolerance-bound pole search did not account for its poles.
-
-    Raised by ``find_pole`` when the pole nearest the seed fails its
-    certificate on the full system, and by ``all_poles_cnm``, in
-    ``_finish``, when its poles break the trace rule or one fails the
-    certificate.  Both certify at min(tol, 1e-9), the bound every route
-    reports under, so a tolerance above 1e-9 passes no further pole.
-    """
-
-
 class ConditioningFailure(DropQedError):
     """A pole route returned poles that could not be certified.
 
-    Raised in ``_finish``, the last step of every route, when a pole of
-    ``all_poles_eig`` or ``all_poles_det_interp`` has a certificate
-    ``||A x|| / ||x|| / ||A||_F`` on the full system above 1e-9 (or NaN,
-    from sums that overflowed), or when their poles break the trace rule.
+    Raised in ``_finish``, the last step of every all-poles route, when a
+    pole has a certificate ``||A x|| / ||x|| / ||A||_F`` on the full system
+    above 1e-10 (or NaN, from sums that overflowed), or when the poles
+    break the trace rule; and by ``find_pole`` when the pole nearest its
+    seed fails that certificate.
     """
 
 

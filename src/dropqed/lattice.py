@@ -97,6 +97,16 @@ class NetworkSpec:
             raise ValueError("theta must be finite")
         if self.noise is not None and self.noise.dims != dims:
             raise ValueError("noise field dims do not match network dims")
+        # the total rate, N sum_n gamma_n or the field's sum, bounds every
+        # collective rate, every per-axis mean and the trace rule's total; a
+        # count past the float range is left to the routes' budget checks,
+        # which refuse it by its size
+        with np.errstate(over="ignore"):
+            total = (float(self.noise.rates.sum()) if self.noise is not None
+                     else self.n_qubits * sum(gammas) if self.n_qubits < 2 ** 1000 else 0.0)
+        if not math.isfinite(total):
+            raise ValueError("the total rate, the per-qubit rates summed over qubits "
+                             "and axes, overflows a float")
 
     @property
     def ndim(self) -> int:

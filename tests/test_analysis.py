@@ -366,7 +366,9 @@ def test_bic_requires_resonant_theta():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 def test_noise_study_rejects_a_tol_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tol"):
+    # noise_study takes no tol: its one certificate bound is fixed, so a
+    # bad tol is refused as a keyword it does not take
+    with pytest.raises(TypeError, match="tol"):
         noise_study(spec_of([2, 2], (1.0, 0.4), frac=0.65), 0.05, seed=1, tol=tol)
 
 

@@ -183,15 +183,24 @@ def test_a_phase_outside_the_analysis_window_is_a_config_error(tmp_path, capsys,
 
 
 _TOLERANCES = ("match_tol", "rank_tol", "solver_tol")
+# the command each setting's config-file field is given to; no command takes
+# solver_tol, the certificate bound eom-cnm and noise took, so its field is
+# refused whatever it holds
+_READER = {"epsilon_max": "noise", "match_tol": "compare", "rank_tol": "bic",
+           "solver_tol": "eom-cnm"}
 
 
 @pytest.mark.parametrize("field, value", [
     (field, value) for field in ("epsilon_max", *_TOLERANCES)
     for value in (float("nan"), float("inf"), -1.0)] + [(field, 0.0) for field in _TOLERANCES])
-def test_config_rejects_values_that_are_not_finite(field, value):
+def test_config_rejects_values_that_are_not_finite(tmp_path, capsys, field, value):
     # epsilon_max may be 0; a tolerance must be positive
-    with pytest.raises(errors.ConfigError, match=field):
-        cli.RunConfig(method="noise", dims=(2, 3), **{field: value})
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({field: value}))
+    assert run_cli([_READER[field], "--dims", "2,3", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: config:")
+    assert field in captured.err and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [
@@ -209,7 +218,12 @@ def test_config_rejects_values_that_are_not_finite(field, value):
         "gamma-nan", "gamma-inf"])
 def test_nonfinite_settings_are_config_errors(capsys, argv):
     assert run_cli(argv) == 1
-    assert capsys.readouterr().err.startswith("error: config:")
+    err = capsys.readouterr().err
+    if "--solver-tol" in argv:
+        # no command takes --solver-tol: the parser refuses it, whatever it holds
+        assert err.endswith(f"dropqed: error: unrecognized arguments: --solver-tol {argv[-1]}\n")
+    else:
+        assert err.startswith("error: config:")
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
@@ -401,6 +415,43 @@ def test_a_theta_that_overflows_is_config_error(capsys, argv):
     assert captured.err.startswith("error: config:") and captured.err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ["drop", "--dims", "2,2", "--gammas", "1e308,1e308", "--format", "csv", "--output", "r.csv"],
+    ["classify", "--dims", "2,2", "--gammas", "1e308,1e308", "--theta-over-pi", "1", "--svg",
+     "f.svg"],
+], ids=["drop", "classify-svg"])
+def test_rates_whose_total_overflows_are_config_errors(tmp_path, capsys, monkeypatch, argv):
+    # both exited 0: drop wrote inf and -inf rates, and classify an SVG with
+    # 14 NaN or infinite coordinates, after numpy's RuntimeWarnings
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Warning" not in captured.err
+    assert captured.err.startswith("error: config: the total rate")
+    assert captured.err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_config_files_method_must_be_the_command(tmp_path, capsys):
+    # a drop block passed to eom-eig ran eom-eig and exited 0: the method
+    # was skipped whatever it held
+    assert run_cli(["drop", "--dims", "2,2"]) == 0
+    document = capsys.readouterr().out
+    cfg = tmp_path / "cfg.json"
+    for method in ("drop", 5):
+        cfg.write_text(json.dumps({**json.loads(document)["config"], "method": method}))
+        assert run_cli(["eom-eig", "--config", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: config: config {str(cfg)!r}: method {method!r} is not "
+                                "the command 'eom-eig'\n")
+    # the block fed back to its own command still repeats the run
+    cfg.write_text(json.dumps(json.loads(document)["config"]))
+    assert run_cli(["drop", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == document
+
+
 def test_unknown_method_is_usage_error():
     assert run_cli(["frobnicate"]) == 1
 
@@ -471,8 +522,7 @@ _NETWORK_FLAGS = ["--config", "--dims", "--gammas", "--theta-over-pi", "--epsilo
 _OUTPUT_FLAGS = ["--format", "--output", "--svg"]
 _FLAGS = {
     **{name: _NETWORK_FLAGS + _OUTPUT_FLAGS
-       for name in ("drop", "eom-eig", "eom-det", "classify")},
-    **{name: _NETWORK_FLAGS + ["--solver-tol"] + _OUTPUT_FLAGS for name in ("eom-cnm", "noise")},
+       for name in ("drop", "eom-eig", "eom-cnm", "eom-det", "classify", "noise")},
     "compare": _NETWORK_FLAGS + ["--match-tol"] + _OUTPUT_FLAGS
     + ["--eom-method", "--theta-sweep"],
     "bic": _NETWORK_FLAGS + ["--rank-tol", "--output", "--m"],
@@ -488,7 +538,8 @@ _VALID_ARGV = {
     "classify": ["classify", "--dims", "2,2", "--theta-over-pi", "1"],
     "bic": ["bic", "--dims", "2,3", "--theta-over-pi", "1"],
 }
-# each shared setting: its flag, its config-file field, and a value of each
+# each shared setting: its flag, its config-file field, and a value of each;
+# no command takes --solver-tol, the certificate bound eom-cnm and noise took
 _SETTINGS = [("--dims", "dims", "2", [2]), ("--gammas", "gammas", "1", [1.0]),
              ("--epsilon-max", "epsilon_max", "0.1", 0.1), ("--noise-seed", "noise_seed", "1", 1),
              ("--match-tol", "match_tol", "1e-08", 1e-8), ("--rank-tol", "rank_tol", "1e-08", 1e-8),
@@ -502,8 +553,9 @@ def test_each_command_takes_only_the_flags_it_reads(capsys):
     # every command took all twelve shared flags: 128 (command, flag)
     # pairs, 38 of them ignored (compare read --solver-tol only under
     # --eom-method cnm, at its default, and bic and scaling, which emit
-    # no rates, wrote a bare CSV header under --format csv)
-    assert sum(map(len, _FLAGS.values())) == 90 and len(_UNREAD) == 38
+    # no rates, wrote a bare CSV header under --format csv); eom-cnm and
+    # noise took a --solver-tol that could only tighten the one bound
+    assert sum(map(len, _FLAGS.values())) == 88 and len(_UNREAD) == 40
     for name in cli._METHODS:
         assert run_cli(_VALID_ARGV[name]) == 0
         capsys.readouterr()
@@ -563,8 +615,7 @@ def test_the_config_block_records_the_settings_the_command_takes(capsys, name):
 _RECORDED_ARGV = [
     ["drop", "--dims", "2,3", "--gammas", "1,4", "--theta-over-pi", "0.65"],
     ["eom-eig", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65"],
-    ["eom-cnm", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65",
-     "--solver-tol", "1e-11"],
+    ["eom-cnm", "--dims", "3,2", "--gammas", "1,3", "--theta-over-pi", "0.65"],
     ["eom-det", "--dims", "3,3", "--gammas", "1,4", "--theta-over-pi", "0.9999"],
     ["chain", "--n", "5", "--theta-over-pi", "0.3"],
     ["compare", "--dims", "2,3", "--gammas", "1,0.4", "--match-tol", "1e-7"],
@@ -870,8 +921,8 @@ def test_eom_cnm_command(tmp_path, dims, gammas, frac):
     ["--dims", "2,2", "--gammas", "1,0.4", "--theta-over-pi", "1"],
 ], ids=["3x4", "3x2x6-noisy", "2x2-pi"])
 def test_eom_cnm_is_eom_eig_relabelled(capsys, argv):
-    # the same eigensolve: only the command, the route's label and the
-    # settings recorded in the config block differ, for eom-cnm and
+    # the same eigensolve: only the command and the route's label differ
+    # (eom-cnm recorded its solver_tol as well), for eom-cnm and
     # eom-det, and for compare's det-interp route (whose noisy case fails
     # its match, exit 2, on both routes)
     def run(args):
@@ -880,9 +931,8 @@ def test_eom_cnm_is_eom_eig_relabelled(capsys, argv):
         return code, json.loads(text)["config"], text[text.index('\n  "spectra": '):]
     code, eig_config, eig = run(["eom-eig"])
     assert code == 0 and eig.count('"eigen"') == 1
-    for command, label, settings in (("eom-cnm", "cnm", {"solver_tol": 1e-10}),
-                                     ("eom-det", "det-interp", {})):
-        assert run([command]) == (0, {**eig_config, "method": command, **settings},
+    for command, label in (("eom-cnm", "cnm"), ("eom-det", "det-interp")):
+        assert run([command]) == (0, {**eig_config, "method": command},
                                   eig.replace('"eigen"', f'"{label}"'))
     code, config, compare = run(["compare"])
     assert code in (0, 2) and compare.count('"eigen"') == 1 and config["eom_method"] == "eigen"

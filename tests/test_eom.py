@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from functools import reduce
 
@@ -9,7 +10,6 @@ from scipy.sparse.linalg import ArpackNoConvergence
 from dropqed import (
     ConditioningFailure,
     ConfigError,
-    MaxIterationsError,
     NetworkSpec,
     all_poles_cnm,
     all_poles_det_interp,
@@ -23,7 +23,8 @@ from dropqed import (
     sample_noise,
     sigma_min,
 )
-from dropqed import analysis, chain1d, cli, drop, eom, lattice
+import dropqed
+from dropqed import analysis, chain1d, cli, drop, eom, errors, lattice
 from dropqed.chain1d import _re_im_order
 from oracles import (dense_sigma_min, det_at, gather_hamiltonian, logdet_at, multiset_max_err,
                      plain_eig, reduced, splu_certificates)
@@ -650,15 +651,16 @@ def test_find_pole_at_an_exact_seed_returns_its_eigenvalue():
     assert abs(pole - exact) <= 1e-15
 
 
-def test_find_pole_far_seed_reaches_a_pole():
+def test_find_pole_far_seed_reaches_a_pole(monkeypatch):
     spec = spec_of([2, 2])
     seed = 50.0 + 50.0j
     poles = all_poles_eig(spec, validate="none").poles.rates / 2j
     assert np.abs(poles - find_pole(spec, seed)).min() <= 1e-10
     # a refined pole that cannot pass the full-matrix check is an error
-    # (a bound of 0 is refused as a tol, so the bound is the least normal)
-    with pytest.raises(MaxIterationsError):
-        find_pole(spec, seed, tol=np.finfo(float).tiny)
+    monkeypatch.setattr(eom._EomSystem, "certificates",
+                        lambda self, deltas, vecs: np.full(len(deltas), 1e-6))
+    with pytest.raises(ConditioningFailure, match="fails the certificate <= 1e-10"):
+        find_pole(spec, seed)
 
 
 @pytest.mark.parametrize("case, frac", [
@@ -684,15 +686,33 @@ def test_find_pole_rejects_nonfinite_seed():
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 def test_find_pole_rejects_a_tol_that_is_not_finite_and_positive(tol):
-    # no certificate compares above a NaN bound, so it would pass them all
-    with pytest.raises(ValueError, match="tol"):
+    # no certificate compares above a NaN bound, so it would pass them all;
+    # find_pole takes no tol now, so every tol is refused
+    with pytest.raises(TypeError, match="tol"):
         find_pole(spec_of([2, 3], (1.0, 0.4)), seed=0.5j, tol=tol)
 
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0, -1.0])
 def test_all_poles_cnm_rejects_a_tol_that_is_not_finite_and_positive(tol):
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         all_poles_cnm(spec_of([2, 3], (1.0, 0.4)), tol=tol)
+
+
+@pytest.mark.parametrize("route", [
+    lambda spec, **kw: find_pole(spec, 0.5j, **kw),
+    lambda spec, **kw: all_poles_cnm(spec, **kw),
+    lambda spec, **kw: noise_study(spec, 0.05, 1, **kw),
+], ids=["find_pole", "all_poles_cnm", "noise_study"])
+def test_the_pole_routes_take_no_tolerance(route):
+    # a tol could only tighten the one bound of 1e-10, and a NaN one passed
+    # every certificate until it was checked; the routes that took it
+    # raised MaxIterationsError, now gone for ConditioningFailure
+    spec = spec_of([2, 3], (1.0, 0.4))
+    with pytest.raises(TypeError, match="tol"):
+        route(spec, tol=1e-12)
+    route(spec)
+    assert not hasattr(dropqed, "MaxIterationsError") and not hasattr(errors, "MaxIterationsError")
+    assert "MaxIterationsError" not in dropqed.__all__
 
 
 @pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 0.0, -1.0])
@@ -841,27 +861,37 @@ def test_finish_rejects_failed_certificates_and_nan_poles(monkeypatch):
     with pytest.raises(ConditioningFailure, match="singularity check"):
         all_poles_eig(spec)
     with pytest.raises(ConditioningFailure, match="trace rule"):
-        eom._finish(spec, np.full(4, complex(np.nan, 0.0)), np.zeros(4),
-                    "eigen", ConditioningFailure)
+        eom._finish(spec, np.full(4, complex(np.nan, 0.0)), np.zeros(4), "eigen")
     # a run that breaks both is reported for the trace rule
-    with pytest.raises(MaxIterationsError, match="trace rule"):
-        eom._finish(spec, np.zeros(4, dtype=complex), np.ones(4), "cnm", MaxIterationsError)
+    with pytest.raises(ConditioningFailure, match="trace rule"):
+        eom._finish(spec, np.zeros(4, dtype=complex), np.ones(4), "cnm")
 
 
-def test_seeded_routes_certify_at_the_routes_bound(monkeypatch):
-    # a pole whose certificate lies between 1e-9 and tol fails noise and
-    # eom-cnm alike: it is no recovered pole, and no ConditioningFailure
+def test_seeded_routes_certify_at_the_routes_bound(monkeypatch, capsys):
+    # eom-eig, eom-det and compare certified at 1e-9, eom-cnm, noise and
+    # find_pole at a tol of 1e-10: one pole's certificate between the two
+    # passed the first three and failed the others
     certify = eom._EomSystem.certificates
-
-    def first_column_at_5e9(self, deltas, vecs):
-        out = certify(self, deltas, vecs)
-        out[:1] = 5e-9
-        return out
-    monkeypatch.setattr(eom._EomSystem, "certificates", first_column_at_5e9)
+    network = ["--dims", "2,3", "--gammas", "1,0.4", "--theta-over-pi", "0.3"]
     spec = spec_of([2, 3], (1.0, 0.4), theta=0.3 * np.pi)
-    assert noise_study(spec, 0.05, seed=1, tol=1e-6).unconverged == (0,)
-    with pytest.raises(MaxIterationsError, match="1e-09"):
-        all_poles_cnm(spec.with_noise(sample_noise(spec, 0.05, seed=1)), tol=1e-6)
+    for certificate, passed in ((5e-11, True), (2e-10, False)):
+        def first_column_at(self, deltas, vecs):
+            out = certify(self, deltas, vecs)
+            out[:1] = certificate
+            return out
+        monkeypatch.setattr(eom._EomSystem, "certificates", first_column_at)
+        for command in ("eom-eig", "eom-cnm", "eom-det", "compare"):
+            assert cli.main([command, *network]) == (0 if passed else 3), (command, certificate)
+        assert cli.main(["noise", *network, "--epsilon-max", "0.05", "--noise-seed", "1"]) == (
+            0 if passed else 2)
+        out = capsys.readouterr().out
+        report = json.loads(out[out.rindex('{\n  "config"'):])["report"]
+        assert report["unconverged_seeds"] == ([] if passed else [0])
+        if passed:
+            find_pole(spec, 0.5j)
+        else:
+            with pytest.raises(ConditioningFailure, match="<= 1e-10"):
+                find_pole(spec, 0.5j)
 
 
 def test_eom_binds_neither_enumerator():
@@ -1040,9 +1070,9 @@ def test_overflowed_certificates_certify_no_pole(gammas):
     for route in (all_poles_eig, all_poles_det_interp):
         with pytest.raises(ConditioningFailure, match="certificate nan"):
             route(spec)
-    with pytest.raises(MaxIterationsError, match="certificate nan"):
+    with pytest.raises(ConditioningFailure, match="certificate nan"):
         all_poles_cnm(spec)
-    with pytest.raises(MaxIterationsError):
+    with pytest.raises(ConditioningFailure):
         find_pole(spec, values[0])
     # validate="none" certifies nothing, so it still reports
     assert np.isnan(all_poles_eig(spec, validate="none").residuals).all()

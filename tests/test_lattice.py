@@ -80,6 +80,23 @@ def test_spec_rejects_a_rate_that_is_not_finite(bad):
         NetworkSpec(dims=(2, 3), gammas=(bad, 1.0), theta=0.3)
 
 
+@pytest.mark.filterwarnings("error")
+def test_spec_rejects_rates_whose_total_overflows():
+    # each rate is finite, but not their total over qubits and axes: drop
+    # wrote inf and -inf rates, after numpy's RuntimeWarnings
+    with pytest.raises(ValueError, match="total rate"):
+        NetworkSpec(dims=(2, 2), gammas=(1e308, 1e308), theta=0.3)
+    with pytest.raises(ValueError, match="total rate"):
+        NetworkSpec(dims=(10 ** 300,), gammas=(1e10,), theta=0.3)
+    spec = NetworkSpec(dims=(2, 2), gammas=(1.0, 1.0), theta=0.3)
+    field = lattice.NoiseField(dims=(2, 2), rates=np.full((4, 2), 1e308), epsilon_max=0.1,
+                               rng_seed=0)
+    with pytest.raises(ValueError, match="total rate"):
+        spec.with_noise(field)
+    # a total within the float range is kept, to fail the certificates
+    assert NetworkSpec(dims=(2, 2), gammas=(1e300, 1.0), theta=0.3).rate_sum == 2e300 + 2
+
+
 def test_noise_zero_epsilon_is_symmetric():
     spec = NetworkSpec(dims=(3, 2), gammas=(1.0, 2.5), theta=0.4)
     field = sample_noise(spec, 0.0, seed=11)
